@@ -9,11 +9,12 @@ this boundary; the run manifest records both forms.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from .config import db_to_linear
-from .experiments import FIGURES, ExperimentSpec, figure_ids, run_experiment
+from .experiments import FIGURES, ExperimentSpec, _span, figure_ids, run_experiment
 
 __all__ = ["ConfigError", "validate_config", "main"]
 
@@ -36,7 +37,11 @@ def _parse_scalar(text: str):
 
 
 def _parse_value(text: str):
-    """int | float | string | inclusive range 'a:step:b' | comma list."""
+    """int | float | string | inclusive range 'a:step:b' | comma list.
+
+    A range keeps int values only when start, step and stop are all integer
+    literals; otherwise every value is a float.
+    """
     text = text.strip()
     if "," in text:
         return [_parse_scalar(t.strip()) for t in text.split(",") if t.strip()]
@@ -44,13 +49,20 @@ def _parse_value(text: str):
         parts = [p.strip() for p in text.split(":")]
         if len(parts) != 3:
             raise ValueError(f"range must be 'start:step:stop', got {text!r}")
-        a, step, b = (float(p) for p in parts)
+        a, step, b = (_parse_scalar(p) for p in parts)
+        if not all(isinstance(x, int) for x in (a, step, b)):
+            a, step, b = (float(p) for p in parts)
+        if not all(math.isfinite(x) for x in (a, step, b)):
+            raise ValueError(f"range bounds must be finite, got {text!r}")
         if step <= 0 or b < a:
             raise ValueError(f"bad range {text!r}")
-        n = int(round((b - a) / step))
-        vals = [round(a + i * step, 10) for i in range(n + 1)]
-        return [int(v) if float(v).is_integer() and "." not in parts[0] else v for v in vals]
+        return _span(a, b, step)
     return _parse_scalar(text)
+
+
+def _nonfinite(val) -> bool:
+    vals = val if isinstance(val, list) else [val]
+    return any(isinstance(v, float) and not math.isfinite(v) for v in vals)
 
 
 def validate_config(path: str | Path) -> ExperimentSpec:
@@ -77,10 +89,15 @@ def validate_config(path: str | Path) -> ExperimentSpec:
             entries[key] = (_parse_value(val), lineno)
         except ValueError as e:
             raise ConfigError(f"{path}:{lineno}: {e}") from None
+        if _nonfinite(entries[key][0]):
+            raise ConfigError(
+                f"{path}:{lineno}: {key} must be finite, got {val.strip()!r}"
+            )
 
     def pop(name, default=None):
         return entries.pop(name, (default, 0))[0]
 
+    n_trials_line = entries.get("n_trials", (None, 0))[1]
     figure = pop("figure", pop("figure_id"))
     if figure is None:
         raise ConfigError(f"{path}: missing required key 'figure'")
@@ -111,6 +128,11 @@ def validate_config(path: str | Path) -> ExperimentSpec:
         raise ConfigError(f"{path}: seed must be an integer, got {seed!r}")
     if not isinstance(n_trials, int) or n_trials < 0:
         raise ConfigError(f"{path}: n_trials must be a nonnegative integer")
+    if n_trials == 1 and FIGURES[figure].default_trials > 1:
+        raise ConfigError(
+            f"{path}:{n_trials_line}: n_trials = 1 leaves no standard error; "
+            f"{figure} is a Monte Carlo figure and needs n_trials >= 2"
+        )
 
     k, k_line = value_of("k")
     tau, tau_line = value_of("tau")

@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import log_ndtr
 
 from .channel import unvec
 from .config import SystemConfig
@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 _RIDGE = 1e-10
+_LOG_SQRT_2PI = np.log(np.sqrt(2.0 * np.pi))  # standard normal pdf: exp(-z^2/2 - this)
 
 
 @dataclass
@@ -77,13 +78,16 @@ def estimate_variance(cfg: SystemConfig) -> float:
     return sig / (sig + ap2 + UNCORR_NOISE_VAR)
 
 
-def _pilot_model(Phi: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    """Stacked training matrix Phi_bar = Phi kron sqrt(rho_p) I_M."""
-    tau, K = Phi.shape
-    if K != cfg.K or tau != cfg.tau:
+def _check_pilots(Phi: np.ndarray, cfg: SystemConfig) -> None:
+    if Phi.shape != (cfg.tau, cfg.K):
         raise ValueError(
             f"pilot shape {Phi.shape} inconsistent with cfg (tau={cfg.tau}, K={cfg.K})"
         )
+
+
+def _pilot_model(Phi: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """Stacked training matrix Phi_bar = Phi kron sqrt(rho_p) I_M."""
+    _check_pilots(Phi, cfg)
     return np.kron(Phi, np.sqrt(cfg.rho_p) * np.eye(cfg.M))
 
 
@@ -214,13 +218,42 @@ def lmmse_uncorrelated(
     return ChannelEstimate(unvec(h_hat, cfg.M, cfg.K), sigma_sq=sigma_sq, mse=mse)
 
 
-def _real_embedding(Phib: np.ndarray) -> np.ndarray:
-    return np.block(
-        [
-            [Phib.real, -Phib.imag],
-            [Phib.imag, Phib.real],
-        ]
-    )
+def _nml_objective(r_p: np.ndarray, Phi: np.ndarray, cfg: SystemConfig):
+    """Log-likelihood of the one-bit training signs and its gradient.
+
+    Returns objective_grad(h) -> (sum_i log F(z_i), gradient) with
+    z = sqrt(2) c (Phi_bar_R h), where h = [Re vec(H); Im vec(H)] is the
+    real embedding of the M x K channel, c the observed signs of
+    [Re r_p; Im r_p], F the standard normal CDF and Phi_bar_R the real
+    embedding of the training matrix Phi_bar = Phi kron sqrt(rho_p) I_M.
+
+    Phi_bar_R is never formed. Since Phi_bar vec(H) = vec(sqrt(rho_p) H Phi^T),
+    the forward product is one (2 tau x 2K) @ (2K x M) real matmul: the real
+    embedding of sqrt(rho_p) Phi times h viewed as [Re H^T; Im H^T]. Its
+    rows, [Re Y^T; Im Y^T] with Y = sqrt(rho_p) H Phi^T, are in the order of
+    the stacked signs, and the gradient is the transposed matmul,
+    [Re; Im] of sqrt(rho_p) U Phi^* with U = unvec(c lam). Cost O(M K tau)
+    per evaluation instead of O(M^2 K tau). log F is
+    ``scipy.special.log_ndtr`` and the pdf/cdf ratio is
+    lam = exp(-z^2/2 - log sqrt(2 pi) - log F), stable for large negative z.
+    """
+    _check_pilots(Phi, cfg)
+    M, K, tau = cfg.M, cfg.K, cfg.tau
+    P = np.sqrt(cfg.rho_p) * Phi
+    B = np.block([[P.real, -P.imag], [P.imag, P.real]])  # 2tau x 2K
+    r = np.asarray(r_p).reshape(-1)
+    # signs as [Re R^T; Im R^T], the row layout of the forward product
+    c = np.sign(np.concatenate([r.real, r.imag])).reshape(2 * tau, M)  # in {+-1}
+    sc = np.sqrt(2.0) * c
+
+    def objective_grad(h):
+        z = sc * (B @ h.reshape(2 * K, M))
+        logF = log_ndtr(z)
+        lam = np.exp(-0.5 * z * z - _LOG_SQRT_2PI - logF)  # pdf/cdf ratio, stable
+        grad = np.sqrt(2.0) * (B.T @ (c * lam)).reshape(-1)
+        return float(logF.sum()), grad
+
+    return objective_grad
 
 
 def nml_estimate(
@@ -239,23 +272,17 @@ def nml_estimate(
     standard normal CDF and c_i the observed signs. The problem is concave;
     ascent uses backtracking line search. Non-convergence is reported in
     `diagnostics` rather than raised.
+
+    The objective applies the training operator in its Kronecker form, as a
+    K -> tau matmul on the M x K channel, and evaluates log F with
+    ``scipy.special.log_ndtr`` (see :func:`_nml_objective`), so an
+    evaluation costs O(M K tau).
     """
+    objective_grad = _nml_objective(r_p, Phi, cfg)
     MK = cfg.M * cfg.K
     if radius_sq is None:
         radius_sq = float(MK)
     radius = np.sqrt(radius_sq)
-
-    Phib = _pilot_model(Phi, cfg)
-    A = _real_embedding(Phib)  # 2M*tau x 2MK
-    r = np.asarray(r_p).reshape(-1)
-    c = np.sign(np.concatenate([r.real, r.imag]))  # in {+-1}
-
-    def objective_grad(h):
-        z = np.sqrt(2.0) * c * (A @ h)
-        logF = stats.norm.logcdf(z)
-        lam = np.exp(stats.norm.logpdf(z) - logF)  # pdf/cdf ratio, stable
-        grad = np.sqrt(2.0) * (A.T @ (c * lam))
-        return float(logF.sum()), grad
 
     def project(h):
         nrm = np.linalg.norm(h)

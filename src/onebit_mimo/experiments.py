@@ -20,7 +20,12 @@ from . import __version__
 from .allocation import _optimize_numeric, antenna_ratio, power_scaling_limit
 from .channel import crandn, dft_pilots, laplacian_covariance, vec
 from .config import PowerBudget, SystemConfig, db_to_linear
-from .estimators import blmmse_filter, lmmse_uncorrelated_filter, nml_estimate
+from .estimators import (
+    _pilot_model,
+    blmmse_filter,
+    lmmse_uncorrelated_filter,
+    nml_estimate,
+)
 from .mc import run_blocks
 from .quantize import one_bit_quantize
 from .rates import ergodic_rate_mc, rate_mrc_closed, rate_zf_closed
@@ -205,8 +210,7 @@ def _mse_point(cfg, Phi, filters, nml_opts, n_trials, seed):
 
 
 def _ls_filter(Phi, cfg):
-    Phib = np.kron(Phi, np.sqrt(cfg.rho_p) * np.eye(cfg.M))
-    return np.linalg.pinv(Phib)
+    return np.linalg.pinv(_pilot_model(Phi, cfg))
 
 
 def fig2_mse(spec: ExperimentSpec) -> ResultTable:

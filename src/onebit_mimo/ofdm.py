@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import circulant
 
 from .channel import crandn
 from .config import SystemConfig
@@ -54,7 +53,8 @@ def td_pilot_matrix(x_fd: np.ndarray, L: int | None = None) -> np.ndarray:
     """
     x_fd = np.asarray(x_fd).reshape(-1)
     phi_td = np.fft.ifft(x_fd) * np.sqrt(x_fd.size)
-    C = circulant(phi_td)
+    i = np.arange(phi_td.size)
+    C = phi_td[(i[:, None] - i) % phi_td.size]  # C[i, j] = phi_td[(i - j) mod N]
     return C if L is None else C[:, :L]
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from onebit_mimo.cli import ConfigError, main, validate_config
+from onebit_mimo.cli import ConfigError, _parse_value, main, validate_config
 from onebit_mimo.experiments import (
     ExperimentSpec,
     figure_ids,
@@ -68,6 +68,29 @@ class TestConfigParsing:
         p = _write(tmp_path, "figure fig2_mse\n")
         with pytest.raises(ConfigError, match="cfg.txt:1"):
             validate_config(p)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "-10, nan", "0:1:inf"])
+    def test_nonfinite_value_rejected(self, tmp_path, text):
+        p = _write(tmp_path, f"figure = fig2_mse\nsnr_db = {text}\n")
+        with pytest.raises(ConfigError, match="cfg.txt:2: .*finite"):
+            validate_config(p)
+
+    def test_single_trial_rejected_for_monte_carlo_figure(self, tmp_path):
+        p = _write(tmp_path, "figure = fig2_mse\nseed = 3\nn_trials = 1\n")
+        with pytest.raises(ConfigError, match="cfg.txt:3: n_trials = 1"):
+            validate_config(p)
+        # closed-form figures run one trial by default
+        p = _write(tmp_path, "figure = fig5_power_eff\nn_trials = 1\n")
+        assert validate_config(p).n_trials == 1
+
+    def test_range_types(self):
+        # ints only when start, step and stop are all integer literals
+        assert _parse_value("0:0.5:2") == [0.0, 0.5, 1.0, 1.5, 2.0]
+        assert all(type(v) is float for v in _parse_value("0:0.5:2"))
+        assert all(type(v) is float for v in _parse_value("0:1:2.0"))
+        ints = _parse_value("-20:5:20")
+        assert ints == list(range(-20, 21, 5))
+        assert all(type(v) is int for v in ints)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="no such config"):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from onebit_mimo import (
     SystemConfig,
@@ -7,6 +10,7 @@ from onebit_mimo import (
     blmmse_flat,
     dft_pilots,
     estimate_variance,
+    estimators,
     lmmse_uncorrelated,
     ls_estimate,
     mse_closed_form,
@@ -16,7 +20,13 @@ from onebit_mimo import (
     training_signal,
 )
 from onebit_mimo.channel import crandn, vec
-from onebit_mimo.estimators import blmmse_filter, lmmse_uncorrelated_filter
+from onebit_mimo.estimators import (
+    _nml_objective,
+    _pilot_model,
+    blmmse_filter,
+    lmmse_uncorrelated_filter,
+)
+from onebit_mimo.experiments import _ls_filter
 
 
 def _quantized_training(cfg, Phi, seed):
@@ -280,3 +290,93 @@ class TestNml:
         est = nml_estimate(r, Phi, cfg, max_iters=2)
         assert est.diagnostics["converged"] is False
         assert np.isfinite(est.diagnostics["grad_norm"])
+
+
+# --------------------------------------------------------------------------
+# reference nML objective on the dense real embedding of Phi_bar (2M tau x 2MK)
+
+
+def _dense_objective(r_p, Phi, cfg):
+    Phib = _pilot_model(Phi, cfg)
+    A = np.block([[Phib.real, -Phib.imag], [Phib.imag, Phib.real]])
+    r = np.asarray(r_p).reshape(-1)
+    c = np.sign(np.concatenate([r.real, r.imag]))
+
+    def objective_grad(h):
+        z = np.sqrt(2.0) * c * (A @ h)
+        logF = stats.norm.logcdf(z)
+        lam = np.exp(stats.norm.logpdf(z) - logF)
+        grad = np.sqrt(2.0) * (A.T @ (c * lam))
+        return float(logF.sum()), grad
+
+    return objective_grad
+
+
+class TestNmlStructuredOperator:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        M=st.integers(1, 6),
+        K=st.integers(1, 4),
+        extra_tau=st.integers(0, 4),
+        log_rho=st.floats(-2.0, 2.0),
+        norm_frac=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_objective_and_gradient_match_dense(
+        self, M, K, extra_tau, log_rho, norm_frac, seed
+    ):
+        # random complex (non-DFT) pilots with tau >= K; h anywhere in the
+        # default feasible ball ||h||^2 <= MK, where the solver evaluates
+        tau = K + extra_tau
+        rho = 10.0**log_rho
+        cfg = SystemConfig(M=M, K=K, tau=tau, rho_p=rho)
+        rng = np.random.default_rng(seed)
+        Phi = crandn(rng, tau, K)
+        _, r = _quantized_training(cfg, Phi, rng)
+        h = rng.standard_normal(2 * M * K)
+        h *= np.sqrt(norm_frac * M * K) / np.linalg.norm(h)
+        obj_s, grad_s = _nml_objective(r, Phi, cfg)(h)
+        obj_d, grad_d = _dense_objective(r, Phi, cfg)(h)
+        assert abs(obj_s - obj_d) <= 1e-12 * abs(obj_d)
+        assert np.linalg.norm(grad_s - grad_d) <= 1e-12 * np.linalg.norm(grad_d)
+
+    @pytest.mark.parametrize(
+        "M, K, tau, snr_db, dft, seed",
+        [
+            (16, 4, 20, -20.0, True, 0),
+            (16, 4, 20, 0.0, True, 1),
+            (16, 4, 20, 20.0, True, 2),
+            (8, 3, 5, 5.0, False, 3),
+            (5, 2, 2, 10.0, False, 4),
+        ],
+    )
+    def test_solver_matches_dense_oracle(
+        self, monkeypatch, M, K, tau, snr_db, dft, seed
+    ):
+        rho = 10 ** (snr_db / 10)
+        cfg = SystemConfig(M=M, K=K, tau=tau, rho_p=rho)
+        rng = np.random.default_rng(seed)
+        Phi = dft_pilots(tau, K) if dft else crandn(rng, tau, K)
+        _, r = _quantized_training(cfg, Phi, rng)
+        opts = {"radius_sq": float(K), "max_iters": 200}
+        fast = nml_estimate(r, Phi, cfg, **opts)
+        monkeypatch.setattr(estimators, "_nml_objective", _dense_objective)
+        ref = nml_estimate(r, Phi, cfg, **opts)
+        assert fast.diagnostics["iterations"] == ref.diagnostics["iterations"]
+        assert fast.diagnostics["converged"] == ref.diagnostics["converged"]
+        assert np.max(np.abs(fast.H_hat - ref.H_hat)) <= 1e-10
+
+    def test_rejects_inconsistent_pilots(self):
+        cfg = SystemConfig(M=4, K=2, tau=4)
+        with pytest.raises(ValueError, match="pilot shape"):
+            nml_estimate(np.ones(16), dft_pilots(4, 3), cfg)
+
+
+def test_ls_filter_uses_pilot_model_shape_check():
+    cfg = SystemConfig(M=4, K=2, tau=4, rho_p=2.0)
+    Phi = dft_pilots(4, 2)
+    assert np.array_equal(
+        _ls_filter(Phi, cfg), np.linalg.pinv(np.kron(Phi, np.sqrt(2.0) * np.eye(4)))
+    )
+    with pytest.raises(ValueError, match="pilot shape"):
+        _ls_filter(dft_pilots(5, 2), cfg)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import circulant
 
 from onebit_mimo import OfdmConfig, SystemConfig, blmmse_ofdm, dft_pilots, one_bit_quantize
 from onebit_mimo.channel import crandn, vec
@@ -32,6 +33,12 @@ def test_circulant_first_column_is_ifft():
     assert np.allclose(P @ e1, np.fft.ifft(x) * 4.0, atol=1e-14)
     # truncation keeps the leading columns
     assert np.array_equal(td_pilot_matrix(x, 3), P[:, :3])
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 16])
+def test_circulant_index_build_matches_scipy(n):
+    x = qpsk_pilots(n, 1, n)[:, 0]
+    assert np.array_equal(td_pilot_matrix(x), circulant(np.fft.ifft(x) * np.sqrt(n)))
 
 
 def test_qpsk_pilots_unit_modulus():
