@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PowerBudget, SystemConfig
-from .quantize import UNCORR_NOISE_VAR
+from .estimators import _estimate_variance, estimate_variance
+from .quantize import UNCORR_NOISE_VAR, _alpha_sq
 
 __all__ = [
     "AllocationSolution",
@@ -51,10 +52,8 @@ def _sinr(rho_p, rho_d, tau, M, K, receiver: str, system: str):
             return rho_d * tau * rho_p * (M - K) / (K * rho_d + tau * rho_p + 1.0)
         raise ValueError(f"unknown receiver {receiver!r}")
     if system == "one-bit":
-        ap2 = (2.0 / np.pi) / (K * rho_p + 1.0)
-        ad2 = (2.0 / np.pi) / (K * rho_d + 1.0)
-        s = ap2 * tau * rho_p
-        sig = s / (s + ap2 + UNCORR_NOISE_VAR)
+        ad2 = _alpha_sq(K, rho_d)
+        sig = _estimate_variance(K, tau, rho_p)
         if receiver == "mrc":
             return rho_d * ad2 * M * sig
         if receiver == "zf":
@@ -231,8 +230,6 @@ def power_scaling_limit(case: str, cfg: SystemConfig, E_u: float) -> float:
         (T-tau)/T * K * log2(1 + (4/pi^2) tau E_u^2).
     The MRC and ZF rates share each limit.
     """
-    from .estimators import estimate_variance
-
     pref = (cfg.T - cfg.tau) / cfg.T * cfg.K
     if case == "I":
         sig = estimate_variance(cfg)
@@ -279,20 +276,15 @@ def antenna_ratio(
     rho = budget.rho
 
     if mode == "benchmark":
-        target = (
-            (T - K)
-            / T
-            * K
-            * math.log2(1.0 + _sinr(rho, rho, K, M_conv, K, receiver, "conventional"))
-        )
+
+        def se_bench(M, system):
+            sinr = _sinr(rho, rho, K, M, K, receiver, system)
+            return (T - K) / T * K * math.log2(1.0 + sinr)
+
+        target = se_bench(M_conv, "conventional")
 
         def se_one(M):
-            return (
-                (T - K)
-                / T
-                * K
-                * math.log2(1.0 + _sinr(rho, rho, K, M, K, receiver, "one-bit"))
-            )
+            return se_bench(M, "one-bit")
 
     else:
         _, target = _golden_max(

@@ -148,11 +148,14 @@ def validate_config(path: str | Path) -> ExperimentSpec:
         raise ConfigError(
             f"{path}:{t_line or tau_line}: t ({t}) violates tau <= t (tau = {tau})"
         )
-    for name, val, line in (("m", m, m_line),):
-        vals = val if isinstance(val, list) else [val]
-        for v in vals:
-            if isinstance(v, int) and v < 1:
-                raise ConfigError(f"{path}:{line}: {name} must be >= 1")
+    for v in m if isinstance(m, list) else [m]:
+        if isinstance(v, int) and v < 1:
+            raise ConfigError(f"{path}:{m_line}: m must be >= 1")
+        if FIGURES[figure].m_exceeds_k and isinstance(k, int) and v <= k:
+            raise ConfigError(
+                f"{path}:{m_line or k_line}: m ({v}) must exceed k ({k}); "
+                f"{figure} evaluates the ZF closed form, which needs M > K"
+            )
 
     spec = ExperimentSpec(
         figure_id=figure,

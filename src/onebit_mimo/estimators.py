@@ -19,6 +19,7 @@ from .channel import unvec
 from .config import SystemConfig
 from .quantize import (
     UNCORR_NOISE_VAR,
+    _alpha_sq,
     alpha_p,
     arcsine_covariance,
     bussgang_gain,
@@ -71,11 +72,16 @@ def mse_floor() -> float:
     return UNCORR_NOISE_VAR
 
 
+def _estimate_variance(K, tau, rho_p):
+    """Low-SNR estimate variance sigma^2 (rho_p may be an array)."""
+    ap2 = _alpha_sq(K, rho_p)
+    s = ap2 * tau * rho_p
+    return s / (s + ap2 + UNCORR_NOISE_VAR)
+
+
 def estimate_variance(cfg: SystemConfig) -> float:
     """Per-element variance sigma^2 of the estimate under the low-SNR model."""
-    ap2 = 2.0 / np.pi / (cfg.K * cfg.rho_p + 1.0)
-    sig = ap2 * cfg.tau * cfg.rho_p
-    return sig / (sig + ap2 + UNCORR_NOISE_VAR)
+    return _estimate_variance(cfg.K, cfg.tau, cfg.rho_p)
 
 
 def _check_pilots(Phi: np.ndarray, cfg: SystemConfig) -> None:
@@ -100,9 +106,40 @@ def _hermitian_solve(C: np.ndarray, B: np.ndarray) -> np.ndarray:
             "quantized-output covariance is numerically singular; "
             f"regularizing with a {_RIDGE:g} ridge",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
         return np.linalg.solve(C + _RIDGE * np.eye(C.shape[0]), B)
+
+
+def _bussgang_lmmse(
+    Phib: np.ndarray, C_h: np.ndarray | None, uncorrelated: bool = False
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """Bussgang LMMSE filter G for y = Phib h + n, r = Q(y); returns (G, power, C_y).
+
+    C_h is the channel covariance (None for I). B = C_h (A Phib)^H is the
+    channel/output cross-covariance, with A the diagonal Bussgang gain of
+    the training covariance C_y. G = B C^{-1}, where C is the arcsine-law
+    output covariance, or with ``uncorrelated`` its surrogate
+    A C_y A^H + (1 - 2/pi) I that models the quantizer noise as white.
+    power = Re tr(G B^H) is the estimate power the filter's model predicts.
+    """
+    n = Phib.shape[0]
+    if C_h is None:
+        C_y = Phib @ Phib.conj().T + np.eye(n)
+        C_h_Pht = Phib.conj().T
+    else:
+        C_y = Phib @ C_h @ Phib.conj().T + np.eye(n)
+        C_h_Pht = C_h @ Phib.conj().T
+    a = bussgang_gain(C_y)
+    B = C_h_Pht * a  # columns scaled by the diagonal gain
+    if uncorrelated:
+        # A Phib C_h (A Phib)^H + A A^H + (1 - 2/pi) I
+        C = (Phib * a[:, None]) @ B
+        C[np.diag_indices(n)] += a**2 + UNCORR_NOISE_VAR
+    else:
+        C = arcsine_covariance(C_y)
+    G = _hermitian_solve(C, B.conj().T).conj().T
+    return G, float(np.real(np.sum(G * B.conj()))), C_y
 
 
 def blmmse_filter(
@@ -113,21 +150,8 @@ def blmmse_filter(
     The estimate is obtained as unvec(G @ r_p). Input-independent, so the
     filter can be reused across Monte Carlo trials.
     """
-    Phib = _pilot_model(Phi, cfg)
-    n = Phib.shape[0]
-    if C_h is None:
-        C_y = Phib @ Phib.conj().T + np.eye(n)
-        C_h_Pht = Phib.conj().T  # C_h = I
-    else:
-        C_y = Phib @ C_h @ Phib.conj().T + np.eye(n)
-        C_h_Pht = C_h @ Phib.conj().T
-    a = bussgang_gain(C_y)
-    B = C_h_Pht * a  # C_h (A Phi_bar)^H, columns scaled by the diagonal gain
-    C_r = arcsine_covariance(C_y)
-    G = _hermitian_solve(C_r, B.conj().T).conj().T
-    # predicted estimate power tr(G B^H) = sum(G * conj(B))
-    MK = cfg.M * cfg.K
-    sigma_sq = float(np.real(np.sum(G * B.conj()))) / MK
+    G, power, _ = _bussgang_lmmse(_pilot_model(Phi, cfg), C_h)
+    sigma_sq = power / (cfg.M * cfg.K)
     return G, sigma_sq, 1.0 - sigma_sq
 
 
@@ -182,22 +206,8 @@ def lmmse_uncorrelated_filter(
     Phi: np.ndarray, cfg: SystemConfig, C_h: np.ndarray | None = None
 ) -> tuple[np.ndarray, float, float]:
     """Filter of the baseline that models quantizer noise as (1 - 2/pi) I."""
-    Phib = _pilot_model(Phi, cfg)
-    n = Phib.shape[0]
-    if C_h is None:
-        C_y = Phib @ Phib.conj().T + np.eye(n)
-        C_h_Pht = Phib.conj().T
-    else:
-        C_y = Phib @ C_h @ Phib.conj().T + np.eye(n)
-        C_h_Pht = C_h @ Phib.conj().T
-    a = bussgang_gain(C_y)
-    B = C_h_Pht * a  # C_h (A Phi_bar)^H
-    # modeled output covariance: A Phi_bar C_h (A Phi_bar)^H + A A^H + (1 - 2/pi) I
-    C_model = (Phib * a[:, None]) @ B
-    C_model[np.diag_indices(n)] += a**2 + UNCORR_NOISE_VAR
-    G = _hermitian_solve(C_model, B.conj().T).conj().T
-    MK = cfg.M * cfg.K
-    sigma_sq = float(np.real(np.sum(G * B.conj()))) / MK
+    G, power, _ = _bussgang_lmmse(_pilot_model(Phi, cfg), C_h, uncorrelated=True)
+    sigma_sq = power / (cfg.M * cfg.K)
     return G, sigma_sq, 1.0 - sigma_sq
 
 

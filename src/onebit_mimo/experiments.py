@@ -88,6 +88,7 @@ class FigureDef:
     defaults: dict
     default_trials: int
     description: str
+    m_exceeds_k: bool = False  # evaluates the ZF closed form, defined for M > K only
 
 
 def _aslist(v) -> list:
@@ -177,8 +178,14 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
 # quantized observations)
 
 
-def _mse_point(cfg, Phi, filters, nml_opts, n_trials, seed):
-    """Mean and standard error of the normalized MSE per estimator."""
+def _mse_point(cfg, Phi, filters, nml_opts, n_trials, seed, root=None):
+    """Mean and standard error of the normalized MSE per estimator.
+
+    Channels are root @ CN(0, I) draws (root None: i.i.d.); the linear
+    filters, and nML unless nml_opts is None, see the same observations.
+    """
+    if n_trials < 2:
+        raise ValueError(f"n_trials must be >= 2 for a standard error, got {n_trials}")
     M, K, tau = cfg.M, cfg.K, cfg.tau
     names = list(filters)
     if nml_opts is not None:
@@ -188,6 +195,8 @@ def _mse_point(cfg, Phi, filters, nml_opts, n_trials, seed):
         acc = {name: np.empty(n) for name in names}
         for t in range(n):
             H = crandn(rng, M, K)
+            if root is not None:
+                H = root @ H
             Y = np.sqrt(cfg.rho_p) * H @ Phi.T + crandn(rng, M, tau)
             r = vec(one_bit_quantize(Y))
             for name, G in filters.items():
@@ -213,9 +222,16 @@ def _ls_filter(Phi, cfg):
     return np.linalg.pinv(_pilot_model(Phi, cfg))
 
 
+def _mse_table(names, points) -> ResultTable:
+    """Table of snr_db, mse_<name>..., se_mse_<name>... per (snr_db, result) pair."""
+    cols = ["snr_db"] + [f"mse_{n}" for n in names] + [f"se_mse_{n}" for n in names]
+    rows = [[s] + [r[n][0] for n in names] + [r[n][1] for n in names] for s, r in points]
+    return ResultTable(cols, rows)
+
+
 def fig2_mse(spec: ExperimentSpec) -> ResultTable:
     p = spec.sweep
-    rows = []
+    points = []
     for i, snr_db in enumerate(_aslist(p["snr_db"])):
         rho = db_to_linear(snr_db)
         cfg = SystemConfig(M=p["m"], K=p["k"], tau=p["tau"], T=p["t"], rho_p=rho)
@@ -228,31 +244,8 @@ def fig2_mse(spec: ExperimentSpec) -> ResultTable:
         # the published nML curve constrains the squared norm to K
         nml_opts = {"radius_sq": float(p["k"]), "max_iters": p["nml_max_iters"]}
         res = _mse_point(cfg, Phi, filters, nml_opts, spec.n_trials, (spec.seed, i))
-        rows.append(
-            [
-                snr_db,
-                res["blmmse"][0],
-                res["ls"][0],
-                res["nml"][0],
-                res["uncorr"][0],
-                res["blmmse"][1],
-                res["ls"][1],
-                res["nml"][1],
-                res["uncorr"][1],
-            ]
-        )
-    cols = [
-        "snr_db",
-        "mse_blmmse",
-        "mse_ls",
-        "mse_nml",
-        "mse_uncorr",
-        "se_mse_blmmse",
-        "se_mse_ls",
-        "se_mse_nml",
-        "se_mse_uncorr",
-    ]
-    return ResultTable(cols, rows)
+        points.append((snr_db, res))
+    return _mse_table(("blmmse", "ls", "nml", "uncorr"), points)
 
 
 def fig3_corr_mse(spec: ExperimentSpec) -> ResultTable:
@@ -261,7 +254,7 @@ def fig3_corr_mse(spec: ExperimentSpec) -> ResultTable:
     C_h = np.kron(np.eye(p["k"]), Cm)
     eigval, eigvec = np.linalg.eigh(Cm)
     root = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
-    rows = []
+    points = []
     for i, snr_db in enumerate(_aslist(p["snr_db"])):
         rho = db_to_linear(snr_db)
         cfg = SystemConfig(M=p["m"], K=p["k"], tau=p["tau"], T=p["t"], rho_p=rho)
@@ -270,29 +263,9 @@ def fig3_corr_mse(spec: ExperimentSpec) -> ResultTable:
             "blmmse": blmmse_filter(Phi, cfg, C_h)[0],
             "uncorr": lmmse_uncorrelated_filter(Phi, cfg, C_h)[0],
         }
-        M, K, tau = cfg.M, cfg.K, cfg.tau
-
-        def block(rng, n):
-            acc = {name: np.empty(n) for name in filters}
-            for t in range(n):
-                H = root @ crandn(rng, M, K)
-                Y = np.sqrt(rho) * H @ Phi.T + crandn(rng, M, tau)
-                r = vec(one_bit_quantize(Y))
-                for name, G in filters.items():
-                    err = (G @ r).reshape(M, K, order="F") - H
-                    acc[name][t] = np.sum(np.abs(err) ** 2) / (M * K)
-            return acc
-
-        blocks = run_blocks(spec.n_trials, block, (spec.seed, i))
-        row = [snr_db]
-        errs = []
-        for name in ("blmmse", "uncorr"):
-            samples = np.concatenate([b[name] for b in blocks])
-            row.append(float(samples.mean()))
-            errs.append(float(samples.std(ddof=1) / np.sqrt(len(samples))))
-        rows.append(row + errs)
-    cols = ["snr_db", "mse_blmmse", "mse_uncorr", "se_mse_blmmse", "se_mse_uncorr"]
-    return ResultTable(cols, rows)
+        res = _mse_point(cfg, Phi, filters, None, spec.n_trials, (spec.seed, i), root)
+        points.append((snr_db, res))
+    return _mse_table(("blmmse", "uncorr"), points)
 
 
 # --------------------------------------------------------------------------
@@ -511,6 +484,7 @@ FIGURES = {
         {"m": [32, 64, 128], "k": 8, "tau": 8, "t": 200, "snr_db": _span(-20, 0, 2)},
         1000,
         "sum spectral efficiency vs SNR: MC lower bound and closed forms",
+        m_exceeds_k=True,
     ),
     "fig5_power_eff": FigureDef(
         fig5_power_eff,
@@ -524,12 +498,14 @@ FIGURES = {
         },
         1,
         "power-scaling laws: SE vs M for rho_d = E_u/M and rho = E_u/sqrt(M)",
+        m_exceeds_k=True,
     ),
     "fig6_bit_energy": FigureDef(
         fig6_bit_energy,
         {"m": [128, 256], "k": 8, "t": 200, "rho_db": _span(-20, 10, 2)},
         1,
         "bit energy vs sum SE, benchmark vs optimal allocation",
+        m_exceeds_k=True,
     ),
     "fig7_opt_tau": FigureDef(
         fig7_opt_tau,

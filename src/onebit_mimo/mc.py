@@ -1,33 +1,17 @@
-"""Deterministic, optionally parallel Monte Carlo execution.
+"""Deterministic block Monte Carlo execution.
 
 Trials are partitioned into contiguous blocks; each block gets its own
-seed stream derived from (seed, block index), so results are byte-identical
-regardless of how many workers execute the blocks. The ONEBIT_MIMO_THREADS
-environment variable caps the worker count.
+seed stream derived from (seed, block index), and the blocks run serially
+in block order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
-__all__ = ["max_threads", "block_seeds", "run_blocks"]
+__all__ = ["block_seeds", "run_blocks"]
 
 DEFAULT_BLOCK = 256
-
-
-def max_threads() -> int:
-    """Worker cap: min(cpu count, ONEBIT_MIMO_THREADS if set)."""
-    n = os.cpu_count() or 1
-    env = os.environ.get("ONEBIT_MIMO_THREADS")
-    if env:
-        try:
-            n = min(n, max(1, int(env)))
-        except ValueError:
-            raise ValueError(f"ONEBIT_MIMO_THREADS must be an integer, got {env!r}")
-    return n
 
 
 def block_seeds(seed, n_blocks: int) -> list[np.random.SeedSequence]:
@@ -42,17 +26,11 @@ def block_seeds(seed, n_blocks: int) -> list[np.random.SeedSequence]:
 def run_blocks(n_trials: int, fn, seed, block: int = DEFAULT_BLOCK) -> list:
     """Run fn(rng, n) over contiguous trial blocks; returns per-block results in order.
 
-    fn receives a fresh Generator and the block's trial count. Blocks may run
-    on a thread pool, but the returned list order (and hence any reduction
-    over it) is independent of scheduling.
+    fn receives a fresh Generator seeded from :func:`block_seeds` and the
+    block's trial count.
     """
     sizes = [block] * (n_trials // block)
     if n_trials % block:
         sizes.append(n_trials % block)
     seeds = block_seeds(seed, len(sizes))
-    jobs = [(np.random.default_rng(s), n) for s, n in zip(seeds, sizes)]
-    workers = min(max_threads(), len(jobs)) or 1
-    if workers == 1:
-        return [fn(rng, n) for rng, n in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda j: fn(*j), jobs))
+    return [fn(np.random.default_rng(s), n) for s, n in zip(seeds, sizes)]

@@ -14,7 +14,8 @@ import numpy as np
 
 from .channel import crandn
 from .config import SystemConfig
-from .quantize import UNCORR_NOISE_VAR, arcsine_covariance, bussgang_gain
+from .estimators import _bussgang_lmmse
+from .quantize import arcsine_covariance
 
 __all__ = [
     "OfdmConfig",
@@ -125,23 +126,13 @@ def ofdm_blmmse_filter(
     returned mse is the exact second-order MSE of the mismatched filter.
     """
     Phib = _stacked_pilots(pilots_fd, ofdm, cfg)
-    n = Phib.shape[0]
-    if C_h_td is None:
-        C_h_td = np.eye(Phib.shape[1])
-    C_y = Phib @ C_h_td @ Phib.conj().T + np.eye(n)
-    a = bussgang_gain(C_y)
-    B = (C_h_td @ Phib.conj().T) * a  # C_h (A Phi_bar)^H
-    C_r = arcsine_covariance(C_y)
-    if diagonal_quantizer_noise:
-        C_model = C_y * np.outer(a, a)  # A C_y A^H
-        C_model[np.diag_indices(n)] += UNCORR_NOISE_VAR
-        G = np.linalg.solve(C_model, B.conj().T).conj().T
-    else:
-        G = np.linalg.solve(C_r, B.conj().T).conj().T
+    G, cross, C_y = _bussgang_lmmse(Phib, C_h_td, diagonal_quantizer_noise)
     # exact second-order MSE of the (possibly mismatched) linear filter:
-    # tr(C_h) - 2 Re tr(G C_rh) + tr(G C_r G^H), with C_rh = A Phi_bar C_h = B^H
-    trace_prior = float(np.real(np.trace(C_h_td)))
-    cross = float(np.real(np.sum(G * B.conj())))
+    # tr(C_h) - 2 Re tr(G C_rh) + tr(G C_r G^H), with C_rh = A Phi_bar C_h
+    trace_prior = (
+        float(Phib.shape[1]) if C_h_td is None else float(np.real(np.trace(C_h_td)))
+    )
+    C_r = arcsine_covariance(C_y)
     quad = float(np.real(np.sum((G @ C_r) * G.conj())))
     mse = (trace_prior - 2.0 * cross + quad) / trace_prior
     return G, mse

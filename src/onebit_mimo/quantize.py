@@ -123,11 +123,16 @@ def low_snr_cq(dim: int) -> np.ndarray:
     return UNCORR_NOISE_VAR * np.eye(dim)
 
 
+def _alpha_sq(K, rho):
+    """Squared scalar Bussgang gain (2/pi) / (K rho + 1); rho may be an array."""
+    return (2.0 / np.pi) / (K * rho + 1.0)
+
+
 def alpha_p(cfg: SystemConfig) -> float:
     """Scalar training-phase Bussgang gain for DFT pilots, sqrt(2/pi / (K rho_p + 1))."""
-    return np.sqrt(2.0 / np.pi / (cfg.K * cfg.rho_p + 1.0))
+    return np.sqrt(_alpha_sq(cfg.K, cfg.rho_p))
 
 
 def alpha_d(cfg: SystemConfig) -> float:
     """Scalar data-phase gain under channel hardening, sqrt(2/pi / (K rho_d + 1))."""
-    return np.sqrt(2.0 / np.pi / (cfg.K * cfg.rho_d + 1.0))
+    return np.sqrt(_alpha_sq(cfg.K, cfg.rho_d))

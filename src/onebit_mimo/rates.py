@@ -12,12 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .allocation import _sinr
 from .channel import crandn, dft_pilots, unvec, vec
 from .config import SystemConfig
 from .estimators import blmmse_filter, estimate_variance
 from .mc import run_blocks
 from .quantize import (
     UNCORR_NOISE_VAR,
+    _alpha_sq,
     alpha_d,
     alpha_p,
     one_bit_quantize,
@@ -93,6 +95,8 @@ def ergodic_rate_mc(
     if csi not in ("estimated", "perfect"):
         raise ValueError("csi must be 'estimated' or 'perfect'")
     combine = _combiner(receiver)
+    if n_trials < 2:
+        raise ValueError(f"n_trials must be >= 2 for a standard error, got {n_trials}")
     M, K, tau = cfg.M, cfg.K, cfg.tau
     Phi = dft_pilots(tau, K)
     ad = alpha_d(cfg)
@@ -163,7 +167,7 @@ def rate_lemma1(cfg: SystemConfig, moments: ReceiverMoments) -> float:
     R = log2(1 + rho_d a_d^2 |E{w^T h}|^2 /
              (rho_d a_d^2 Var(w^T h) + UI + AQN)).
     """
-    ra2 = cfg.rho_d * alpha_d(cfg) ** 2
+    ra2 = cfg.rho_d * _alpha_sq(cfg.K, cfg.rho_d)
     num = ra2 * abs(moments.mean_gain) ** 2
     if num == 0.0:
         return 0.0
@@ -171,23 +175,21 @@ def rate_lemma1(cfg: SystemConfig, moments: ReceiverMoments) -> float:
     return float(np.log2(1.0 + num / den))
 
 
+def _closed_rate(cfg: SystemConfig, M, receiver: str, system: str) -> float:
+    if receiver == "zf" and M <= cfg.K:
+        raise ValueError(f"ZF closed form needs M > K, got M={M}, K={cfg.K}")
+    sinr = _sinr(cfg.rho_p, cfg.rho_d, cfg.tau, M, cfg.K, receiver, system)
+    return float(np.log2(1.0 + sinr))
+
+
 def rate_mrc_closed(cfg: SystemConfig) -> float:
     """Closed-form low-SNR MRC rate, log2(1 + rho_d a_d^2 M sigma^2)."""
-    return float(
-        np.log2(1.0 + cfg.rho_d * alpha_d(cfg) ** 2 * cfg.M * estimate_variance(cfg))
-    )
+    return _closed_rate(cfg, cfg.M, "mrc", "one-bit")
 
 
 def rate_zf_closed(cfg: SystemConfig) -> float:
     """Closed-form low-SNR ZF rate; requires M > K."""
-    if cfg.M <= cfg.K:
-        raise ValueError(f"ZF closed form needs M > K, got M={cfg.M}, K={cfg.K}")
-    ad2 = alpha_d(cfg) ** 2
-    sig = estimate_variance(cfg)
-    eta = 1.0 - sig
-    num = cfg.rho_d * ad2 * sig * (cfg.M - cfg.K)
-    den = cfg.rho_d * ad2 * cfg.K * eta + ad2 + UNCORR_NOISE_VAR
-    return float(np.log2(1.0 + num / den))
+    return _closed_rate(cfg, cfg.M, "zf", "one-bit")
 
 
 def mrc_moments(cfg: SystemConfig) -> ReceiverMoments:
@@ -195,12 +197,12 @@ def mrc_moments(cfg: SystemConfig) -> ReceiverMoments:
     formula reproduces :func:`rate_mrc_closed` exactly."""
     sig = estimate_variance(cfg)
     ms = cfg.M * sig
-    ra2 = cfg.rho_d * alpha_d(cfg) ** 2
+    ad2 = _alpha_sq(cfg.K, cfg.rho_d)
     return ReceiverMoments(
         mean_gain=ms,
         gain_var=ms,
-        interference=(cfg.K - 1) * ra2 * ms,
-        noise_quant=(alpha_d(cfg) ** 2 + UNCORR_NOISE_VAR) * ms,
+        interference=(cfg.K - 1) * cfg.rho_d * ad2 * ms,
+        noise_quant=(ad2 + UNCORR_NOISE_VAR) * ms,
     )
 
 
@@ -210,12 +212,12 @@ def zf_moments(cfg: SystemConfig) -> ReceiverMoments:
         raise ValueError("ZF moments need M > K")
     sig = estimate_variance(cfg)
     wnorm = 1.0 / (sig * (cfg.M - cfg.K))  # E{||w_k||^2}
-    ra2 = cfg.rho_d * alpha_d(cfg) ** 2
+    ad2 = _alpha_sq(cfg.K, cfg.rho_d)
     return ReceiverMoments(
         mean_gain=1.0,
         gain_var=(1.0 - sig) * wnorm,
-        interference=(cfg.K - 1) * ra2 * (1.0 - sig) * wnorm,
-        noise_quant=(alpha_d(cfg) ** 2 + UNCORR_NOISE_VAR) * wnorm,
+        interference=(cfg.K - 1) * cfg.rho_d * ad2 * (1.0 - sig) * wnorm,
+        noise_quant=(ad2 + UNCORR_NOISE_VAR) * wnorm,
     )
 
 
@@ -223,16 +225,7 @@ def conventional_rates(
     cfg: SystemConfig, M_conv: int, receiver: str = "mrc"
 ) -> RateReport:
     """Infinite-resolution reference rates with LMMSE-trained CSI."""
-    rp, rd, K, tau = cfg.rho_p, cfg.rho_d, cfg.K, cfg.tau
-    if receiver == "mrc":
-        sinr = rd * tau * rp * M_conv / ((1.0 + K * rd) * (1.0 + tau * rp))
-    elif receiver == "zf":
-        if M_conv <= K:
-            raise ValueError("conventional ZF needs M_conv > K")
-        sinr = rd * tau * rp * (M_conv - K) / (K * rd + tau * rp + 1.0)
-    else:
-        raise ValueError(f"unknown receiver {receiver!r}")
-    rate = float(np.log2(1.0 + sinr))
+    rate = _closed_rate(cfg, M_conv, receiver, "conventional")
     per_user = np.full(cfg.K, rate)
     return RateReport(per_user, sum_se(per_user, cfg), f"conventional_{receiver}")
 

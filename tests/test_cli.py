@@ -1,13 +1,19 @@
 import json
 
+import numpy as np
 import pytest
 
+from onebit_mimo import SystemConfig, dft_pilots, laplacian_covariance, one_bit_quantize, vec
+from onebit_mimo.channel import crandn
 from onebit_mimo.cli import ConfigError, _parse_value, main, validate_config
+from onebit_mimo.estimators import blmmse_filter
 from onebit_mimo.experiments import (
     ExperimentSpec,
+    _mse_point,
     figure_ids,
     run_experiment,
 )
+from onebit_mimo.mc import block_seeds
 
 
 def _write(tmp_path, text, name="cfg.txt"):
@@ -82,6 +88,21 @@ class TestConfigParsing:
         # closed-form figures run one trial by default
         p = _write(tmp_path, "figure = fig5_power_eff\nn_trials = 1\n")
         assert validate_config(p).n_trials == 1
+
+    def test_m_not_above_k_rejected_for_zf_closed_form_figures(self, tmp_path):
+        p = _write(tmp_path, "figure = fig4_se_vs_snr\nm = 8\nk = 8\nn_trials = 2\n")
+        with pytest.raises(ConfigError, match=r"cfg.txt:2: m \(8\) must exceed k \(8\)"):
+            validate_config(p)
+        p = _write(tmp_path, "figure = fig5_power_eff\nm = 100, 8, 1000\n")
+        with pytest.raises(ConfigError, match=r"cfg.txt:2: m \(8\) must exceed k \(8\)"):
+            validate_config(p)
+        # a k line pointing past the default m list is reported at the k line
+        p = _write(tmp_path, "figure = fig6_bit_energy\nk = 128\n")
+        with pytest.raises(ConfigError, match=r"cfg.txt:2: m \(128\) must exceed k"):
+            validate_config(p)
+        # the MSE figures evaluate no ZF closed form
+        p = _write(tmp_path, "figure = fig2_mse\nm = 4\nk = 4\ntau = 4\n")
+        assert validate_config(p).sweep["m"] == 4
 
     def test_range_types(self):
         # ints only when start, step and stop are all integer literals
@@ -179,21 +200,28 @@ class TestRunExperiment:
         run_experiment(respec)
         assert out.read_bytes() == raw
 
-    def test_worker_count_independence(self, tmp_path, monkeypatch):
-        out = tmp_path / "w.csv"
-        spec = ExperimentSpec(
-            figure_id="fig3_corr_mse",
-            sweep={"snr_db": [0.0], "m": 8},
-            n_trials=600,
-            seed=2,
-            output_path=str(out),
-        )
-        monkeypatch.setenv("ONEBIT_MIMO_THREADS", "1")
-        run_experiment(spec)
-        one = out.read_bytes()
-        monkeypatch.setenv("ONEBIT_MIMO_THREADS", "3")
-        run_experiment(spec)
-        assert out.read_bytes() == one
+    def test_mse_point_draws_channels_through_root(self):
+        # the paired-trial loop of fig3, written out: H = root @ CN(0, I)
+        M, K, tau, rho = 4, 1, 2, 10.0
+        cfg = SystemConfig(M=M, K=K, tau=tau, rho_p=rho)
+        Phi = dft_pilots(tau, K)
+        root = np.linalg.cholesky(laplacian_covariance(M, 70.0, 10.0) + 1e-9 * np.eye(M))
+        G = blmmse_filter(Phi, cfg)[0]
+        rng = np.random.default_rng(block_seeds((3, 1), 1)[0])
+        mse = np.empty(5)
+        for t in range(5):
+            H = root @ crandn(rng, M, K)
+            r = vec(one_bit_quantize(np.sqrt(rho) * H @ Phi.T + crandn(rng, M, tau)))
+            mse[t] = np.sum(np.abs((G @ r).reshape(M, K, order="F") - H) ** 2) / (M * K)
+        got = _mse_point(cfg, Phi, {"g": G}, None, 5, (3, 1), root)
+        assert got == {"g": (mse.mean(), mse.std(ddof=1) / np.sqrt(5))}
+
+    @pytest.mark.parametrize("n_trials", [0, 1])
+    def test_mse_point_needs_two_trials(self, n_trials):
+        cfg = SystemConfig(M=4, K=2, tau=2)
+        Phi = dft_pilots(2, 2)
+        with pytest.raises(ValueError, match="n_trials must be >= 2"):
+            _mse_point(cfg, Phi, {}, None, n_trials, 0)
 
     def test_unknown_figure_id(self):
         with pytest.raises(ValueError, match="unknown figure"):

@@ -1,9 +1,13 @@
+import importlib
+import importlib.util
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def test_import_leaves_scipy_stats_and_linalg_unloaded():
@@ -18,3 +22,26 @@ def test_import_leaves_scipy_stats_and_linalg_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_benchmark_tracer_entry_points_resolve(monkeypatch):
+    # the benchmark's tracer wraps these (module, attribute) pairs from
+    # outside; each must stay a function defined in that module. The tracer
+    # is loaded without writing bytecode next to it.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "_figbench_tracing", ROOT / "figbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    pairs = [(m, a) for m, a, *_ in tracing.SPANS] + [(m, a) for m, a, _ in tracing.COUNTS]
+    assert pairs
+    for modname, attr in pairs:
+        mod = importlib.import_module(f"onebit_mimo.{modname}")
+        fn = getattr(mod, attr, None)
+        assert inspect.isfunction(fn), f"onebit_mimo.{modname}.{attr}"
+        assert fn.__module__ == mod.__name__, f"onebit_mimo.{modname}.{attr}"
+    # the tracer swaps the block function, passed second or as fn=
+    from onebit_mimo.mc import run_blocks
+
+    assert list(inspect.signature(run_blocks).parameters)[:2] == ["n_trials", "fn"]

@@ -1,19 +1,23 @@
 import numpy as np
-import pytest
 
-from onebit_mimo.mc import block_seeds, max_threads, run_blocks
+from onebit_mimo.mc import block_seeds, run_blocks
 
 
 def _collect(rng, n):
     return rng.standard_normal(n)
 
 
-def test_results_independent_of_worker_count(monkeypatch):
-    monkeypatch.setenv("ONEBIT_MIMO_THREADS", "1")
-    a = np.concatenate(run_blocks(1000, _collect, seed=5, block=128))
-    monkeypatch.setenv("ONEBIT_MIMO_THREADS", "8")
-    b = np.concatenate(run_blocks(1000, _collect, seed=5, block=128))
-    assert np.array_equal(a, b)
+def test_run_blocks_equals_loop_over_block_seeds():
+    # blocks of 128 trials, the last one short, each drawn from its own
+    # stream in block order
+    got = run_blocks(1000, _collect, seed=(5, 1), block=128)
+    sizes = [128] * 7 + [104]
+    want = [
+        _collect(np.random.default_rng(s), n)
+        for s, n in zip(block_seeds((5, 1), len(sizes)), sizes)
+    ]
+    assert len(got) == len(want)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_block_partition_covers_all_trials():
@@ -37,10 +41,3 @@ def test_tuple_seed_supported():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
-
-def test_thread_cap_from_env(monkeypatch):
-    monkeypatch.setenv("ONEBIT_MIMO_THREADS", "2")
-    assert max_threads() <= 2
-    monkeypatch.setenv("ONEBIT_MIMO_THREADS", "zebra")
-    with pytest.raises(ValueError):
-        max_threads()

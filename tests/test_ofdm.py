@@ -5,7 +5,9 @@ from scipy.linalg import circulant
 from onebit_mimo import OfdmConfig, SystemConfig, blmmse_ofdm, dft_pilots, one_bit_quantize
 from onebit_mimo.channel import crandn, vec
 from onebit_mimo.estimators import blmmse_flat
+from onebit_mimo.quantize import arcsine_covariance, bussgang_gain
 from onebit_mimo.ofdm import (
+    _stacked_pilots,
     gen_tap_channel,
     ofdm_blmmse_filter,
     ofdm_training_signal,
@@ -109,3 +111,32 @@ def test_tap_profile_and_channel_power():
     assert taps.shape == (3, 2, 5)
     many = gen_tap_channel(200, 50, 4, 1)
     assert np.mean(np.sum(np.abs(many) ** 2, axis=2)) == pytest.approx(1.0, rel=0.05)
+
+
+def test_singular_solve_falls_back_to_ridge(monkeypatch):
+    M, K, L, N_c, rho = 2, 2, 2, 8, 3.0
+    cfg = SystemConfig(M=M, K=K, tau=N_c, rho_p=rho)
+    ofdm = OfdmConfig(N_c=N_c, N_cp=L - 1, L=L)
+    pilots = qpsk_pilots(N_c, K, 3)
+    # reference: the arcsine-law filter solved with a 1e-10 ridge
+    Phib = _stacked_pilots(pilots, ofdm, cfg)
+    C_y = Phib @ Phib.conj().T + np.eye(Phib.shape[0])
+    B = Phib.conj().T * bussgang_gain(C_y)
+    C_r = arcsine_covariance(C_y) + 1e-10 * np.eye(Phib.shape[0])
+    G_ref = np.linalg.solve(C_r, B.conj().T).conj().T
+
+    solve = np.linalg.solve
+    calls = []
+
+    def fail_once(C, rhs):
+        calls.append(C.shape)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(C, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", fail_once)
+    with pytest.warns(RuntimeWarning, match="ridge"):
+        G, mse = ofdm_blmmse_filter(pilots, ofdm, cfg)
+    assert len(calls) == 2
+    assert np.all(np.isfinite(G)) and np.isfinite(mse)
+    np.testing.assert_allclose(G, G_ref, rtol=1e-12, atol=0.0)

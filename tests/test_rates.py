@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onebit_mimo import (
     ReceiverMoments,
@@ -56,6 +58,70 @@ class TestSumSe:
     def test_tau_lower_bound_guard(self):
         with pytest.raises(ValueError):
             SystemConfig(M=4, K=2, tau=0, T=10)
+
+
+# closed forms as written out per formula before they became wrappers
+def _ref_alpha_d(cfg):
+    return np.sqrt(2.0 / np.pi / (cfg.K * cfg.rho_d + 1.0))
+
+
+def _ref_sigma2(cfg):
+    ap2 = 2.0 / np.pi / (cfg.K * cfg.rho_p + 1.0)
+    sig = ap2 * cfg.tau * cfg.rho_p
+    return sig / (sig + ap2 + UNCORR_NOISE_VAR)
+
+
+def _ref_rate_mrc_closed(cfg):
+    ra2 = cfg.rho_d * _ref_alpha_d(cfg) ** 2
+    return float(np.log2(1.0 + ra2 * cfg.M * _ref_sigma2(cfg)))
+
+
+def _ref_rate_zf_closed(cfg):
+    ad2 = _ref_alpha_d(cfg) ** 2
+    sig = _ref_sigma2(cfg)
+    num = cfg.rho_d * ad2 * sig * (cfg.M - cfg.K)
+    den = cfg.rho_d * ad2 * cfg.K * (1.0 - sig) + ad2 + UNCORR_NOISE_VAR
+    return float(np.log2(1.0 + num / den))
+
+
+def _ref_conventional_rate(cfg, M_conv, receiver):
+    rp, rd, K, tau = cfg.rho_p, cfg.rho_d, cfg.K, cfg.tau
+    if receiver == "mrc":
+        sinr = rd * tau * rp * M_conv / ((1.0 + K * rd) * (1.0 + tau * rp))
+    else:
+        sinr = rd * tau * rp * (M_conv - K) / (K * rd + tau * rp + 1.0)
+    return float(np.log2(1.0 + sinr))
+
+
+class TestClosedFormsMatchReference:
+    # the closed forms are wrappers over allocation._sinr; the explicit
+    # expressions above are the reference they must reproduce
+    @settings(max_examples=200, deadline=None)
+    @given(
+        K=st.integers(1, 16),
+        extra_tau=st.integers(0, 40),
+        extra_m=st.integers(1, 4000),
+        rho_p_db=st.floats(-40.0, 40.0),
+        rho_d_db=st.floats(-40.0, 40.0),
+    )
+    def test_wrappers_match_reference(self, K, extra_tau, extra_m, rho_p_db, rho_d_db):
+        cfg = SystemConfig(
+            M=K + extra_m,
+            K=K,
+            tau=K + extra_tau,
+            T=K + extra_tau + 1,
+            rho_p=10 ** (rho_p_db / 10),
+            rho_d=10 ** (rho_d_db / 10),
+        )
+        pairs = [
+            (rate_mrc_closed(cfg), _ref_rate_mrc_closed(cfg)),
+            (rate_zf_closed(cfg), _ref_rate_zf_closed(cfg)),
+        ]
+        for rec in ("mrc", "zf"):
+            rep = conventional_rates(cfg, cfg.M, rec)
+            pairs.append((rep.per_user_rate[0], _ref_conventional_rate(cfg, cfg.M, rec)))
+        for got, want in pairs:
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 class TestClosedForms:
@@ -157,11 +223,9 @@ class TestErgodicRateMc:
         assert np.allclose(rep.per_user_rate, 0.0)
         assert rep.sum_spectral_efficiency == 0.0
 
-    def test_deterministic_and_thread_independent(self, monkeypatch):
+    def test_deterministic_and_thread_independent(self):
         cfg = SystemConfig(M=16, K=4, tau=4, rho_p=0.1, rho_d=0.1)
-        monkeypatch.setenv("ONEBIT_MIMO_THREADS", "1")
         a = ergodic_rate_mc(cfg, "mrc", n_trials=600, seed=7)
-        monkeypatch.setenv("ONEBIT_MIMO_THREADS", "4")
         b = ergodic_rate_mc(cfg, "mrc", n_trials=600, seed=7)
         assert np.array_equal(a.per_user_rate, b.per_user_rate)
         assert a.sum_spectral_efficiency == b.sum_spectral_efficiency
@@ -203,6 +267,12 @@ class TestErgodicRateMc:
         cfg = SystemConfig(M=4, K=2, tau=2)
         with pytest.raises(ValueError):
             ergodic_rate_mc(cfg, "mmse", n_trials=1, seed=0)
+
+    @pytest.mark.parametrize("n_trials", [0, 1])
+    def test_needs_two_trials(self, n_trials):
+        cfg = SystemConfig(M=4, K=2, tau=2)
+        with pytest.raises(ValueError, match="n_trials must be >= 2"):
+            ergodic_rate_mc(cfg, "mrc", n_trials=n_trials, seed=0)
 
 
 class TestClosedFormTracksMonteCarlo:
