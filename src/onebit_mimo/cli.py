@@ -14,7 +14,14 @@ import sys
 from pathlib import Path
 
 from .config import db_to_linear
-from .experiments import FIGURES, ExperimentSpec, _span, figure_ids, run_experiment
+from .experiments import (
+    FIGURES,
+    ExperimentSpec,
+    _aslist,
+    _span,
+    figure_ids,
+    run_experiment,
+)
 
 __all__ = ["ConfigError", "validate_config", "main"]
 
@@ -61,8 +68,7 @@ def _parse_value(text: str):
 
 
 def _nonfinite(val) -> bool:
-    vals = val if isinstance(val, list) else [val]
-    return any(isinstance(v, float) and not math.isfinite(v) for v in vals)
+    return any(isinstance(v, float) and not math.isfinite(v) for v in _aslist(val))
 
 
 def validate_config(path: str | Path) -> ExperimentSpec:
@@ -137,7 +143,6 @@ def validate_config(path: str | Path) -> ExperimentSpec:
     k, k_line = value_of("k")
     tau, tau_line = value_of("tau")
     t, t_line = value_of("t")
-    m, m_line = value_of("m")
     if isinstance(k, int) and k < 1:
         raise ConfigError(f"{path}:{k_line}: k must be >= 1")
     if isinstance(k, int) and isinstance(tau, int) and tau < k:
@@ -148,14 +153,25 @@ def validate_config(path: str | Path) -> ExperimentSpec:
         raise ConfigError(
             f"{path}:{t_line or tau_line}: t ({t}) violates tau <= t (tau = {tau})"
         )
-    for v in m if isinstance(m, list) else [m]:
-        if isinstance(v, int) and v < 1:
-            raise ConfigError(f"{path}:{m_line}: m must be >= 1")
-        if FIGURES[figure].m_exceeds_k and isinstance(k, int) and v <= k:
-            raise ConfigError(
-                f"{path}:{m_line or k_line}: m ({v}) must exceed k ({k}); "
-                f"{figure} evaluates the ZF closed form, which needs M > K"
-            )
+    fig = FIGURES[figure]
+    if fig.t_exceeds_k and isinstance(k, int):
+        for v in _aslist(t):
+            if isinstance(v, (int, float)) and v <= k:
+                raise ConfigError(
+                    f"{path}:{t_line or k_line}: t ({v}) must exceed k ({k}); "
+                    f"{figure} optimizes tau in [K, T], which needs T > K"
+                )
+    for name in ("m", "m_conv"):
+        val, line = value_of(name)
+        for v in _aslist(val):
+            if isinstance(v, int) and v < 1:
+                raise ConfigError(f"{path}:{line}: {name} must be >= 1")
+            numeric = isinstance(v, (int, float))
+            if fig.m_exceeds_k and isinstance(k, int) and numeric and v <= k:
+                raise ConfigError(
+                    f"{path}:{line or k_line}: {name} ({v}) must exceed k ({k}); "
+                    f"{figure} evaluates the ZF closed form, which needs M > K"
+                )
 
     spec = ExperimentSpec(
         figure_id=figure,

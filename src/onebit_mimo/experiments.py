@@ -89,6 +89,7 @@ class FigureDef:
     default_trials: int
     description: str
     m_exceeds_k: bool = False  # evaluates the ZF closed form, defined for M > K only
+    t_exceeds_k: bool = False  # optimizes tau over [K, T], which needs T > K
 
 
 def _aslist(v) -> list:
@@ -506,24 +507,31 @@ FIGURES = {
         1,
         "bit energy vs sum SE, benchmark vs optimal allocation",
         m_exceeds_k=True,
+        t_exceeds_k=True,
     ),
     "fig7_opt_tau": FigureDef(
         fig7_opt_tau,
         {"m": 128, "k": 8, "t": _span(50, 500, 25), "rho_db": [-15.0, -6.0]},
         1,
         "optimal training length vs coherence interval",
+        m_exceeds_k=True,
+        t_exceeds_k=True,
     ),
     "fig8_se_vs_m": FigureDef(
         fig8_se_vs_m,
         {"m": _span(50, 600, 50), "k": 8, "t": 200, "rho_db": -10.0},
         1,
         "sum SE vs antenna count, one-bit vs conventional, optimal allocation",
+        m_exceeds_k=True,
+        t_exceeds_k=True,
     ),
     "fig9_kappa": FigureDef(
         fig9_kappa,
         {"m_conv": 128, "k": 8, "t": 200, "rho_db": _span(-20, 10, 5)},
         1,
         "antenna ratio kappa for equal SE, benchmark and optimized modes",
+        m_exceeds_k=True,
+        t_exceeds_k=True,
     ),
 }
 

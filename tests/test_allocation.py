@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onebit_mimo import (
     AllocationSolution,
@@ -14,7 +18,8 @@ from onebit_mimo import (
     se_at_allocation,
     se_surface,
 )
-from onebit_mimo.allocation import _optimize_numeric
+from onebit_mimo import allocation
+from onebit_mimo.allocation import _golden_max, _optimize_numeric, _se_direct, _sinr
 
 
 def _random_points(rng, n):
@@ -255,3 +260,158 @@ def test_optimize_numeric_matches_public_wrapper():
     sol = optimize_allocation(budget, cfg, "zf")
     se, gamma, tau = _optimize_numeric(budget.P, 150, 96, 6, "zf", "one-bit", 200, 150)
     assert sol.se_star == se and sol.tau_star == tau and sol.gamma_star == gamma
+
+
+# The scalar solver the vectorized one replaced, kept as its reference: one
+# scalar golden-section search per tau, each step one scalar SE evaluation.
+def _ref_se(gamma, tau, P, T, M, K, receiver, system):
+    if tau == T:
+        return 0.0
+    rho_p = gamma * P / tau
+    rho_d = (1.0 - gamma) * P / (T - tau)
+    sinr = _sinr(rho_p, rho_d, tau, M, K, receiver, system)
+    return float((T - tau) / T * K * np.log2(1.0 + sinr))
+
+
+def _ref_golden_max(f, lo, hi, tol=1e-6):
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+def _ref_optimize(P, T, M, K, receiver, system, gamma_grid, tau_max):
+    grid = np.linspace(0.0, 1.0, gamma_grid + 2)[1:-1]
+    step = grid[1] - grid[0]
+    best = (-np.inf, 0.5, int(K))
+    for tau in range(int(K), int(tau_max) + 1):
+        vals = [_ref_se(g, tau, P, T, M, K, receiver, system) for g in grid]
+        i = int(np.argmax(vals))
+        lo = max(grid[i] - step, 1e-9)
+        hi = min(grid[i] + step, 1.0 - 1e-9)
+        g_star, se = _ref_golden_max(
+            lambda g: _ref_se(g, tau, P, T, M, K, receiver, system), lo, hi
+        )
+        if se > best[0]:
+            best = (se, g_star, tau)
+    return best
+
+
+class TestVectorizedScan:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        K=st.integers(1, 8),
+        extra_t=st.integers(0, 120),
+        tau_cut=st.integers(0, 120),
+        m=st.floats(0.5, 400.0),
+        log_p=st.floats(-2.0, 3.0),
+        receiver=st.sampled_from(["mrc", "zf"]),
+        system=st.sampled_from(["one-bit", "conventional"]),
+    )
+    def test_matches_scalar_reference(
+        self, K, extra_t, tau_cut, m, log_p, receiver, system
+    ):
+        # extra_t = 0 is K = T; tau_cut > 0 stops the scan short of T
+        T = K + extra_t
+        tau_max = max(K, T - tau_cut)
+        M = K + m if receiver == "zf" else m
+        args = (10**log_p, T, M, K, receiver, system, 200, tau_max)
+        se, gamma, tau = _optimize_numeric(*args)
+        ref_se, ref_gamma, ref_tau = _ref_optimize(*args)
+        assert tau == ref_tau
+        assert gamma == pytest.approx(ref_gamma, rel=1e-12, abs=0.0)
+        assert se == pytest.approx(ref_se, rel=1e-12, abs=0.0)
+
+    def test_array_tau_equals_scalar_calls(self):
+        T, K = 40, 4
+        taus = np.arange(K, T + 1)
+        gamma = np.linspace(0.01, 0.99, 7)
+        for receiver in ("mrc", "zf"):
+            for system in ("one-bit", "conventional"):
+                args = (25.0, T, 64, K, receiver, system)
+                grid = _se_direct(gamma, taus[:, None], *args)
+                paired = _se_direct(gamma[3], taus, *args)
+                assert grid.shape == (taus.size, gamma.size)
+                for i, tau in enumerate(taus):
+                    row = _se_direct(gamma, int(tau), *args)
+                    assert np.array_equal(grid[i], row)
+                    assert paired[i] == _se_direct(float(gamma[3]), int(tau), *args)
+                    assert paired[i] == _ref_se(float(gamma[3]), int(tau), *args)
+                assert np.all(grid[-1] == 0.0) and paired[-1] == 0.0
+                assert not np.signbit(grid[-1]).any() and not np.signbit(paired[-1])
+                assert np.all(grid[:-1] > 0.0)
+
+    def test_array_tau_keeps_gamma_check(self):
+        with pytest.raises(ValueError, match="gamma"):
+            _se_direct([0.5, 1.0], np.arange(4, 6), 10.0, 50, 32, 4, "mrc", "one-bit")
+
+    def test_array_brackets_step_like_scalar_search(self):
+        # each bracket must take exactly the scalar search's steps, including
+        # brackets that converge at different iterations
+        rng = np.random.default_rng(5)
+        lo = rng.uniform(0.0, 0.5, size=12)
+        hi = lo + rng.uniform(1e-7, 0.5, size=12)
+        peak = rng.uniform(lo, hi)
+        xs, fs = _golden_max(lambda x: -(x - peak) * (x - peak), lo, hi)
+        for i in range(lo.size):
+            p = peak[i]
+            x, f = _ref_golden_max(lambda x: -(x - p) * (x - p), lo[i], hi[i])
+            assert xs[i] == x and fs[i] == f
+
+    def test_scalar_bracket_returns_floats(self):
+        x, f = _golden_max(lambda x: -((x - 0.3) ** 2), 0.0, 1.0)
+        assert type(x) is float and type(f) is float
+        assert x == pytest.approx(0.3, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (20.0, 200, 128, 8, "zf", "one-bit", 200, 200),
+            (20.0, 200, 4, 8, "mrc", "one-bit", 200, 200),  # M <= K, MRC
+            (20.0, 8, 128, 8, "mrc", "conventional", 200, 8),  # K = T
+        ],
+    )
+    def test_returns_float_float_int(self, args):
+        se, gamma, tau = _optimize_numeric(*args)
+        assert (type(se), type(gamma), type(tau)) == (float, float, int)
+
+    def test_ties_go_to_smallest_tau(self):
+        # with no energy every tau gives SE 0; the scalar loop kept the first
+        args = (0.0, 30, 64, 4, "mrc", "one-bit", 200, 30)
+        assert _optimize_numeric(*args) == _ref_optimize(*args)
+        assert _optimize_numeric(*args)[2] == 4
+
+    @pytest.mark.parametrize("M", [4, 8])
+    def test_zf_needs_more_antennas_than_users(self, M):
+        with pytest.raises(ValueError, match="M > K"):
+            _optimize_numeric(20.0, 200, M, 8, "zf", "one-bit", 200, 200)
+
+    def test_empty_training_range_rejected(self):
+        # T = 4 < K = 8 used to return (-inf, 0.5, 8): tau* > T with -inf SE
+        with pytest.raises(ValueError, match="empty training range"):
+            _optimize_numeric(4.0, 4, 128, 8, "mrc", "one-bit", 200, 4)
+
+    def test_one_solve_evaluates_se_in_few_array_calls(self, monkeypatch):
+        # the per-tau scalar loop made about 4,600 calls at T = 200
+        calls = []
+        se_direct = allocation._se_direct
+
+        def counted(*args):
+            calls.append(1)
+            return se_direct(*args)
+
+        monkeypatch.setattr(allocation, "_se_direct", counted)
+        _optimize_numeric(20.0, 200, 128, 8, "mrc", "one-bit", 200, 200)
+        assert 0 < len(calls) < 100

@@ -104,6 +104,46 @@ class TestConfigParsing:
         p = _write(tmp_path, "figure = fig2_mse\nm = 4\nk = 4\ntau = 4\n")
         assert validate_config(p).sweep["m"] == 4
 
+    def test_m_not_above_k_rejected_for_allocation_figures(self, tmp_path):
+        # fig8 used to validate, warn in log2 and write sumse_*_zf = 0
+        p = _write(tmp_path, "figure = fig8_se_vs_m\nm = 4, 8, 50\nk = 8\n")
+        with pytest.raises(ConfigError, match=r"cfg.txt:2: m \(4\) must exceed k \(8\)"):
+            validate_config(p)
+        p = _write(tmp_path, "figure = fig7_opt_tau\nk = 8\nm = 8\n")
+        with pytest.raises(ConfigError, match=r"cfg.txt:3: m \(8\) must exceed k \(8\)"):
+            validate_config(p)
+        p = _write(tmp_path, "figure = fig9_kappa\nm_conv = 6\n")
+        with pytest.raises(ConfigError, match=r"cfg.txt:2: m_conv \(6\) must exceed k \(8\)"):
+            validate_config(p)
+        # the default m_conv = 128 against a k line
+        p = _write(tmp_path, "figure = fig9_kappa\nt = 500\nk = 128\n")
+        with pytest.raises(ConfigError, match=r"cfg.txt:3: m_conv \(128\) must exceed k"):
+            validate_config(p)
+        p = _write(tmp_path, "figure = fig9_kappa\nm_conv = 9\n")
+        assert validate_config(p).sweep["m_conv"] == 9
+
+    def test_coherence_interval_must_exceed_k_for_allocation_figures(self, tmp_path):
+        # fig7 with t < k used to validate and return tau* > T with -inf SE
+        p = _write(tmp_path, "figure = fig7_opt_tau\nk = 8\nt = 4\n")
+        with pytest.raises(ConfigError, match=r"cfg.txt:3: t \(4\) must exceed k \(8\)"):
+            validate_config(p)
+        p = _write(tmp_path, "figure = fig7_opt_tau\nt = 50, 8, 100\n")
+        with pytest.raises(ConfigError, match=r"cfg.txt:2: t \(8\) must exceed k \(8\)"):
+            validate_config(p)
+        # the default t = 200 against a k line
+        p = _write(tmp_path, "figure = fig6_bit_energy\nm = 300\nk = 200\n")
+        with pytest.raises(ConfigError, match=r"cfg.txt:3: t \(200\) must exceed k"):
+            validate_config(p)
+        for fig in ("fig8_se_vs_m", "fig9_kappa"):
+            p = _write(tmp_path, f"figure = {fig}\nt = 8\n")
+            with pytest.raises(ConfigError, match=r"cfg.txt:2: t \(8\) must exceed k"):
+                validate_config(p)
+        p = _write(tmp_path, "figure = fig7_opt_tau\nt = 9\n")
+        assert validate_config(p).sweep["t"] == 9
+        # figures with a tau key keep the tau <= t check only
+        p = _write(tmp_path, "figure = fig4_se_vs_snr\nt = 8\nn_trials = 2\n")
+        assert validate_config(p).sweep["t"] == 8
+
     def test_range_types(self):
         # ints only when start, step and stop are all integer literals
         assert _parse_value("0:0.5:2") == [0.0, 0.5, 1.0, 1.5, 2.0]
