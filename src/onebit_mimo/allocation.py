@@ -63,6 +63,12 @@ def _sinr(rho_p, rho_d, tau, M, K, receiver: str, system: str):
     raise ValueError(f"unknown system {system!r}")
 
 
+def _check_zf_antennas(M, K, receiver: str) -> None:
+    """The ZF closed forms hold for M > K only (the SINR has an M - K factor)."""
+    if receiver == "zf" and M <= K:
+        raise ValueError(f"ZF closed form needs M > K, got M={M}, K={K}")
+
+
 def _se_direct(gamma, tau, P, T, M, K, receiver: str, system: str):
     """Sum SE at the (gamma, tau) split; gamma and tau may be broadcasting arrays.
 
@@ -93,9 +99,11 @@ def se_at_allocation(
 
     Direct substitution of rho_p = gamma*P/tau, rho_d = (1-gamma)*P/(T-tau)
     into the closed-form rates; gamma may be an array. tau = T returns 0.
+    ZF needs M > K.
     """
     if not (cfg.K <= tau <= budget.T):
         raise ValueError(f"tau must lie in [K, T], got {tau}")
+    _check_zf_antennas(cfg.M, cfg.K, receiver)
     return _se_direct(gamma, tau, budget.P, budget.T, cfg.M, cfg.K, receiver, system)
 
 
@@ -109,11 +117,12 @@ def se_surface(
     coefficient tables carry a global sign flip between numerator and
     denominator relative to the SINR obtained by direct substitution into
     the closed-form rates; the denominator is negated here so the surface
-    agrees with :func:`se_at_allocation` to machine precision.
+    agrees with :func:`se_at_allocation` to machine precision. ZF needs M > K.
     """
     P, T, M, K = budget.P, budget.T, cfg.M, cfg.K
     if not (K <= tau <= T):
         raise ValueError(f"tau must lie in [K, T], got {tau}")
+    _check_zf_antennas(M, K, receiver)
     gamma = np.asarray(gamma, dtype=float)
     if np.any((gamma <= 0.0) | (gamma >= 1.0)):
         raise ValueError("gamma must lie strictly inside (0, 1)")
@@ -192,8 +201,7 @@ def _optimize_numeric(
     seeds a golden-section refinement on one bracket per tau. Ties go to
     the smallest tau.
     """
-    if receiver == "zf" and M <= K:
-        raise ValueError(f"ZF needs M > K, got M = {M}, K = {K}")
+    _check_zf_antennas(M, K, receiver)
     taus = np.arange(int(K), int(tau_max) + 1, dtype=float)
     if taus.size == 0:
         raise ValueError(f"empty training range: tau_max = {tau_max} < K = {K}")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .config import SystemConfig
@@ -16,6 +18,7 @@ __all__ = [
     "training_signal",
     "data_signal",
     "crandn",
+    "crandn_trials",
 ]
 
 
@@ -32,6 +35,23 @@ def unvec(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
 def crandn(rng: np.random.Generator, *shape: int) -> np.ndarray:
     """Circularly-symmetric complex Gaussian CN(0, 1) samples."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def crandn_trials(rng: np.random.Generator, n: int, *shapes) -> list[np.ndarray]:
+    """CN(0, 1) draws of n trials, one (n, *shape) stack per shape.
+
+    Bit-identical to n consecutive trials that each call ``crandn(rng, *shape)``
+    once per shape, in order: one generator call draws every trial's real
+    and imaginary parts in that sequence.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    z = rng.standard_normal((n, 2 * sum(sizes)))
+    out, at = [], 0
+    for shape, size in zip(shapes, sizes):
+        re, im = z[:, at : at + size], z[:, at + size : at + 2 * size]
+        out.append(((re + 1j * im) / np.sqrt(2.0)).reshape(n, *shape))
+        at += 2 * size
+    return out
 
 
 def gen_iid_channel(cfg: SystemConfig, seed) -> np.ndarray:

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .channel import unvec
 from .config import SystemConfig
@@ -113,15 +112,16 @@ def _hermitian_solve(C: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def _bussgang_lmmse(
     Phib: np.ndarray, C_h: np.ndarray | None, uncorrelated: bool = False
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """Bussgang LMMSE filter G for y = Phib h + n, r = Q(y); returns (G, power, C_y).
+) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """Bussgang LMMSE filter G for y = Phib h + n, r = Q(y); returns (G, power, C_y, C).
 
     C_h is the channel covariance (None for I). B = C_h (A Phib)^H is the
     channel/output cross-covariance, with A the diagonal Bussgang gain of
     the training covariance C_y. G = B C^{-1}, where C is the arcsine-law
     output covariance, or with ``uncorrelated`` its surrogate
     A C_y A^H + (1 - 2/pi) I that models the quantizer noise as white.
-    power = Re tr(G B^H) is the estimate power the filter's model predicts.
+    power = Re tr(G B^H) is the estimate power the filter's model predicts,
+    and C the output covariance G was solved with.
     """
     n = Phib.shape[0]
     if C_h is None:
@@ -139,7 +139,7 @@ def _bussgang_lmmse(
     else:
         C = arcsine_covariance(C_y)
     G = _hermitian_solve(C, B.conj().T).conj().T
-    return G, float(np.real(np.sum(G * B.conj()))), C_y
+    return G, float(np.real(np.sum(G * B.conj()))), C_y, C
 
 
 def blmmse_filter(
@@ -150,7 +150,7 @@ def blmmse_filter(
     The estimate is obtained as unvec(G @ r_p). Input-independent, so the
     filter can be reused across Monte Carlo trials.
     """
-    G, power, _ = _bussgang_lmmse(_pilot_model(Phi, cfg), C_h)
+    G, power, _, _ = _bussgang_lmmse(_pilot_model(Phi, cfg), C_h)
     sigma_sq = power / (cfg.M * cfg.K)
     return G, sigma_sq, 1.0 - sigma_sq
 
@@ -206,7 +206,7 @@ def lmmse_uncorrelated_filter(
     Phi: np.ndarray, cfg: SystemConfig, C_h: np.ndarray | None = None
 ) -> tuple[np.ndarray, float, float]:
     """Filter of the baseline that models quantizer noise as (1 - 2/pi) I."""
-    G, power, _ = _bussgang_lmmse(_pilot_model(Phi, cfg), C_h, uncorrelated=True)
+    G, power, _, _ = _bussgang_lmmse(_pilot_model(Phi, cfg), C_h, uncorrelated=True)
     sigma_sq = power / (cfg.M * cfg.K)
     return G, sigma_sq, 1.0 - sigma_sq
 
@@ -246,7 +246,11 @@ def _nml_objective(r_p: np.ndarray, Phi: np.ndarray, cfg: SystemConfig):
     per evaluation instead of O(M^2 K tau). log F is
     ``scipy.special.log_ndtr`` and the pdf/cdf ratio is
     lam = exp(-z^2/2 - log sqrt(2 pi) - log F), stable for large negative z.
+    scipy is imported here, on first use, so that importing the package
+    does not load it.
     """
+    from scipy.special import log_ndtr
+
     _check_pilots(Phi, cfg)
     M, K, tau = cfg.M, cfg.K, cfg.tau
     P = np.sqrt(cfg.rho_p) * Phi

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .allocation import _optimize_numeric, antenna_ratio, power_scaling_limit
-from .channel import crandn, dft_pilots, laplacian_covariance, vec
+from .channel import crandn_trials, dft_pilots, laplacian_covariance
 from .config import PowerBudget, SystemConfig, db_to_linear
 from .estimators import (
     _pilot_model,
@@ -26,7 +26,7 @@ from .estimators import (
     lmmse_uncorrelated_filter,
     nml_estimate,
 )
-from .mc import run_blocks
+from .mc import run_blocks, trial_stacks
 from .quantize import one_bit_quantize
 from .rates import ergodic_rate_mc, rate_mrc_closed, rate_zf_closed
 
@@ -184,6 +184,8 @@ def _mse_point(cfg, Phi, filters, nml_opts, n_trials, seed, root=None):
 
     Channels are root @ CN(0, I) draws (root None: i.i.d.); the linear
     filters, and nML unless nml_opts is None, see the same observations.
+    Trials are evaluated in stacks (:func:`mc.trial_stacks`), with the draws
+    of one trial at a time; nML solves each trial of a stack on its own.
     """
     if n_trials < 2:
         raise ValueError(f"n_trials must be >= 2 for a standard error, got {n_trials}")
@@ -194,18 +196,20 @@ def _mse_point(cfg, Phi, filters, nml_opts, n_trials, seed, root=None):
 
     def block(rng, n):
         acc = {name: np.empty(n) for name in names}
-        for t in range(n):
-            H = crandn(rng, M, K)
+        for s in trial_stacks(n, M):
+            H, N = crandn_trials(rng, s.stop - s.start, (M, K), (M, tau))
             if root is not None:
                 H = root @ H
-            Y = np.sqrt(cfg.rho_p) * H @ Phi.T + crandn(rng, M, tau)
-            r = vec(one_bit_quantize(Y))
+            R = one_bit_quantize(np.sqrt(cfg.rho_p) * H @ Phi.T + N)
+            r = np.swapaxes(R, 1, 2).reshape(-1, M * tau, 1)  # vec(R) per trial
+            h = np.swapaxes(H, 1, 2).reshape(-1, M * K)
             for name, G in filters.items():
-                err = (G @ r).reshape(M, K, order="F") - H
-                acc[name][t] = np.sum(np.abs(err) ** 2) / (M * K)
+                err = (G @ r)[..., 0] - h
+                acc[name][s] = np.sum(np.abs(err) ** 2, axis=1) / (M * K)
             if nml_opts is not None:
-                est = nml_estimate(r, Phi, cfg, **nml_opts)
-                acc["nml"][t] = np.sum(np.abs(est.H_hat - H) ** 2) / (M * K)
+                for j, t in enumerate(range(s.start, s.stop)):
+                    est = nml_estimate(r[j, :, 0], Phi, cfg, **nml_opts)
+                    acc["nml"][t] = np.sum(np.abs(est.H_hat - H[j]) ** 2) / (M * K)
         return acc
 
     blocks = run_blocks(n_trials, block, seed)

@@ -126,13 +126,14 @@ def ofdm_blmmse_filter(
     returned mse is the exact second-order MSE of the mismatched filter.
     """
     Phib = _stacked_pilots(pilots_fd, ofdm, cfg)
-    G, cross, C_y = _bussgang_lmmse(Phib, C_h_td, diagonal_quantizer_noise)
+    G, cross, C_y, C = _bussgang_lmmse(Phib, C_h_td, diagonal_quantizer_noise)
     # exact second-order MSE of the (possibly mismatched) linear filter:
     # tr(C_h) - 2 Re tr(G C_rh) + tr(G C_r G^H), with C_rh = A Phi_bar C_h
     trace_prior = (
         float(Phib.shape[1]) if C_h_td is None else float(np.real(np.trace(C_h_td)))
     )
-    C_r = arcsine_covariance(C_y)
+    # the arcsine-law filter was solved with C_r itself
+    C_r = arcsine_covariance(C_y) if diagonal_quantizer_noise else C
     quad = float(np.real(np.sum((G @ C_r) * G.conj())))
     mse = (trace_prior - 2.0 * cross + quad) / trace_prior
     return G, mse

@@ -19,6 +19,7 @@ __all__ = [
     "bussgang_gain",
     "arcsine_covariance",
     "quantizer_noise_cov",
+    "quantizer_noise_quad",
     "bussgang_model",
     "BussgangModel",
     "low_snr_cq",
@@ -55,23 +56,26 @@ def bussgang_gain(C_y: np.ndarray) -> np.ndarray:
 
 
 def _normalized_parts(C_y: np.ndarray):
+    """S Re(C_y) S and S Im(C_y) S, S = diag(C_y)^(-1/2), of C_y or a stack (..., M, M)."""
     C_y = np.atleast_2d(C_y)
-    d = np.real(np.diagonal(C_y))
+    d = np.real(np.diagonal(C_y, axis1=-2, axis2=-1))
     if np.any(d <= 0.0):
         raise ValueError("C_y must have strictly positive diagonal")
     s = 1.0 / np.sqrt(d)
-    X = np.real(C_y) * np.outer(s, s)
-    Y = np.imag(C_y) * np.outer(s, s)
+    S = s[..., :, None] * s[..., None, :]
+    X = np.real(C_y) * S
+    Y = np.imag(C_y) * S
     # exact by construction; repairing rounding here matters because arcsin
     # has infinite slope at 1
-    np.fill_diagonal(X, 1.0)
-    np.fill_diagonal(Y, 0.0)
+    i = np.arange(d.shape[-1])
+    X[..., i, i] = 1.0
+    Y[..., i, i] = 0.0
     over = max(np.abs(X).max(), np.abs(Y).max()) - 1.0
     if over > _CLAMP_TOL:
         raise ValueError(
             f"normalized correlation exceeds 1 by {over:.3e}; C_y is not a valid covariance"
         )
-    return np.clip(X, -1.0, 1.0), np.clip(Y, -1.0, 1.0)
+    return np.clip(X, -1.0, 1.0, out=X), np.clip(Y, -1.0, 1.0, out=Y)
 
 
 def arcsine_covariance(C_y: np.ndarray) -> np.ndarray:
@@ -87,11 +91,41 @@ def arcsine_covariance(C_y: np.ndarray) -> np.ndarray:
 def quantizer_noise_cov(C_y: np.ndarray) -> np.ndarray:
     """Covariance of the Bussgang quantizer noise, C_q = C_r - A C_y A^H.
 
-    Not diagonal in general; the diagonal equals 1 - 2/pi exactly.
+    Not diagonal in general; the diagonal equals 1 - 2/pi exactly. C_y may
+    be a stack (..., M, M): each matrix is converted as alone, and one
+    invalid matrix rejects the stack with its own error.
     """
+    P, Q = _noise_parts(C_y)
+    return (2.0 / np.pi) * (P + 1j * Q)
+
+
+def _noise_parts(C_y: np.ndarray):
+    """P = arcsin(X) - X and Q = arcsin(Y) - Y, so that C_q = (2/pi)(P + jQ)."""
     X, Y = _normalized_parts(C_y)
     # A C_y A^H = (2/pi) * (X + jY) in normalized coordinates
-    return (2.0 / np.pi) * ((np.arcsin(X) - X) + 1j * (np.arcsin(Y) - Y))
+    P = np.arcsin(X)
+    P -= X
+    Q = np.arcsin(Y)
+    Q -= Y
+    return P, Q
+
+
+def quantizer_noise_quad(W: np.ndarray, C_y: np.ndarray) -> np.ndarray:
+    """Re(w_k^T C_q w_k^*) for every row w_k of W, C_q = quantizer_noise_cov(C_y).
+
+    W is K x M and C_y M x M, or stacks (..., K, M) and (..., M, M); the
+    result has shape (..., K). With w = a + jb and C_q = (2/pi)(P + jQ),
+    P = arcsin(X) - X symmetric and Q = arcsin(Y) - Y antisymmetric, the
+    form is (2/pi)(a^T P a + b^T P b + 2 a^T Q b): real products only, and
+    the complex C_q is never formed.
+    """
+    P, Q = _noise_parts(C_y)
+    a, b = W.real, W.imag
+    K = W.shape[-2]
+    ab = np.concatenate([a, b], axis=-2)
+    pp = np.sum((ab @ P) * ab, axis=-1)  # a^T P a, then b^T P b, per row
+    aqb = np.sum((a @ Q) * b, axis=-1)
+    return (2.0 / np.pi) * (pp[..., :K] + pp[..., K:] + 2.0 * aqb)
 
 
 @dataclass(frozen=True)

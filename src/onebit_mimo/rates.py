@@ -12,18 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import _sinr
-from .channel import crandn, dft_pilots, unvec, vec
+from .allocation import _check_zf_antennas, _sinr
+from .channel import crandn_trials, dft_pilots
 from .config import SystemConfig
 from .estimators import blmmse_filter, estimate_variance
-from .mc import run_blocks
+from .mc import run_blocks, trial_stacks
 from .quantize import (
     UNCORR_NOISE_VAR,
     _alpha_sq,
     alpha_d,
     alpha_p,
     one_bit_quantize,
-    quantizer_noise_cov,
+    quantizer_noise_quad,
 )
 
 __all__ = [
@@ -54,13 +54,13 @@ class RateReport:
 
 
 def mrc_matrix(H_hat: np.ndarray) -> np.ndarray:
-    """Maximum-ratio combiner W^T = H_hat^H (K x M)."""
-    return H_hat.conj().T
+    """Maximum-ratio combiner W^T = H_hat^H (K x M); H_hat may be a stack (..., M, K)."""
+    return np.swapaxes(H_hat.conj(), -1, -2)
 
 
 def zf_matrix(H_hat: np.ndarray) -> np.ndarray:
-    """Zero-forcing combiner W^T = (H_hat^H H_hat)^{-1} H_hat^H (K x M)."""
-    Hh = H_hat.conj().T
+    """Zero-forcing combiner W^T = (H_hat^H H_hat)^{-1} H_hat^H (K x M); stacks too."""
+    Hh = np.swapaxes(H_hat.conj(), -1, -2)
     return np.linalg.solve(Hh @ H_hat, Hh)
 
 
@@ -91,6 +91,9 @@ def ergodic_rate_mc(
     the hardening gain alpha_d and the exact per-realization quantizer-noise
     covariance. csi='perfect' skips estimation (H_hat = H), which upper
     bounds the estimated-CSI rate.
+
+    Each block of trials is evaluated in stacks (:func:`mc.trial_stacks`)
+    on (n, M, K) arrays; the draws are those of one trial at a time.
     """
     if csi not in ("estimated", "perfect"):
         raise ValueError("csi must be 'estimated' or 'perfect'")
@@ -99,44 +102,43 @@ def ergodic_rate_mc(
         raise ValueError(f"n_trials must be >= 2 for a standard error, got {n_trials}")
     M, K, tau = cfg.M, cfg.K, cfg.tau
     Phi = dft_pilots(tau, K)
-    ad = alpha_d(cfg)
+    ad2 = alpha_d(cfg) ** 2
     fast = tau == K
     G = None
     if csi == "estimated" and not fast:
         G, _, _ = blmmse_filter(Phi, cfg)
     ap_rp = alpha_p(cfg) * np.sqrt(cfg.rho_p)
     Phi_conj = Phi.conj()
+    eye = np.eye(M)
 
     def block(rng: np.random.Generator, n: int):
-        rate_sum = np.zeros(K)
-        samples = np.empty(n)
-        for t in range(n):
-            H = crandn(rng, M, K)
+        rates = np.empty((n, K))
+        for s in trial_stacks(n, M):
             if csi == "perfect":
+                (H,) = crandn_trials(rng, s.stop - s.start, (M, K))
                 H_hat = H
             else:
-                Y = np.sqrt(cfg.rho_p) * H @ Phi.T + crandn(rng, M, tau)
-                R_p = one_bit_quantize(Y)
+                H, N = crandn_trials(rng, s.stop - s.start, (M, K), (M, tau))
+                R_p = one_bit_quantize(np.sqrt(cfg.rho_p) * H @ Phi.T + N)
                 if fast:
                     H_hat = ap_rp * (R_p @ Phi_conj)
-                else:
-                    H_hat = unvec(G @ vec(R_p), M, K)
-            Eps = H - H_hat
-            C_qd = quantizer_noise_cov(cfg.rho_d * H @ H.conj().T + np.eye(M))
+                else:  # unvec(G @ vec(R_p)) per trial
+                    r = np.swapaxes(R_p, 1, 2).reshape(-1, M * tau, 1)
+                    H_hat = np.swapaxes((G @ r).reshape(-1, K, M), 1, 2)
+            C_y = cfg.rho_d * H @ np.swapaxes(H.conj(), 1, 2) + eye
             WT = combine(H_hat)
 
-            sig = np.abs(WT @ H_hat) ** 2  # K x K, [k, i] = |w_k^T h_hat_i|^2
-            desired = cfg.rho_d * ad**2 * np.diagonal(sig)
-            interf = cfg.rho_d * ad**2 * (sig.sum(axis=1) - np.diagonal(sig))
-            est_err = cfg.rho_d * ad**2 * np.sum(np.abs(WT @ Eps) ** 2, axis=1)
-            awgn = ad**2 * np.sum(np.abs(WT) ** 2, axis=1)
-            quant = np.real(np.sum((WT @ C_qd) * WT.conj(), axis=1))
+            sig = np.abs(WT @ H_hat) ** 2  # n x K x K, [t, k, i] = |w_k^T h_hat_i|^2
+            diag = np.diagonal(sig, axis1=1, axis2=2)
+            desired = cfg.rho_d * ad2 * diag
+            interf = cfg.rho_d * ad2 * (sig.sum(axis=2) - diag)
+            est_err = cfg.rho_d * ad2 * np.sum(np.abs(WT @ (H - H_hat)) ** 2, axis=2)
+            awgn = ad2 * np.sum(np.abs(WT) ** 2, axis=2)
+            quant = quantizer_noise_quad(WT, C_y)
             den = interf + est_err + awgn + quant
-            sinr = np.divide(desired, den, out=np.zeros(K), where=den > 0)
-            rates = np.log2(1.0 + sinr)
-            rate_sum += rates
-            samples[t] = rates.sum()
-        return rate_sum, samples
+            sinr = np.divide(desired, den, out=np.zeros_like(den), where=den > 0)
+            rates[s] = np.log2(1.0 + sinr)
+        return rates.sum(axis=0), rates.sum(axis=1)
 
     results = run_blocks(n_trials, block, seed)
     per_user = sum(r for r, _ in results) / n_trials
@@ -176,8 +178,7 @@ def rate_lemma1(cfg: SystemConfig, moments: ReceiverMoments) -> float:
 
 
 def _closed_rate(cfg: SystemConfig, M, receiver: str, system: str) -> float:
-    if receiver == "zf" and M <= cfg.K:
-        raise ValueError(f"ZF closed form needs M > K, got M={M}, K={cfg.K}")
+    _check_zf_antennas(M, cfg.K, receiver)
     sinr = _sinr(cfg.rho_p, cfg.rho_d, cfg.tau, M, cfg.K, receiver, system)
     return float(np.log2(1.0 + sinr))
 

@@ -415,3 +415,17 @@ class TestVectorizedScan:
         monkeypatch.setattr(allocation, "_se_direct", counted)
         _optimize_numeric(20.0, 200, 128, 8, "mrc", "one-bit", 200, 200)
         assert 0 < len(calls) < 100
+
+
+@pytest.mark.parametrize("fn", [se_at_allocation, se_surface])
+@pytest.mark.parametrize("M", [4, 8])
+def test_zf_surface_needs_more_antennas_than_users(fn, M):
+    # se_at_allocation returned -0.667 for M = 4: the ZF SINR has an M - K factor
+    cfg = SystemConfig(M=M, K=8, tau=8, T=100)
+    with pytest.raises(ValueError, match=rf"^ZF closed form needs M > K, got M={M}, K=8$"):
+        fn(0.5, 10, PowerBudget(rho=0.1, T=100), cfg, "zf")
+    with pytest.raises(ValueError) as closed:
+        rate_zf_closed(cfg)
+    with pytest.raises(ValueError) as surface:
+        fn(0.5, 10, PowerBudget(rho=0.1, T=100), cfg, "zf")
+    assert str(surface.value) == str(closed.value)

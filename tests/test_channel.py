@@ -12,7 +12,7 @@ from onebit_mimo import (
     unvec,
     vec,
 )
-from onebit_mimo.channel import crandn
+from onebit_mimo.channel import crandn, crandn_trials
 
 
 def test_vec_unvec_roundtrip():
@@ -165,3 +165,18 @@ def test_signal_dimension_mismatch():
         training_signal(H, dft_pilots(4, 3), 1.0, 0)
     with pytest.raises(ValueError):
         data_signal(H, np.ones(3), 1.0, 0)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("shapes", [[(3, 2), (3, 5)], [(6,)], [(2, 3, 2), (1, 1), (4, 1)]])
+def test_crandn_trials_equals_per_trial_calls_bitwise(n, shapes):
+    got = crandn_trials(np.random.default_rng(21), n, *shapes)
+    rng = np.random.default_rng(21)
+    want = [[] for _ in shapes]
+    for _ in range(n):
+        for stack, shape in zip(want, shapes):
+            stack.append(crandn(rng, *shape))
+    assert len(got) == len(shapes)
+    for g, w in zip(got, want):
+        assert g.shape == (n, *w[0].shape)
+        assert np.array_equal(g, np.stack(w))

@@ -6,14 +6,15 @@ import pytest
 from onebit_mimo import SystemConfig, dft_pilots, laplacian_covariance, one_bit_quantize, vec
 from onebit_mimo.channel import crandn
 from onebit_mimo.cli import ConfigError, _parse_value, main, validate_config
-from onebit_mimo.estimators import blmmse_filter
+from onebit_mimo import experiments
+from onebit_mimo.estimators import blmmse_filter, lmmse_uncorrelated_filter, nml_estimate
 from onebit_mimo.experiments import (
     ExperimentSpec,
     _mse_point,
     figure_ids,
     run_experiment,
 )
-from onebit_mimo.mc import block_seeds
+from onebit_mimo.mc import block_seeds, run_blocks, trial_stacks
 
 
 def _write(tmp_path, text, name="cfg.txt"):
@@ -255,6 +256,75 @@ class TestRunExperiment:
             mse[t] = np.sum(np.abs((G @ r).reshape(M, K, order="F") - H) ** 2) / (M * K)
         got = _mse_point(cfg, Phi, {"g": G}, None, 5, (3, 1), root)
         assert got == {"g": (mse.mean(), mse.std(ddof=1) / np.sqrt(5))}
+
+    @staticmethod
+    def _ref_mse_point(cfg, Phi, filters, nml_opts, n_trials, seed, root=None):
+        # _mse_point as it ran before trials were stacked: one trial at a time
+        M, K, tau = cfg.M, cfg.K, cfg.tau
+        names = list(filters) + ([] if nml_opts is None else ["nml"])
+
+        def block(rng, n):
+            acc = {name: np.empty(n) for name in names}
+            for t in range(n):
+                H = crandn(rng, M, K)
+                if root is not None:
+                    H = root @ H
+                Y = np.sqrt(cfg.rho_p) * H @ Phi.T + crandn(rng, M, tau)
+                r = vec(one_bit_quantize(Y))
+                for name, G in filters.items():
+                    err = (G @ r).reshape(M, K, order="F") - H
+                    acc[name][t] = np.sum(np.abs(err) ** 2) / (M * K)
+                if nml_opts is not None:
+                    est = experiments.nml_estimate(r, Phi, cfg, **nml_opts)
+                    acc["nml"][t] = np.sum(np.abs(est.H_hat - H) ** 2) / (M * K)
+            return acc
+
+        blocks = run_blocks(n_trials, block, seed)
+        out = {}
+        for name in names:
+            samples = np.concatenate([b[name] for b in blocks])
+            out[name] = (samples.mean(), samples.std(ddof=1) / np.sqrt(len(samples)))
+        return out
+
+    @pytest.mark.parametrize(
+        "M, K, tau, n_trials, nml, correlated",
+        [
+            (6, 2, 5, 30, True, False),  # one partial stack, nML per trial
+            (6, 2, 5, 300, False, False),  # stacks of 227: partial in both blocks
+            (6, 2, 5, 300, False, True),
+            (16, 1, 2, 70, False, True),  # fig3's shape
+        ],
+    )
+    def test_mse_point_matches_per_trial_reference(
+        self, monkeypatch, M, K, tau, n_trials, nml, correlated
+    ):
+        assert n_trials % trial_stacks(256, M)[0].stop != 0
+        cfg = SystemConfig(M=M, K=K, tau=tau, rho_p=2.0)
+        Phi = dft_pilots(tau, K)
+        root = None
+        if correlated:
+            root = np.linalg.cholesky(laplacian_covariance(M, 70.0, 10.0) + 1e-9 * np.eye(M))
+        filters = {
+            "blmmse": blmmse_filter(Phi, cfg)[0],
+            "uncorr": lmmse_uncorrelated_filter(Phi, cfg)[0],
+        }
+        nml_opts = {"radius_sq": float(K), "max_iters": 60} if nml else None
+        iterations = []
+
+        def recorded(*args, **kwargs):
+            est = nml_estimate(*args, **kwargs)
+            iterations.append(est.diagnostics["iterations"])
+            return est
+
+        monkeypatch.setattr(experiments, "nml_estimate", recorded)
+        got = _mse_point(cfg, Phi, filters, nml_opts, n_trials, (2, 5), root)
+        got_iterations, iterations[:] = list(iterations), []
+        want = self._ref_mse_point(cfg, Phi, filters, nml_opts, n_trials, (2, 5), root)
+        assert got.keys() == want.keys()
+        for name in want:
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-12, atol=0.0)
+        assert got_iterations == iterations
+        assert len(iterations) == (n_trials if nml else 0)
 
     @pytest.mark.parametrize("n_trials", [0, 1])
     def test_mse_point_needs_two_trials(self, n_trials):

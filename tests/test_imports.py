@@ -24,6 +24,25 @@ def test_import_leaves_scipy_stats_and_linalg_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_scipy_loads_with_the_first_nml_solve():
+    # importing the package loads no scipy; the nML estimator imports
+    # scipy.special when it first runs
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = (
+        "import sys, numpy as np, onebit_mimo\n"
+        "print('scipy.special' in sys.modules)\n"
+        "cfg = onebit_mimo.SystemConfig(M=2, K=1, tau=2, rho_p=1.0)\n"
+        "Phi = onebit_mimo.dft_pilots(2, 1)\n"
+        "onebit_mimo.nml_estimate(np.full(4, (1 + 1j) / np.sqrt(2)), Phi, cfg)\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["False", "True"]
+
+
 def test_benchmark_tracer_entry_points_resolve(monkeypatch):
     # the benchmark's tracer wraps these (module, attribute) pairs from
     # outside; each must stay a function defined in that module. The tracer

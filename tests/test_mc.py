@@ -1,6 +1,9 @@
 import numpy as np
 
-from onebit_mimo.mc import block_seeds, run_blocks
+import pytest
+
+from onebit_mimo import mc
+from onebit_mimo.mc import block_seeds, run_blocks, trial_stacks
 
 
 def _collect(rng, n):
@@ -41,3 +44,12 @@ def test_tuple_seed_supported():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
+
+
+@pytest.mark.parametrize("n, M", [(256, 24), (7, 32), (1, 4), (256, 8), (100, 1000)])
+def test_trial_stacks_cover_the_block_in_order(n, M):
+    stacks = trial_stacks(n, M)
+    step = max(1, mc._STACK_ELEMS // (M * M))
+    assert [i for s in stacks for i in range(s.start, s.stop)] == list(range(n))
+    assert all(0 < s.stop - s.start <= step for s in stacks)
+    assert all(s.stop - s.start == step for s in stacks[:-1])

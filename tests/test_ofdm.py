@@ -3,6 +3,8 @@ import pytest
 from scipy.linalg import circulant
 
 from onebit_mimo import OfdmConfig, SystemConfig, blmmse_ofdm, dft_pilots, one_bit_quantize
+from onebit_mimo import estimators
+from onebit_mimo import ofdm as ofdm_module
 from onebit_mimo.channel import crandn, vec
 from onebit_mimo.estimators import blmmse_flat
 from onebit_mimo.quantize import arcsine_covariance, bussgang_gain
@@ -140,3 +142,32 @@ def test_singular_solve_falls_back_to_ridge(monkeypatch):
     assert len(calls) == 2
     assert np.all(np.isfinite(G)) and np.isfinite(mse)
     np.testing.assert_allclose(G, G_ref, rtol=1e-12, atol=0.0)
+
+
+def test_arcsine_filter_mse_reuses_the_solved_covariance(monkeypatch):
+    # the predicted MSE, recomputed with a fresh arcsine covariance
+    M, K, L, N_c, rho = 2, 2, 2, 8, 3.0
+    cfg = SystemConfig(M=M, K=K, tau=N_c, rho_p=rho)
+    ofdm = OfdmConfig(N_c=N_c, N_cp=L - 1, L=L)
+    pilots = qpsk_pilots(N_c, K, 5)
+    G, mse = ofdm_blmmse_filter(pilots, ofdm, cfg)
+    Phib = _stacked_pilots(pilots, ofdm, cfg)
+    C_y = Phib @ Phib.conj().T + np.eye(Phib.shape[0])
+    cross = float(np.real(np.sum(G * (Phib.conj().T * bussgang_gain(C_y)).conj())))
+    quad = float(np.real(np.sum((G @ arcsine_covariance(C_y)) * G.conj())))
+    trace_prior = float(Phib.shape[1])
+    assert mse == (trace_prior - 2.0 * cross + quad) / trace_prior
+
+    # one arcsine covariance per filter build, for either quantizer-noise model
+    calls = []
+
+    def counted(C):
+        calls.append(C.shape)
+        return arcsine_covariance(C)
+
+    monkeypatch.setattr(estimators, "arcsine_covariance", counted)
+    monkeypatch.setattr(ofdm_module, "arcsine_covariance", counted)
+    for diagonal in (False, True):
+        calls.clear()
+        ofdm_blmmse_filter(pilots, ofdm, cfg, diagonal_quantizer_noise=diagonal)
+        assert len(calls) == 1

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onebit_mimo import (
     SystemConfig,
@@ -14,6 +16,7 @@ from onebit_mimo import (
     quantizer_noise_cov,
 )
 from onebit_mimo.channel import crandn
+from onebit_mimo.quantize import quantizer_noise_quad
 
 SQ2 = np.sqrt(2.0)
 
@@ -123,6 +126,73 @@ class TestQuantizerNoiseCov:
             assert np.linalg.eigvalsh(model.C_q)[0] >= -1e-8
             assert np.linalg.eigvalsh(model.C_r)[0] >= -1e-8
             assert np.allclose(model.C_q, model.C_q.conj().T)
+
+
+def _channel_cov_stack(rng, n, M, K, rho):
+    H = crandn(rng, n, M, K)
+    return rho * H @ np.swapaxes(H.conj(), 1, 2) + np.eye(M)
+
+
+class TestStackedQuantizerNoise:
+    def test_stack_equals_per_matrix_calls_bitwise(self):
+        rng = np.random.default_rng(8)
+        C = _channel_cov_stack(rng, 5, 7, 3, 0.8)
+        C[2] = _random_unit_diag_cov(rng, 7, load=0.3)
+        for fn in (quantizer_noise_cov, arcsine_covariance):
+            got = fn(C)
+            assert got.shape == C.shape
+            assert np.array_equal(got, np.stack([fn(c) for c in C]))
+
+    def test_every_matrix_of_a_stack_gets_the_exact_diagonal(self):
+        # the unit diagonal of the normalized input is set, not computed:
+        # arcsin has infinite slope at 1
+        C = _channel_cov_stack(np.random.default_rng(10), 40, 8, 3, 3.7)
+        for fn in (quantizer_noise_cov, arcsine_covariance):
+            exact = fn(np.eye(1))[0, 0]
+            assert np.all(np.diagonal(fn(C), axis1=-2, axis2=-1) == exact)
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (np.array([[1.0, 1.2], [1.2, 1.0]]), "exceeds 1 by 2.000e-01"),
+            (np.array([[1.0, 0.5j], [-0.5j, -1.0]]), "strictly positive diagonal"),
+        ],
+    )
+    def test_one_invalid_element_rejects_the_stack(self, bad, match):
+        C = np.stack([np.eye(2), bad.astype(complex), np.eye(2)])
+        with pytest.raises(ValueError, match=match) as single:
+            quantizer_noise_cov(bad)
+        for fn in (quantizer_noise_cov, lambda c: quantizer_noise_quad(np.ones((3, 1, 2)), c)):
+            with pytest.raises(ValueError) as stacked:
+                fn(C)
+            assert str(stacked.value) == str(single.value)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 4),
+        M=st.integers(1, 12),
+        K=st.integers(1, 6),
+        rho_db=st.floats(-30.0, 30.0),
+    )
+    def test_real_form_matches_complex_product(self, seed, n, M, K, rho_db):
+        rng = np.random.default_rng(seed)
+        C_y = _channel_cov_stack(rng, n, M, K, 10.0 ** (rho_db / 10.0))
+        W = crandn(rng, n, K, M)
+        C_q = quantizer_noise_cov(C_y)
+        want = np.real(np.sum((W @ C_q) * W.conj(), -1))
+        got = quantizer_noise_quad(W, C_y)
+        assert got.shape == (n, K)
+        # rounding scale of the form: sum_ij |w_i| |C_q,ij| |w_j|
+        scale = np.sum((np.abs(W) @ np.abs(C_q)) * np.abs(W), -1)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+    def test_single_matrix(self):
+        rng = np.random.default_rng(9)
+        C_y = _channel_cov_stack(rng, 1, 5, 2, 1.0)[0]
+        W = crandn(rng, 2, 5)
+        want = np.real(np.sum((W @ quantizer_noise_cov(C_y)) * W.conj(), -1))
+        np.testing.assert_allclose(quantizer_noise_quad(W, C_y), want, rtol=1e-13)
 
 
 class TestLowSnrCq:

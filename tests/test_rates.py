@@ -19,9 +19,10 @@ from onebit_mimo import (
     training_signal,
     zf_matrix,
 )
-from onebit_mimo.channel import crandn
-from onebit_mimo.estimators import blmmse_fast
-from onebit_mimo.quantize import UNCORR_NOISE_VAR
+from onebit_mimo.channel import crandn, unvec, vec
+from onebit_mimo.estimators import blmmse_fast, blmmse_filter
+from onebit_mimo.mc import run_blocks, trial_stacks
+from onebit_mimo.quantize import UNCORR_NOISE_VAR, alpha_p, quantizer_noise_cov
 from onebit_mimo.rates import mrc_moments, zf_moments
 
 
@@ -273,6 +274,84 @@ class TestErgodicRateMc:
         cfg = SystemConfig(M=4, K=2, tau=2)
         with pytest.raises(ValueError, match="n_trials must be >= 2"):
             ergodic_rate_mc(cfg, "mrc", n_trials=n_trials, seed=0)
+
+
+def _ref_ergodic_rate_mc(cfg, receiver, n_trials, seed, csi):
+    """ergodic_rate_mc as it ran before trials were stacked: one trial at a
+    time, with the complex quantizer-noise covariance; (per-user, stderr)."""
+    combine = mrc_matrix if receiver == "mrc" else zf_matrix
+    M, K, tau = cfg.M, cfg.K, cfg.tau
+    Phi = dft_pilots(tau, K)
+    ad = alpha_d(cfg)
+    fast = tau == K
+    G = None
+    if csi == "estimated" and not fast:
+        G, _, _ = blmmse_filter(Phi, cfg)
+    ap_rp = alpha_p(cfg) * np.sqrt(cfg.rho_p)
+    Phi_conj = Phi.conj()
+
+    def block(rng, n):
+        rate_sum = np.zeros(K)
+        samples = np.empty(n)
+        for t in range(n):
+            H = crandn(rng, M, K)
+            if csi == "perfect":
+                H_hat = H
+            else:
+                Y = np.sqrt(cfg.rho_p) * H @ Phi.T + crandn(rng, M, tau)
+                R_p = one_bit_quantize(Y)
+                if fast:
+                    H_hat = ap_rp * (R_p @ Phi_conj)
+                else:
+                    H_hat = unvec(G @ vec(R_p), M, K)
+            Eps = H - H_hat
+            C_qd = quantizer_noise_cov(cfg.rho_d * H @ H.conj().T + np.eye(M))
+            WT = combine(H_hat)
+
+            sig = np.abs(WT @ H_hat) ** 2
+            desired = cfg.rho_d * ad**2 * np.diagonal(sig)
+            interf = cfg.rho_d * ad**2 * (sig.sum(axis=1) - np.diagonal(sig))
+            est_err = cfg.rho_d * ad**2 * np.sum(np.abs(WT @ Eps) ** 2, axis=1)
+            awgn = ad**2 * np.sum(np.abs(WT) ** 2, axis=1)
+            quant = np.real(np.sum((WT @ C_qd) * WT.conj(), axis=1))
+            den = interf + est_err + awgn + quant
+            sinr = np.divide(desired, den, out=np.zeros(K), where=den > 0)
+            rates = np.log2(1.0 + sinr)
+            rate_sum += rates
+            samples[t] = rates.sum()
+        return rate_sum, samples
+
+    results = run_blocks(n_trials, block, seed)
+    per_user = sum(r for r, _ in results) / n_trials
+    samples = np.concatenate([s for _, s in results])
+    pref = (cfg.T - cfg.tau) / cfg.T
+    return per_user, pref * float(np.std(samples, ddof=1) / np.sqrt(n_trials))
+
+
+class TestStackedKernelMatchesPerTrial:
+    M = 24  # the stacks do not divide a 256-trial block: the last one is partial
+
+    def test_last_stack_of_a_block_is_partial(self):
+        sizes = [s.stop - s.start for s in trial_stacks(256, self.M)]
+        assert len(sizes) > 1 and sizes[-1] < sizes[0]
+        assert 7 < sizes[0]
+
+    @pytest.mark.parametrize("n_trials", [2, 7, 257])
+    @pytest.mark.parametrize("csi", ["estimated", "perfect"])
+    @pytest.mark.parametrize("tau", [4, 7])  # tau = K (fast path) and tau > K
+    @pytest.mark.parametrize("receiver", ["mrc", "zf"])
+    def test_matches_reference(self, receiver, tau, csi, n_trials):
+        cfg = SystemConfig(M=self.M, K=4, tau=tau, T=50, rho_p=0.3, rho_d=0.5)
+        got = ergodic_rate_mc(cfg, receiver, n_trials, (9, tau), csi)
+        per_user, stderr = _ref_ergodic_rate_mc(cfg, receiver, n_trials, (9, tau), csi)
+        np.testing.assert_allclose(got.per_user_rate, per_user, rtol=1e-12, atol=0.0)
+        assert got.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
+
+    def test_combiners_on_stacks_equal_per_matrix_calls(self):
+        H = crandn(np.random.default_rng(4), 3, 6, 2)
+        for combine in (mrc_matrix, zf_matrix):
+            want = np.stack([combine(h) for h in H])
+            np.testing.assert_allclose(combine(H), want, rtol=1e-14, atol=1e-15)
 
 
 class TestClosedFormTracksMonteCarlo:
