@@ -134,11 +134,27 @@ def validate_config(path: str | Path) -> ExperimentSpec:
         raise ConfigError(f"{path}: seed must be an integer, got {seed!r}")
     if not isinstance(n_trials, int) or n_trials < 0:
         raise ConfigError(f"{path}: n_trials must be a nonnegative integer")
-    if n_trials == 1 and FIGURES[figure].default_trials > 1:
+    fig = FIGURES[figure]
+    if n_trials == 1 and fig.default_trials > 1:
         raise ConfigError(
             f"{path}:{n_trials_line}: n_trials = 1 leaves no standard error; "
             f"{figure} is a Monte Carlo figure and needs n_trials >= 2"
         )
+    if fig.default_trials > 1:  # Monte Carlo figures draw arrays of these sizes
+        for name in ("m", "k", "tau"):
+            val, line = value_of(name)
+            for v in _aslist(val):
+                if not isinstance(v, int):
+                    raise ConfigError(
+                        f"{path}:{line}: {name} must be an integer, got {v!r}; "
+                        f"{figure} is a Monte Carlo figure"
+                    )
+    if "nml_max_iters" in defaults:
+        val, line = value_of("nml_max_iters")
+        if not isinstance(val, int) or val < 1:
+            raise ConfigError(
+                f"{path}:{line}: nml_max_iters must be an integer >= 1, got {val!r}"
+            )
 
     k, k_line = value_of("k")
     tau, tau_line = value_of("tau")
@@ -153,7 +169,6 @@ def validate_config(path: str | Path) -> ExperimentSpec:
         raise ConfigError(
             f"{path}:{t_line or tau_line}: t ({t}) violates tau <= t (tau = {tau})"
         )
-    fig = FIGURES[figure]
     if fig.t_exceeds_k and isinstance(k, int):
         for v in _aslist(t):
             if isinstance(v, (int, float)) and v <= k:

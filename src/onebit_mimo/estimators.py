@@ -142,6 +142,28 @@ def _bussgang_lmmse(
     return G, float(np.real(np.sum(G * B.conj()))), C_y, C
 
 
+def _linear_filter(
+    Phi: np.ndarray, cfg: SystemConfig, C_h: np.ndarray | None, uncorrelated: bool
+) -> tuple[np.ndarray, float, float]:
+    """Filter G of :func:`_bussgang_lmmse` for the model of cfg, with (sigma_sq, mse).
+
+    For an i.i.d. channel (C_h None) the training covariance is
+    (rho_p Phi Phi^H + I) kron I_M, and the Bussgang gain and the arcsine
+    law keep that structure (the arcsine of a zero is zero). So the filter
+    is solved at M = 1, on sqrt(rho_p) Phi (tau x K), and returned as
+    G_1 kron I_M with M times its power. A correlated C_h is solved on the
+    dense Phi_bar.
+    """
+    if C_h is None:
+        _check_pilots(Phi, cfg)
+        G, power, _, _ = _bussgang_lmmse(np.sqrt(cfg.rho_p) * Phi, None, uncorrelated)
+        G, power = np.kron(G, np.eye(cfg.M)), power * cfg.M
+    else:
+        G, power, _, _ = _bussgang_lmmse(_pilot_model(Phi, cfg), C_h, uncorrelated)
+    sigma_sq = power / (cfg.M * cfg.K)
+    return G, sigma_sq, 1.0 - sigma_sq
+
+
 def blmmse_filter(
     Phi: np.ndarray, cfg: SystemConfig, C_h: np.ndarray | None = None
 ) -> tuple[np.ndarray, float, float]:
@@ -150,9 +172,7 @@ def blmmse_filter(
     The estimate is obtained as unvec(G @ r_p). Input-independent, so the
     filter can be reused across Monte Carlo trials.
     """
-    G, power, _, _ = _bussgang_lmmse(_pilot_model(Phi, cfg), C_h)
-    sigma_sq = power / (cfg.M * cfg.K)
-    return G, sigma_sq, 1.0 - sigma_sq
+    return _linear_filter(Phi, cfg, C_h, uncorrelated=False)
 
 
 def blmmse_flat(
@@ -206,9 +226,7 @@ def lmmse_uncorrelated_filter(
     Phi: np.ndarray, cfg: SystemConfig, C_h: np.ndarray | None = None
 ) -> tuple[np.ndarray, float, float]:
     """Filter of the baseline that models quantizer noise as (1 - 2/pi) I."""
-    G, power, _, _ = _bussgang_lmmse(_pilot_model(Phi, cfg), C_h, uncorrelated=True)
-    sigma_sq = power / (cfg.M * cfg.K)
-    return G, sigma_sq, 1.0 - sigma_sq
+    return _linear_filter(Phi, cfg, C_h, uncorrelated=True)
 
 
 def lmmse_uncorrelated(
@@ -228,22 +246,24 @@ def lmmse_uncorrelated(
     return ChannelEstimate(unvec(h_hat, cfg.M, cfg.K), sigma_sq=sigma_sq, mse=mse)
 
 
-def _nml_objective(r_p: np.ndarray, Phi: np.ndarray, cfg: SystemConfig):
-    """Log-likelihood of the one-bit training signs and its gradient.
+def _nml_objective(R: np.ndarray, Phi: np.ndarray, cfg: SystemConfig):
+    """Log-likelihood of the one-bit training signs and its gradient, per trial.
 
-    Returns objective_grad(h) -> (sum_i log F(z_i), gradient) with
+    R is an (n, M tau) stack of quantized training vectors r_p. Returns
+    objective_grad(h, rows) -> (objectives, gradients), which evaluates
+    trial rows[i] at h[i]: sum_j log F(z_j) and its gradient, with
     z = sqrt(2) c (Phi_bar_R h), where h = [Re vec(H); Im vec(H)] is the
     real embedding of the M x K channel, c the observed signs of
     [Re r_p; Im r_p], F the standard normal CDF and Phi_bar_R the real
     embedding of the training matrix Phi_bar = Phi kron sqrt(rho_p) I_M.
 
     Phi_bar_R is never formed. Since Phi_bar vec(H) = vec(sqrt(rho_p) H Phi^T),
-    the forward product is one (2 tau x 2K) @ (2K x M) real matmul: the real
-    embedding of sqrt(rho_p) Phi times h viewed as [Re H^T; Im H^T]. Its
-    rows, [Re Y^T; Im Y^T] with Y = sqrt(rho_p) H Phi^T, are in the order of
-    the stacked signs, and the gradient is the transposed matmul,
-    [Re; Im] of sqrt(rho_p) U Phi^* with U = unvec(c lam). Cost O(M K tau)
-    per evaluation instead of O(M^2 K tau). log F is
+    the forward product is one (2 tau x 2K) @ (2K x M) real matmul per
+    trial: the real embedding of sqrt(rho_p) Phi times h viewed as
+    [Re H^T; Im H^T]. Its rows, [Re Y^T; Im Y^T] with Y = sqrt(rho_p) H Phi^T,
+    are in the order of the stacked signs, and the gradient is the
+    transposed matmul, [Re; Im] of sqrt(rho_p) U Phi^* with U = unvec(c lam).
+    Cost O(M K tau) per evaluation instead of O(M^2 K tau). log F is
     ``scipy.special.log_ndtr`` and the pdf/cdf ratio is
     lam = exp(-z^2/2 - log sqrt(2 pi) - log F), stable for large negative z.
     scipy is imported here, on first use, so that importing the package
@@ -255,19 +275,103 @@ def _nml_objective(r_p: np.ndarray, Phi: np.ndarray, cfg: SystemConfig):
     M, K, tau = cfg.M, cfg.K, cfg.tau
     P = np.sqrt(cfg.rho_p) * Phi
     B = np.block([[P.real, -P.imag], [P.imag, P.real]])  # 2tau x 2K
-    r = np.asarray(r_p).reshape(-1)
-    # signs as [Re R^T; Im R^T], the row layout of the forward product
-    c = np.sign(np.concatenate([r.real, r.imag])).reshape(2 * tau, M)  # in {+-1}
+    R = np.asarray(R)
+    # signs as [Re R^T; Im R^T] per trial, the row layout of the forward product
+    c = np.sign(np.concatenate([R.real, R.imag], axis=-1)).reshape(-1, 2 * tau, M)
     sc = np.sqrt(2.0) * c
 
-    def objective_grad(h):
-        z = sc * (B @ h.reshape(2 * K, M))
+    def objective_grad(h, rows):
+        z = sc[rows] * (B @ h.reshape(-1, 2 * K, M))
         logF = log_ndtr(z)
         lam = np.exp(-0.5 * z * z - _LOG_SQRT_2PI - logF)  # pdf/cdf ratio, stable
-        grad = np.sqrt(2.0) * (B.T @ (c * lam)).reshape(-1)
-        return float(logF.sum()), grad
+        grad = np.sqrt(2.0) * (B.T @ (c[rows] * lam)).reshape(len(rows), -1)
+        return logF.reshape(len(rows), -1).sum(axis=1), grad
 
     return objective_grad
+
+
+def _nml_solve(
+    R: np.ndarray,
+    Phi: np.ndarray,
+    cfg: SystemConfig,
+    radius_sq: float | None = None,
+    tol: float = 1e-6,
+    max_iters: int = 500,
+    traces: list | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The ascent of :func:`nml_estimate` on an (n, M tau) stack of training vectors.
+
+    Each trial keeps its own schedule: the stop test, the doubled step, the
+    halving backtrack down to 1e-15 and the max_iters cap. One round
+    evaluates the objective once per unfinished trial, at its next step or
+    its backtracking candidate; a trial that converges, stalls or reaches
+    the cap leaves the working arrays, so it costs nothing further.
+    Returns the (n, M, K) estimates and, per trial, the accepted steps,
+    the converged flag and the last projected-gradient norm. A list passed
+    as ``traces`` receives each trial's objective trace.
+    """
+    objective_grad = _nml_objective(R, Phi, cfg)
+    M, K = cfg.M, cfg.K
+    MK = M * K
+    radius = np.sqrt(float(MK) if radius_sq is None else radius_sq)
+
+    def project(x):  # in place, row by row, onto the ball ||x||^2 <= radius_sq
+        nrm = np.sqrt(np.vecdot(x, x))
+        x *= np.divide(radius, nrm, out=np.ones_like(nrm), where=~(nrm <= radius))[:, None]
+        return x
+
+    n = np.shape(R)[0]
+    h_out = np.empty((n, 2 * MK))
+    iterations = np.empty(n, dtype=int)
+    converged = np.zeros(n, dtype=bool)
+    grad_norm = np.empty(n)
+    # working arrays of the unfinished trials `rows`
+    rows = np.arange(n)
+    h = np.zeros((n, 2 * MK))
+    obj, grad = objective_grad(h, rows)
+    step = np.ones(n)
+    started = np.zeros(n, dtype=int)  # outer iterations begun
+    its = np.zeros(n, dtype=int)  # accepted steps
+    gn = np.full(n, np.inf)
+    due = np.ones(n, dtype=bool)  # at a new point: due for the stop test
+    if traces is not None:
+        traces[:] = [[float(o)] for o in obj]
+    while True:
+        capped = due & (started >= max_iters)
+        due &= ~capped
+        conv = np.zeros_like(due)
+        if due.any():
+            d = project(h + grad) - h
+            gn = np.where(due, np.sqrt(np.vecdot(d, d)), gn)
+            conv = due & (gn < tol)
+            go = due & ~conv
+            started += go
+            step = np.where(go, np.minimum(step * 2.0, 1e6), step)
+        done = capped | conv | ~(step > 1e-15)  # the last: stalled
+        if done.any():
+            fin = rows[done]
+            h_out[fin], iterations[fin], grad_norm[fin] = h[done], its[done], gn[done]
+            converged[fin] = conv[done]
+            keep = ~done
+            rows, h, obj, grad, step, started, its, gn = (
+                a[keep] for a in (rows, h, obj, grad, step, started, its, gn)
+            )
+            if not rows.size:
+                break
+        h_new = project(h + step[:, None] * grad)
+        obj_new, grad_new = objective_grad(h_new, rows)
+        due = obj_new >= obj  # accepted
+        np.copyto(h, h_new, where=due[:, None])
+        np.copyto(obj, obj_new, where=due)
+        np.copyto(grad, grad_new, where=due[:, None])
+        its += due
+        step = np.where(due, step, step * 0.5)
+        if traces is not None:
+            for t, o in zip(rows[due], obj_new[due]):
+                traces[t].append(float(o))
+
+    H_hat = (h_out[:, :MK] + 1j * h_out[:, MK:]).reshape(n, K, M)
+    return np.swapaxes(H_hat, 1, 2), iterations, converged, grad_norm
 
 
 def nml_estimate(
@@ -290,48 +394,19 @@ def nml_estimate(
     The objective applies the training operator in its Kronecker form, as a
     K -> tau matmul on the M x K channel, and evaluates log F with
     ``scipy.special.log_ndtr`` (see :func:`_nml_objective`), so an
-    evaluation costs O(M K tau).
+    evaluation costs O(M K tau). This is the one-trial case of the stacked
+    solver :func:`_nml_solve`.
     """
-    objective_grad = _nml_objective(r_p, Phi, cfg)
-    MK = cfg.M * cfg.K
-    if radius_sq is None:
-        radius_sq = float(MK)
-    radius = np.sqrt(radius_sq)
-
-    def project(h):
-        nrm = np.linalg.norm(h)
-        return h if nrm <= radius else h * (radius / nrm)
-
-    h = np.zeros(2 * MK)
-    obj, grad = objective_grad(h)
-    trace = [obj]
-    step = 1.0
-    grad_norm = np.inf
-    converged = False
-    for _ in range(max_iters):
-        grad_norm = float(np.linalg.norm(project(h + grad) - h))
-        if grad_norm < tol:
-            converged = True
-            break
-        step = min(step * 2.0, 1e6)
-        while step > 1e-15:
-            h_new = project(h + step * grad)
-            obj_new, grad_new = objective_grad(h_new)
-            if obj_new >= obj:
-                break
-            step *= 0.5
-        else:
-            break  # no ascent step representable; treat as stalled
-        h, obj, grad = h_new, obj_new, grad_new
-        trace.append(obj)
-
-    h_c = h[:MK] + 1j * h[MK:]
+    traces = []
+    H_hat, iterations, converged, grad_norm = _nml_solve(
+        np.asarray(r_p).reshape(1, -1), Phi, cfg, radius_sq, tol, max_iters, traces
+    )
     return ChannelEstimate(
-        unvec(h_c, cfg.M, cfg.K),
+        H_hat[0],
         diagnostics={
-            "converged": converged,
-            "iterations": len(trace) - 1,
-            "grad_norm": grad_norm,
-            "objective_trace": trace,
+            "converged": bool(converged[0]),
+            "iterations": int(iterations[0]),
+            "grad_norm": float(grad_norm[0]),
+            "objective_trace": traces[0],
         },
     )

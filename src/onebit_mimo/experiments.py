@@ -21,10 +21,10 @@ from .allocation import _optimize_numeric, antenna_ratio, power_scaling_limit
 from .channel import crandn_trials, dft_pilots, laplacian_covariance
 from .config import PowerBudget, SystemConfig, db_to_linear
 from .estimators import (
+    _nml_solve,
     _pilot_model,
     blmmse_filter,
     lmmse_uncorrelated_filter,
-    nml_estimate,
 )
 from .mc import run_blocks, trial_stacks
 from .quantize import one_bit_quantize
@@ -185,7 +185,8 @@ def _mse_point(cfg, Phi, filters, nml_opts, n_trials, seed, root=None):
     Channels are root @ CN(0, I) draws (root None: i.i.d.); the linear
     filters, and nML unless nml_opts is None, see the same observations.
     Trials are evaluated in stacks (:func:`mc.trial_stacks`), with the draws
-    of one trial at a time; nML solves each trial of a stack on its own.
+    of one trial at a time; nML solves a whole stack at once
+    (:func:`estimators._nml_solve`).
     """
     if n_trials < 2:
         raise ValueError(f"n_trials must be >= 2 for a standard error, got {n_trials}")
@@ -207,9 +208,8 @@ def _mse_point(cfg, Phi, filters, nml_opts, n_trials, seed, root=None):
                 err = (G @ r)[..., 0] - h
                 acc[name][s] = np.sum(np.abs(err) ** 2, axis=1) / (M * K)
             if nml_opts is not None:
-                for j, t in enumerate(range(s.start, s.stop)):
-                    est = nml_estimate(r[j, :, 0], Phi, cfg, **nml_opts)
-                    acc["nml"][t] = np.sum(np.abs(est.H_hat - H[j]) ** 2) / (M * K)
+                H_hat = _nml_solve(r[..., 0], Phi, cfg, **nml_opts)[0]
+                acc["nml"][s] = np.sum(np.abs(H_hat - H) ** 2, axis=(1, 2)) / (M * K)
         return acc
 
     blocks = run_blocks(n_trials, block, seed)

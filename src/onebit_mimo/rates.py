@@ -39,7 +39,6 @@ __all__ = [
     "mrc_moments",
     "zf_moments",
     "conventional_rates",
-    "closed_form_report",
 ]
 
 
@@ -59,9 +58,24 @@ def mrc_matrix(H_hat: np.ndarray) -> np.ndarray:
 
 
 def zf_matrix(H_hat: np.ndarray) -> np.ndarray:
-    """Zero-forcing combiner W^T = (H_hat^H H_hat)^{-1} H_hat^H (K x M); stacks too."""
+    """Zero-forcing combiner W^T = (H_hat^H H_hat)^{-1} H_hat^H (K x M); stacks too.
+
+    A matrix whose Gram matrix is singular gets the minimum-norm combiner
+    pinv(H_hat); the other matrices of its stack are then solved one by
+    one, with the same result as the stacked solve.
+    """
     Hh = np.swapaxes(H_hat.conj(), -1, -2)
-    return np.linalg.solve(Hh @ H_hat, Hh)
+    try:
+        return np.linalg.solve(Hh @ H_hat, Hh)
+    except np.linalg.LinAlgError:
+        pass
+    W = np.empty(Hh.shape, dtype=np.result_type(Hh, 1.0))
+    for i in np.ndindex(H_hat.shape[:-2]):
+        try:
+            W[i] = np.linalg.solve(Hh[i] @ H_hat[i], Hh[i])
+        except np.linalg.LinAlgError:
+            W[i] = np.linalg.pinv(H_hat[i])
+    return W
 
 
 def sum_se(per_user_rates: np.ndarray, cfg: SystemConfig) -> float:
@@ -229,10 +243,3 @@ def conventional_rates(
     rate = _closed_rate(cfg, M_conv, receiver, "conventional")
     per_user = np.full(cfg.K, rate)
     return RateReport(per_user, sum_se(per_user, cfg), f"conventional_{receiver}")
-
-
-def closed_form_report(cfg: SystemConfig, receiver: str = "mrc") -> RateReport:
-    """Low-SNR closed-form rates wrapped in a RateReport."""
-    rate = rate_mrc_closed(cfg) if receiver == "mrc" else rate_zf_closed(cfg)
-    per_user = np.full(cfg.K, rate)
-    return RateReport(per_user, sum_se(per_user, cfg), f"theorem_{receiver}")

@@ -7,7 +7,7 @@ from onebit_mimo import SystemConfig, dft_pilots, laplacian_covariance, one_bit_
 from onebit_mimo.channel import crandn
 from onebit_mimo.cli import ConfigError, _parse_value, main, validate_config
 from onebit_mimo import experiments
-from onebit_mimo.estimators import blmmse_filter, lmmse_uncorrelated_filter, nml_estimate
+from onebit_mimo.estimators import _nml_solve, blmmse_filter, lmmse_uncorrelated_filter
 from onebit_mimo.experiments import (
     ExperimentSpec,
     _mse_point,
@@ -15,6 +15,7 @@ from onebit_mimo.experiments import (
     run_experiment,
 )
 from onebit_mimo.mc import block_seeds, run_blocks, trial_stacks
+from test_estimators import _ref_nml_estimate
 
 
 def _write(tmp_path, text, name="cfg.txt"):
@@ -89,6 +90,39 @@ class TestConfigParsing:
         # closed-form figures run one trial by default
         p = _write(tmp_path, "figure = fig5_power_eff\nn_trials = 1\n")
         assert validate_config(p).n_trials == 1
+
+    @pytest.mark.parametrize(
+        "figure, text, line, name",
+        [
+            ("fig2_mse", "m = 16.5", 2, "m"),
+            ("fig2_mse", "k = 2.0", 2, "k"),
+            ("fig2_mse", "tau = 20.0", 2, "tau"),
+            ("fig3_corr_mse", "m = 8.0", 2, "m"),
+            ("fig4_se_vs_snr", "tau = 8.0", 2, "tau"),
+            ("fig4_se_vs_snr", "m = 32, 64.0", 2, "m"),  # every list element
+            ("fig4_se_vs_snr", "m = 30:0.5:31", 2, "m"),  # a float range
+        ],
+    )
+    def test_monte_carlo_sizes_must_be_integers(self, tmp_path, figure, text, line, name):
+        # these used to validate and then die at run with a TypeError
+        p = _write(tmp_path, f"figure = {figure}\n{text}\nn_trials = 2\n")
+        with pytest.raises(ConfigError, match=rf"cfg.txt:{line}: {name} must be an integer"):
+            validate_config(p)
+
+    def test_closed_form_figures_keep_real_sizes(self, tmp_path):
+        p = _write(tmp_path, "figure = fig5_power_eff\nm = 100.5, 200\n")
+        assert validate_config(p).sweep["m"] == [100.5, 200]
+        p = _write(tmp_path, "figure = fig7_opt_tau\nt = 50.5\n")
+        assert validate_config(p).sweep["t"] == 50.5
+
+    @pytest.mark.parametrize("value", ["-3", "0", "2.5", "1, 2"])
+    def test_nml_max_iters_must_be_a_positive_integer(self, tmp_path, value):
+        # -3 used to run zero-iteration solves (every H_hat = 0); 2.5 died at run
+        p = _write(tmp_path, f"figure = fig2_mse\nseed = 1\nnml_max_iters = {value}\n")
+        with pytest.raises(ConfigError, match="cfg.txt:3: nml_max_iters must be an integer >= 1"):
+            validate_config(p)
+        p = _write(tmp_path, "figure = fig2_mse\nnml_max_iters = 1\n")
+        assert validate_config(p).sweep["nml_max_iters"] == 1
 
     def test_m_not_above_k_rejected_for_zf_closed_form_figures(self, tmp_path):
         p = _write(tmp_path, "figure = fig4_se_vs_snr\nm = 8\nk = 8\nn_trials = 2\n")
@@ -258,8 +292,9 @@ class TestRunExperiment:
         assert got == {"g": (mse.mean(), mse.std(ddof=1) / np.sqrt(5))}
 
     @staticmethod
-    def _ref_mse_point(cfg, Phi, filters, nml_opts, n_trials, seed, root=None):
-        # _mse_point as it ran before trials were stacked: one trial at a time
+    def _ref_mse_point(cfg, Phi, filters, nml_opts, n_trials, seed, root, ref_iterations):
+        # _mse_point as it ran before trials were stacked: one trial at a time,
+        # nML by the per-trial solver, whose iteration counts are recorded
         M, K, tau = cfg.M, cfg.K, cfg.tau
         names = list(filters) + ([] if nml_opts is None else ["nml"])
 
@@ -275,8 +310,9 @@ class TestRunExperiment:
                     err = (G @ r).reshape(M, K, order="F") - H
                     acc[name][t] = np.sum(np.abs(err) ** 2) / (M * K)
                 if nml_opts is not None:
-                    est = experiments.nml_estimate(r, Phi, cfg, **nml_opts)
-                    acc["nml"][t] = np.sum(np.abs(est.H_hat - H) ** 2) / (M * K)
+                    H_hat, diag = _ref_nml_estimate(r, Phi, cfg, **nml_opts)
+                    ref_iterations.append(diag["iterations"])
+                    acc["nml"][t] = np.sum(np.abs(H_hat - H) ** 2) / (M * K)
             return acc
 
         blocks = run_blocks(n_trials, block, seed)
@@ -309,22 +345,36 @@ class TestRunExperiment:
             "uncorr": lmmse_uncorrelated_filter(Phi, cfg)[0],
         }
         nml_opts = {"radius_sq": float(K), "max_iters": 60} if nml else None
-        iterations = []
+        got_iterations, iterations = [], []
 
         def recorded(*args, **kwargs):
-            est = nml_estimate(*args, **kwargs)
-            iterations.append(est.diagnostics["iterations"])
-            return est
+            out = _nml_solve(*args, **kwargs)
+            got_iterations.extend(out[1].tolist())
+            return out
 
-        monkeypatch.setattr(experiments, "nml_estimate", recorded)
+        monkeypatch.setattr(experiments, "_nml_solve", recorded)
         got = _mse_point(cfg, Phi, filters, nml_opts, n_trials, (2, 5), root)
-        got_iterations, iterations[:] = list(iterations), []
-        want = self._ref_mse_point(cfg, Phi, filters, nml_opts, n_trials, (2, 5), root)
+        want = self._ref_mse_point(
+            cfg, Phi, filters, nml_opts, n_trials, (2, 5), root, iterations
+        )
         assert got.keys() == want.keys()
         for name in want:
             np.testing.assert_allclose(got[name], want[name], rtol=1e-12, atol=0.0)
         assert got_iterations == iterations
         assert len(iterations) == (n_trials if nml else 0)
+
+    def test_zf_with_singular_gram_matrices_runs_to_a_finite_csv(self, tmp_path):
+        # M = 3, K = 2: some one-bit estimates have collinear columns
+        out = tmp_path / "fig4.csv"
+        p = _write(
+            tmp_path,
+            "figure = fig4_se_vs_snr\nm = 3\nk = 2\ntau = 2\nsnr_db = 0, 30\n"
+            f"n_trials = 100\noutput = {out}\n",
+        )
+        table = run_experiment(validate_config(p))
+        assert len(table.rows) == 2
+        assert np.all(np.isfinite(np.array(table.rows, dtype=float)))
+        assert out.exists()
 
     @pytest.mark.parametrize("n_trials", [0, 1])
     def test_mse_point_needs_two_trials(self, n_trials):

@@ -19,9 +19,12 @@ from onebit_mimo import (
     one_bit_quantize,
     training_signal,
 )
-from onebit_mimo.channel import crandn, vec
+from onebit_mimo.channel import crandn, unvec, vec
 from onebit_mimo.estimators import (
+    _LOG_SQRT_2PI,
+    _bussgang_lmmse,
     _nml_objective,
+    _nml_solve,
     _pilot_model,
     blmmse_filter,
     lmmse_uncorrelated_filter,
@@ -45,6 +48,25 @@ class TestBlmmseFast:
         fast = blmmse_fast(r, Phi, cfg).H_hat
         flat = blmmse_flat(r, Phi, cfg).H_hat
         assert np.linalg.norm(fast - flat) / np.linalg.norm(fast) < 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        M=st.integers(1, 8),
+        K=st.integers(1, 4),
+        log_rho=st.floats(-2.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_flat_at_tau_k(self, M, K, log_rho, seed):
+        # blmmse_flat builds its i.i.d. filter at M = 1 (G_1 kron I_M)
+        cfg = SystemConfig(M=M, K=K, tau=K, rho_p=10.0**log_rho)
+        Phi = dft_pilots(K, K)
+        _, r = _quantized_training(cfg, Phi, seed)
+        fast = blmmse_fast(r, Phi, cfg)
+        flat = blmmse_flat(r, Phi, cfg)
+        err = np.linalg.norm(fast.H_hat - flat.H_hat)
+        assert err <= 1e-12 * np.linalg.norm(fast.H_hat)
+        assert abs(fast.sigma_sq - flat.sigma_sq) <= 1e-12
+        assert abs(fast.mse - flat.mse) <= 1e-12
 
     def test_requires_square_pilots(self):
         cfg = SystemConfig(M=4, K=2, tau=4)
@@ -146,6 +168,45 @@ class TestBlmmseFlat:
         est = blmmse_flat(np.ones(24) * (1 + 1j) / np.sqrt(2), Phi, cfg)
         assert 0.0 <= est.sigma_sq <= 1.0
         assert 0.0 <= est.mse <= 1.0
+
+
+class TestIidFilterKronecker:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        M=st.integers(1, 6),
+        K=st.integers(1, 4),
+        extra_tau=st.integers(0, 4),
+        log_rho=st.floats(-2.0, 2.0),
+        dft=st.booleans(),
+        uncorrelated=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_dense_pilot_model_build(
+        self, M, K, extra_tau, log_rho, dft, uncorrelated, seed
+    ):
+        # the i.i.d. filter solved at M = 1 and expanded as G_1 kron I_M
+        # against the filter solved on the dense Phi kron sqrt(rho_p) I_M
+        tau = K + extra_tau
+        cfg = SystemConfig(M=M, K=K, tau=tau, rho_p=10.0**log_rho)
+        Phi = dft_pilots(tau, K) if dft else crandn(np.random.default_rng(seed), tau, K)
+        build = lmmse_uncorrelated_filter if uncorrelated else blmmse_filter
+        G, sigma_sq, mse = build(Phi, cfg)
+        G_d, power, _, _ = _bussgang_lmmse(_pilot_model(Phi, cfg), None, uncorrelated)
+        assert G.shape == G_d.shape == (M * K, M * tau)
+        assert np.max(np.abs(G - G_d)) <= 1e-12 * max(1.0, np.max(np.abs(G_d)))
+        assert abs(sigma_sq - power / (M * K)) <= 1e-12
+        assert mse == 1.0 - sigma_sq
+
+    def test_correlated_channel_keeps_the_dense_build(self):
+        cfg = SystemConfig(M=3, K=2, tau=3, rho_p=2.0)
+        Phi = dft_pilots(3, 2)
+        A = crandn(np.random.default_rng(0), 6, 6)
+        C_h = A @ A.conj().T / 6
+        for uncorrelated, build in ((False, blmmse_filter), (True, lmmse_uncorrelated_filter)):
+            G_d, power, _, _ = _bussgang_lmmse(_pilot_model(Phi, cfg), C_h, uncorrelated)
+            G, sigma_sq, _ = build(Phi, cfg, C_h)
+            assert np.array_equal(G, G_d)
+            assert sigma_sq == power / 6
 
 
 def test_singular_output_covariance_falls_back_with_warning():
@@ -293,21 +354,152 @@ class TestNml:
 
 
 # --------------------------------------------------------------------------
-# reference nML objective on the dense real embedding of Phi_bar (2M tau x 2MK)
+# the nML solver one trial at a time, as it ran before trials were stacked:
+# the reference the stacked solver must equal bit for bit
 
 
-def _dense_objective(r_p, Phi, cfg):
-    Phib = _pilot_model(Phi, cfg)
-    A = np.block([[Phib.real, -Phib.imag], [Phib.imag, Phib.real]])
+def _ref_nml_objective(r_p, Phi, cfg):
+    from scipy.special import log_ndtr
+
+    M, K, tau = cfg.M, cfg.K, cfg.tau
+    P = np.sqrt(cfg.rho_p) * Phi
+    B = np.block([[P.real, -P.imag], [P.imag, P.real]])
     r = np.asarray(r_p).reshape(-1)
-    c = np.sign(np.concatenate([r.real, r.imag]))
+    c = np.sign(np.concatenate([r.real, r.imag])).reshape(2 * tau, M)
+    sc = np.sqrt(2.0) * c
 
     def objective_grad(h):
-        z = np.sqrt(2.0) * c * (A @ h)
-        logF = stats.norm.logcdf(z)
-        lam = np.exp(stats.norm.logpdf(z) - logF)
-        grad = np.sqrt(2.0) * (A.T @ (c * lam))
+        z = sc * (B @ h.reshape(2 * K, M))
+        logF = log_ndtr(z)
+        lam = np.exp(-0.5 * z * z - _LOG_SQRT_2PI - logF)
+        grad = np.sqrt(2.0) * (B.T @ (c * lam)).reshape(-1)
         return float(logF.sum()), grad
+
+    return objective_grad
+
+
+def _ref_nml_estimate(r_p, Phi, cfg, radius_sq=None, tol=1e-6, max_iters=500):
+    objective_grad = _ref_nml_objective(r_p, Phi, cfg)
+    MK = cfg.M * cfg.K
+    if radius_sq is None:
+        radius_sq = float(MK)
+    radius = np.sqrt(radius_sq)
+
+    def project(h):
+        nrm = np.linalg.norm(h)
+        return h if nrm <= radius else h * (radius / nrm)
+
+    h = np.zeros(2 * MK)
+    obj, grad = objective_grad(h)
+    trace = [obj]
+    step = 1.0
+    grad_norm = np.inf
+    converged = False
+    for _ in range(max_iters):
+        grad_norm = float(np.linalg.norm(project(h + grad) - h))
+        if grad_norm < tol:
+            converged = True
+            break
+        step = min(step * 2.0, 1e6)
+        while step > 1e-15:
+            h_new = project(h + step * grad)
+            obj_new, grad_new = objective_grad(h_new)
+            if obj_new >= obj:
+                break
+            step *= 0.5
+        else:
+            break  # stalled
+        h, obj, grad = h_new, obj_new, grad_new
+        trace.append(obj)
+
+    h_c = h[:MK] + 1j * h[MK:]
+    return unvec(h_c, cfg.M, cfg.K), {
+        "converged": converged,
+        "iterations": len(trace) - 1,
+        "grad_norm": grad_norm,
+        "objective_trace": trace,
+    }
+
+
+def _training_stack(cfg, Phi, snr_dbs, seed):
+    """(n, M tau) quantized training vectors, trial i drawn at snr_dbs[i]."""
+    rng = np.random.default_rng(seed)
+    R = []
+    for snr_db in snr_dbs:
+        H = crandn(rng, cfg.M, cfg.K)
+        R.append(one_bit_quantize(training_signal(H, Phi, 10 ** (snr_db / 10), rng)))
+    return np.stack(R)
+
+
+class TestStackedNml:
+    @pytest.mark.parametrize(
+        "M, K, tau, rho, opts, n, seed, kinds_seen",
+        [
+            # converged, stalled, capped, on the ball and inside it, in one stack
+            (
+                4, 2, 4, 10.0, {"radius_sq": 32.0, "tol": 1e-10, "max_iters": 150}, 24, 2,
+                {"converged", "stalled", "capped", "projected", "unprojected"},
+            ),
+            (4, 2, 4, 10.0, {"tol": 0.0, "max_iters": 60}, 12, 3, {"stalled", "capped"}),
+            (16, 4, 20, 1.0, {"radius_sq": 4.0, "max_iters": 200}, 32, 3, set()),  # fig2
+            (16, 4, 20, 100.0, {"radius_sq": 4.0, "max_iters": 40}, 5, 4, set()),
+            (3, 1, 3, 1.0, {}, 1, 5, set()),  # a stack of one, default options
+            (3, 1, 3, 1.0, {"max_iters": 0}, 3, 6, {"capped"}),
+        ],
+    )
+    def test_equals_per_trial_reference(self, M, K, tau, rho, opts, n, seed, kinds_seen):
+        cfg = SystemConfig(M=M, K=K, tau=tau, rho_p=rho)
+        Phi = dft_pilots(tau, K)
+        snr_dbs = np.random.default_rng(seed).uniform(-15.0, 30.0, n)
+        R = _training_stack(cfg, Phi, snr_dbs, seed)
+        traces = []
+        H_hat, iterations, converged, grad_norm = _nml_solve(
+            R, Phi, cfg, traces=traces, **opts
+        )
+        assert H_hat.shape == (n, M, K)
+        kinds = set()
+        radius_sq = opts.get("radius_sq", float(M * K))
+        for j in range(n):
+            H_ref, diag = _ref_nml_estimate(R[j], Phi, cfg, **opts)
+            assert np.array_equal(H_hat[j], H_ref)
+            assert iterations[j] == diag["iterations"]
+            assert converged[j] == diag["converged"]
+            assert grad_norm[j] == diag["grad_norm"]
+            assert traces[j] == diag["objective_trace"]
+            est = nml_estimate(R[j], Phi, cfg, **opts)
+            assert np.array_equal(est.H_hat, H_ref)
+            assert est.diagnostics == diag
+            if diag["converged"]:
+                kinds.add("converged")
+            elif diag["iterations"] < opts.get("max_iters", 500):
+                kinds.add("stalled")
+            else:
+                kinds.add("capped")
+            on_ball = np.sum(np.abs(H_ref) ** 2) > radius_sq * (1 - 1e-9)
+            kinds.add("projected" if on_ball else "unprojected")
+        assert kinds_seen <= kinds
+
+
+# --------------------------------------------------------------------------
+# reference nML objective on the dense real embedding of Phi_bar (2M tau x 2MK),
+# in the stacked form of _nml_objective: objective_grad(h, rows)
+
+
+def _dense_objective(R, Phi, cfg):
+    Phib = _pilot_model(Phi, cfg)
+    A = np.block([[Phib.real, -Phib.imag], [Phib.imag, Phib.real]])
+    R = np.asarray(R).reshape(-1, cfg.M * cfg.tau)
+    C = np.sign(np.concatenate([R.real, R.imag], axis=1))
+
+    def objective_grad(h, rows):
+        objs, grads = [], []
+        for x, c in zip(h, C[rows]):
+            z = np.sqrt(2.0) * c * (A @ x)
+            logF = stats.norm.logcdf(z)
+            lam = np.exp(stats.norm.logpdf(z) - logF)
+            objs.append(logF.sum())
+            grads.append(np.sqrt(2.0) * (A.T @ (c * lam)))
+        return np.array(objs), np.array(grads)
 
     return objective_grad
 
@@ -326,19 +518,24 @@ class TestNmlStructuredOperator:
         self, M, K, extra_tau, log_rho, norm_frac, seed
     ):
         # random complex (non-DFT) pilots with tau >= K; h anywhere in the
-        # default feasible ball ||h||^2 <= MK, where the solver evaluates
+        # default feasible ball ||h||^2 <= MK, where the solver evaluates;
+        # three trials, evaluated as rows (2, 0) of the stack
         tau = K + extra_tau
         rho = 10.0**log_rho
         cfg = SystemConfig(M=M, K=K, tau=tau, rho_p=rho)
         rng = np.random.default_rng(seed)
         Phi = crandn(rng, tau, K)
-        _, r = _quantized_training(cfg, Phi, rng)
-        h = rng.standard_normal(2 * M * K)
-        h *= np.sqrt(norm_frac * M * K) / np.linalg.norm(h)
-        obj_s, grad_s = _nml_objective(r, Phi, cfg)(h)
-        obj_d, grad_d = _dense_objective(r, Phi, cfg)(h)
-        assert abs(obj_s - obj_d) <= 1e-12 * abs(obj_d)
-        assert np.linalg.norm(grad_s - grad_d) <= 1e-12 * np.linalg.norm(grad_d)
+        R = np.stack([_quantized_training(cfg, Phi, rng)[1] for _ in range(3)])
+        rows = np.array([2, 0])
+        h = rng.standard_normal((2, 2 * M * K))
+        h *= np.sqrt(norm_frac * M * K) / np.linalg.norm(h, axis=1, keepdims=True)
+        obj_s, grad_s = _nml_objective(R, Phi, cfg)(h, rows)
+        obj_d, grad_d = _dense_objective(R, Phi, cfg)(h, rows)
+        assert obj_s.shape == (2,) and grad_s.shape == (2, 2 * M * K)
+        for i in range(2):
+            assert abs(obj_s[i] - obj_d[i]) <= 1e-12 * abs(obj_d[i])
+            err = np.linalg.norm(grad_s[i] - grad_d[i])
+            assert err <= 1e-12 * np.linalg.norm(grad_d[i])
 
     @pytest.mark.parametrize(
         "M, K, tau, snr_db, dft, seed",

@@ -92,6 +92,25 @@ class TestArcsineCovariance:
         R = arcsine_covariance(C)
         assert np.array_equal(np.diag(R), np.ones(6, dtype=complex))
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        M=st.integers(1, 8),
+        rank=st.integers(1, 8),
+        log_load=st.floats(-6.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_psd_with_exact_unit_diagonal(self, M, rank, log_load, seed):
+        # unnormalized covariances, down to nearly singular ones (rank < M
+        # with a small load), and unequal variances per antenna
+        rng = np.random.default_rng(seed)
+        A = crandn(rng, M, rank)
+        scale = rng.uniform(0.1, 10.0, M)
+        C = scale[:, None] * (A @ A.conj().T + 10.0**log_load * np.eye(M)) * scale
+        R = arcsine_covariance(C)
+        assert np.array_equal(np.diag(R), np.ones(M, dtype=complex))
+        assert np.allclose(R, R.conj().T, rtol=0.0, atol=1e-14)
+        assert np.linalg.eigvalsh((R + R.conj().T) / 2)[0] >= -1e-12 * M
+
     def test_monte_carlo_oracle(self):
         rng = np.random.default_rng(4)
         A = crandn(rng, 4, 4)

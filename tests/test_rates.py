@@ -47,6 +47,50 @@ class TestCombiners:
         assert ratio.real > 0 and abs(ratio.imag) < 1e-12
 
 
+class TestSingularZf:
+    @staticmethod
+    def _stack_with_singular_trials():
+        # trials 1 and 3 have collinear columns of small Gaussian integers, so
+        # their Gram matrices are exactly singular in floating point
+        H = crandn(np.random.default_rng(5), 5, 3, 2)
+        H[1] = [[1 + 1j, 2 + 2j], [1 - 1j, 2 - 2j], [-1j, -2j]]
+        H[3] = [[2, 2], [1 - 3j, 1 - 3j], [-1, -1]]
+        return H
+
+    def test_singular_trials_get_the_pseudo_inverse(self):
+        H = self._stack_with_singular_trials()
+        W = zf_matrix(H)
+        for t in (1, 3):
+            np.testing.assert_array_equal(W[t], np.linalg.pinv(H[t]))
+            # the minimum-norm combiner still satisfies W H W = W
+            np.testing.assert_allclose(W[t] @ H[t] @ W[t], W[t], atol=1e-12)
+        assert np.all(np.isfinite(W))
+
+    def test_other_trials_keep_their_bytes(self):
+        H = self._stack_with_singular_trials()
+        keep = [0, 2, 4]
+        Hh = np.swapaxes(H[keep].conj(), 1, 2)
+        np.testing.assert_array_equal(zf_matrix(H)[keep], np.linalg.solve(Hh @ H[keep], Hh))
+        # a stack without a singular trial takes the stacked solve alone
+        np.testing.assert_array_equal(zf_matrix(H[keep]), np.linalg.solve(Hh @ H[keep], Hh))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(np.swapaxes(H.conj(), 1, 2) @ H, np.swapaxes(H.conj(), 1, 2))
+
+    def test_single_singular_matrix(self):
+        H = self._stack_with_singular_trials()[1]
+        np.testing.assert_array_equal(zf_matrix(H), np.linalg.pinv(H))
+
+    def test_rate_with_singular_trials_is_finite(self, monkeypatch):
+        # M = 3, K = 2 at 30 dB: one-bit estimates with collinear columns
+        calls = []
+        pinv = np.linalg.pinv
+        monkeypatch.setattr(np.linalg, "pinv", lambda a: calls.append(1) or pinv(a))
+        cfg = SystemConfig(M=3, K=2, tau=2, rho_p=1000.0, rho_d=1000.0)
+        rep = ergodic_rate_mc(cfg, "zf", 100, 0)
+        assert calls
+        assert np.all(np.isfinite(rep.per_user_rate)) and np.isfinite(rep.stderr)
+
+
 class TestSumSe:
     def test_full_training_interval(self):
         cfg = SystemConfig(M=4, K=2, tau=10, T=10)
