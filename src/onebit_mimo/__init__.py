@@ -45,13 +45,10 @@ from .estimators import (
 )
 from .ofdm import OfdmConfig, blmmse_ofdm
 from .quantize import (
-    BussgangModel,
     alpha_d,
     alpha_p,
     arcsine_covariance,
     bussgang_gain,
-    bussgang_model,
-    low_snr_cq,
     one_bit_quantize,
     quantizer_noise_cov,
 )

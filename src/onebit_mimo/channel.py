@@ -125,12 +125,20 @@ def gen_correlated_channel(cov: np.ndarray, K: int, seed) -> np.ndarray:
     M = cov.shape[0]
     if cov.shape != (M, M):
         raise ValueError("cov must be square")
+    rng = np.random.default_rng(seed)
+    return _psd_root(cov) @ crandn(rng, M, K)
+
+
+def _psd_root(cov: np.ndarray) -> np.ndarray:
+    """Square-root factor R, R R^H = cov, of a Hermitian PSD matrix via eigh.
+
+    Eigenvalues above -1e-8 of the largest (or of 1) are clipped to zero, so
+    numerically semidefinite inputs are accepted; below that, LinAlgError.
+    """
     eigval, eigvec = np.linalg.eigh(cov)
     if eigval[0] < -1e-8 * max(eigval[-1], 1.0):
         raise np.linalg.LinAlgError("cov is not positive semidefinite")
-    root = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
-    rng = np.random.default_rng(seed)
-    return root @ crandn(rng, M, K)
+    return eigvec * np.sqrt(np.clip(eigval, 0.0, None))
 
 
 def dft_pilots(tau: int, K: int) -> np.ndarray:

@@ -13,11 +13,11 @@ import math
 import sys
 from pathlib import Path
 
-from .config import db_to_linear
 from .experiments import (
     FIGURES,
     ExperimentSpec,
     _aslist,
+    _linear_params,
     _span,
     figure_ids,
     run_experiment,
@@ -51,7 +51,10 @@ def _parse_value(text: str):
     """
     text = text.strip()
     if "," in text:
-        return [_parse_scalar(t.strip()) for t in text.split(",") if t.strip()]
+        values = [_parse_scalar(t.strip()) for t in text.split(",") if t.strip()]
+        if not values:
+            raise ValueError(f"list {text!r} has no values")
+        return values
     if ":" in text:
         parts = [p.strip() for p in text.split(":")]
         if len(parts) != 3:
@@ -187,6 +190,12 @@ def validate_config(path: str | Path) -> ExperimentSpec:
                     f"{path}:{line or k_line}: {name} ({v}) must exceed k ({k}); "
                     f"{figure} evaluates the ZF closed form, which needs M > K"
                 )
+    for key, (val, lineno) in entries.items():
+        if isinstance(val, list) and key not in fig.grid:
+            raise ConfigError(
+                f"{path}:{lineno}: {key} takes one value, got a list; "
+                f"{figure} sweeps only {', '.join(fig.grid)}"
+            )
 
     spec = ExperimentSpec(
         figure_id=figure,
@@ -203,14 +212,11 @@ def _print_spec(spec: ExperimentSpec) -> None:
     print(f"seed       : {spec.seed}")
     print(f"n_trials   : {spec.n_trials}")
     print(f"output     : {spec.output_path}")
+    linear = _linear_params(spec.sweep)
     for key in sorted(spec.sweep):
-        val = spec.sweep[key]
-        line = f"{key:11s}: {val}"
+        line = f"{key:11s}: {spec.sweep[key]}"
         if key.endswith("_db"):
-            if isinstance(val, list):
-                lin = [f"{db_to_linear(v):.6g}" for v in val]
-            else:
-                lin = f"{db_to_linear(val):.6g}"
+            lin = ", ".join(f"{v:.6g}" for v in _aslist(linear[key.removesuffix("_db")]))
             line += f"  (linear: {lin})"
         print(line)
 

@@ -1,14 +1,16 @@
-"""Figure-reproduction experiments: registry, runner, CSV and manifest output.
+"""Figure-reproduction experiments: registry, grid runner, CSV and manifest output.
 
-Each registered experiment maps a parameter sweep to a rectangular result
-table. Runs are pure functions of (resolved parameters, seed): rerunning a
-manifest reproduces the CSV byte for byte. Monte Carlo metrics always carry
-a standard-error column (prefix ``se_``).
+Each registered figure is a point function over a parameter grid: its sweep
+keys are the parameters whose default is a list, and each grid point maps to
+one row of the result table. Runs are pure functions of (resolved parameters,
+seed): rerunning a manifest reproduces the CSV byte for byte. Monte Carlo
+metrics always carry a standard-error column (prefix ``se_``).
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .allocation import _optimize_numeric, antenna_ratio, power_scaling_limit
-from .channel import crandn_trials, dft_pilots, laplacian_covariance
+from .channel import _psd_root, crandn_trials, dft_pilots, laplacian_covariance
 from .config import PowerBudget, SystemConfig, db_to_linear
 from .estimators import (
     _nml_solve,
@@ -84,16 +86,32 @@ class ResultTable:
 
 @dataclass(frozen=True)
 class FigureDef:
-    runner: object
+    point: object  # (params, n_trials, seed) -> {column: value} of one grid point
     defaults: dict
     default_trials: int
     description: str
     m_exceeds_k: bool = False  # evaluates the ZF closed form, defined for M > K only
     t_exceeds_k: bool = False  # optimizes tau over [K, T], which needs T > K
 
+    @property
+    def grid(self) -> list:
+        """Sweep keys: the keys whose default is a list, in declaration order."""
+        return [key for key, val in self.defaults.items() if isinstance(val, list)]
+
 
 def _aslist(v) -> list:
     return v if isinstance(v, list) else [v]
+
+
+def _linear_params(params: dict) -> dict:
+    """Linear value of each ``<name>_db`` parameter, or of each element of its list."""
+    return {
+        key.removesuffix("_db"): (
+            [db_to_linear(v) for v in val] if isinstance(val, list) else db_to_linear(val)
+        )
+        for key, val in params.items()
+        if key.endswith("_db")
+    }
 
 
 def _float(x) -> str:
@@ -136,18 +154,11 @@ def emit_manifest(spec: ExperimentSpec, table: ResultTable, path: str | Path) ->
     """Reproducibility record: resolved parameters, seed, versions, columns."""
     path = Path(path)
     params = dict(spec.sweep)
-    linear = {}
-    for key, val in params.items():
-        if key.endswith("_db"):
-            if isinstance(val, list):
-                linear[key.removesuffix("_db")] = [db_to_linear(v) for v in val]
-            else:
-                linear[key.removesuffix("_db")] = db_to_linear(val)
     stderr_cols = [c for c in table.columns if c.startswith("se_")]
     manifest = {
         "figure": spec.figure_id,
         "parameters": params,
-        "parameters_linear": linear,
+        "parameters_linear": _linear_params(params),
         "seed": spec.seed,
         "n_trials": spec.n_trials,
         "output": str(spec.output_path),
@@ -165,9 +176,21 @@ def emit_manifest(spec: ExperimentSpec, table: ResultTable, path: str | Path) ->
 
 
 def run_experiment(spec: ExperimentSpec) -> ResultTable:
-    """Execute a registered figure experiment; writes CSV, plot stub, manifest."""
+    """Execute a registered figure experiment; writes CSV, plot stub, manifest.
+
+    Grid point i, the i-th combination of sweep values (the first sweep key
+    varies slowest), is evaluated with seed (spec.seed, i) and gives the row:
+    its sweep values, then the point's columns.
+    """
     spec = spec.resolved()
-    table = FIGURES[spec.figure_id].runner(spec)
+    fig = FIGURES[spec.figure_id]
+    table = ResultTable(fig.grid, [])
+    axes = [_aslist(spec.sweep[key]) for key in fig.grid]
+    for i, values in enumerate(itertools.product(*axes)):
+        params = {**spec.sweep, **dict(zip(fig.grid, values))}
+        point = fig.point(params, spec.n_trials, (spec.seed, i))
+        table.columns = [*fig.grid, *point]
+        table.rows.append([*values, *point.values()])
     write_csv(table, spec.output_path)
     write_plot_stub(table, spec.output_path)
     emit_manifest(spec, table, Path(spec.output_path).with_suffix(".manifest.json"))
@@ -175,8 +198,11 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
 
 
 # --------------------------------------------------------------------------
-# estimator MSE experiments (paired trials: every estimator sees the same
-# quantized observations)
+# figure points: each maps one grid point's parameters to {column: value}
+
+
+_RECEIVERS = {"mrc": rate_mrc_closed, "zf": rate_zf_closed}  # receiver: closed-form rate
+_SYSTEMS = {"onebit": "one-bit", "conv": "conventional"}  # column tag: allocation system
 
 
 def _mse_point(cfg, Phi, filters, nml_opts, n_trials, seed, root=None):
@@ -223,233 +249,130 @@ def _mse_point(cfg, Phi, filters, nml_opts, n_trials, seed, root=None):
     return out
 
 
+def _mse_columns(res) -> dict:
+    """Columns mse_<name>..., then se_mse_<name>..., of a _mse_point result, by name."""
+    return {
+        f"{pre}mse_{n}": res[n][j] for j, pre in enumerate(("", "se_")) for n in sorted(res)
+    }
+
+
 def _ls_filter(Phi, cfg):
     return np.linalg.pinv(_pilot_model(Phi, cfg))
 
 
-def _mse_table(names, points) -> ResultTable:
-    """Table of snr_db, mse_<name>..., se_mse_<name>... per (snr_db, result) pair."""
-    cols = ["snr_db"] + [f"mse_{n}" for n in names] + [f"se_mse_{n}" for n in names]
-    rows = [[s] + [r[n][0] for n in names] + [r[n][1] for n in names] for s, r in points]
-    return ResultTable(cols, rows)
+def fig2_mse(p, n_trials, seed) -> dict:
+    rho = db_to_linear(p["snr_db"])
+    cfg = SystemConfig(M=p["m"], K=p["k"], tau=p["tau"], T=p["t"], rho_p=rho)
+    Phi = dft_pilots(cfg.tau, cfg.K)
+    filters = {
+        "blmmse": blmmse_filter(Phi, cfg)[0],
+        "ls": _ls_filter(Phi, cfg),
+        "uncorr": lmmse_uncorrelated_filter(Phi, cfg)[0],
+    }
+    # the published nML curve constrains the squared norm to K
+    nml_opts = {"radius_sq": float(p["k"]), "max_iters": p["nml_max_iters"]}
+    return _mse_columns(_mse_point(cfg, Phi, filters, nml_opts, n_trials, seed))
 
 
-def fig2_mse(spec: ExperimentSpec) -> ResultTable:
-    p = spec.sweep
-    points = []
-    for i, snr_db in enumerate(_aslist(p["snr_db"])):
-        rho = db_to_linear(snr_db)
-        cfg = SystemConfig(M=p["m"], K=p["k"], tau=p["tau"], T=p["t"], rho_p=rho)
-        Phi = dft_pilots(cfg.tau, cfg.K)
-        filters = {
-            "blmmse": blmmse_filter(Phi, cfg)[0],
-            "ls": _ls_filter(Phi, cfg),
-            "uncorr": lmmse_uncorrelated_filter(Phi, cfg)[0],
-        }
-        # the published nML curve constrains the squared norm to K
-        nml_opts = {"radius_sq": float(p["k"]), "max_iters": p["nml_max_iters"]}
-        res = _mse_point(cfg, Phi, filters, nml_opts, spec.n_trials, (spec.seed, i))
-        points.append((snr_db, res))
-    return _mse_table(("blmmse", "ls", "nml", "uncorr"), points)
-
-
-def fig3_corr_mse(spec: ExperimentSpec) -> ResultTable:
-    p = spec.sweep
+def fig3_corr_mse(p, n_trials, seed) -> dict:
     Cm = laplacian_covariance(p["m"], p["mean_angle_deg"], p["spread_deg"])
     C_h = np.kron(np.eye(p["k"]), Cm)
-    eigval, eigvec = np.linalg.eigh(Cm)
-    root = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
-    points = []
-    for i, snr_db in enumerate(_aslist(p["snr_db"])):
-        rho = db_to_linear(snr_db)
-        cfg = SystemConfig(M=p["m"], K=p["k"], tau=p["tau"], T=p["t"], rho_p=rho)
-        Phi = dft_pilots(cfg.tau, cfg.K)
-        filters = {
-            "blmmse": blmmse_filter(Phi, cfg, C_h)[0],
-            "uncorr": lmmse_uncorrelated_filter(Phi, cfg, C_h)[0],
-        }
-        res = _mse_point(cfg, Phi, filters, None, spec.n_trials, (spec.seed, i), root)
-        points.append((snr_db, res))
-    return _mse_table(("blmmse", "uncorr"), points)
+    rho = db_to_linear(p["snr_db"])
+    cfg = SystemConfig(M=p["m"], K=p["k"], tau=p["tau"], T=p["t"], rho_p=rho)
+    Phi = dft_pilots(cfg.tau, cfg.K)
+    filters = {
+        "blmmse": blmmse_filter(Phi, cfg, C_h)[0],
+        "uncorr": lmmse_uncorrelated_filter(Phi, cfg, C_h)[0],
+    }
+    res = _mse_point(cfg, Phi, filters, None, n_trials, seed, _psd_root(Cm))
+    return _mse_columns(res)
 
 
-# --------------------------------------------------------------------------
-# rate experiments
+def fig4_se_vs_snr(p, n_trials, seed) -> dict:
+    rho = db_to_linear(p["snr_db"])
+    cfg = SystemConfig(M=p["m"], K=p["k"], tau=p["tau"], T=p["t"], rho_p=rho, rho_d=rho)
+    base, i = seed  # two seeds per grid point: MRC's, then ZF's
+    pref = (cfg.T - cfg.tau) / cfg.T * cfg.K
+    out, se = {}, {}
+    for j, (rec, closed) in enumerate(_RECEIVERS.items()):
+        mc = ergodic_rate_mc(cfg, rec, n_trials, (base, 2 * i + j))
+        out[f"sumse_{rec}_mc"] = mc.sum_spectral_efficiency
+        out[f"sumse_{rec}_closed"] = pref * closed(cfg)
+        se[f"se_sumse_{rec}_mc"] = mc.stderr
+    return out | se
 
 
-def fig4_se_vs_snr(spec: ExperimentSpec) -> ResultTable:
-    p = spec.sweep
-    rows = []
-    i = 0
-    for m in _aslist(p["m"]):
-        for snr_db in _aslist(p["snr_db"]):
-            rho = db_to_linear(snr_db)
-            cfg = SystemConfig(
-                M=m, K=p["k"], tau=p["tau"], T=p["t"], rho_p=rho, rho_d=rho
-            )
-            mc_mrc = ergodic_rate_mc(cfg, "mrc", spec.n_trials, (spec.seed, i))
-            mc_zf = ergodic_rate_mc(cfg, "zf", spec.n_trials, (spec.seed, i + 1))
-            i += 2
-            pref = (cfg.T - cfg.tau) / cfg.T * cfg.K
-            rows.append(
-                [
-                    m,
-                    snr_db,
-                    mc_mrc.sum_spectral_efficiency,
-                    pref * rate_mrc_closed(cfg),
-                    mc_zf.sum_spectral_efficiency,
-                    pref * rate_zf_closed(cfg),
-                    mc_mrc.stderr,
-                    mc_zf.stderr,
-                ]
-            )
-    cols = [
-        "m",
-        "snr_db",
-        "sumse_mrc_mc",
-        "sumse_mrc_closed",
-        "sumse_zf_mc",
-        "sumse_zf_closed",
-        "se_sumse_mrc_mc",
-        "se_sumse_zf_mc",
-    ]
-    return ResultTable(cols, rows)
-
-
-def fig5_power_eff(spec: ExperimentSpec) -> ResultTable:
-    p = spec.sweep
-    K, tau, T = p["k"], p["tau"], p["t"]
+def fig5_power_eff(p, n_trials, seed) -> dict:
+    m, K, tau, T = p["m"], p["k"], p["tau"], p["t"]
     E_u = db_to_linear(p["e_u_db"])
     rho_p1 = db_to_linear(p["rho_p_case1_db"])
+    r2 = E_u / np.sqrt(m)
+    cases = {
+        "case1": SystemConfig(M=m, K=K, tau=tau, T=T, rho_p=rho_p1, rho_d=E_u / m),
+        "case2": SystemConfig(M=m, K=K, tau=tau, T=T, rho_p=r2, rho_d=r2),
+    }
     pref = (T - tau) / T * K
     lim_cfg = SystemConfig(M=1, K=K, tau=tau, T=T, rho_p=rho_p1)
-    lim1 = power_scaling_limit("I", lim_cfg, E_u)
-    lim2 = power_scaling_limit("II", lim_cfg, E_u)
-    rows = []
-    for m in _aslist(p["m"]):
-        c1 = SystemConfig(M=m, K=K, tau=tau, T=T, rho_p=rho_p1, rho_d=E_u / m)
-        r2 = E_u / np.sqrt(m)
-        c2 = SystemConfig(M=m, K=K, tau=tau, T=T, rho_p=r2, rho_d=r2)
-        rows.append(
-            [
-                m,
-                pref * rate_mrc_closed(c1),
-                pref * rate_zf_closed(c1),
-                pref * rate_mrc_closed(c2),
-                pref * rate_zf_closed(c2),
-                lim1,
-                lim2,
-            ]
-        )
-    cols = [
-        "m",
-        "sumse_case1_mrc",
-        "sumse_case1_zf",
-        "sumse_case2_mrc",
-        "sumse_case2_zf",
-        "limit_case1",
-        "limit_case2",
-    ]
-    return ResultTable(cols, rows)
+    return {
+        f"sumse_{case}_{rec}": pref * closed(cfg)
+        for case, cfg in cases.items()
+        for rec, closed in _RECEIVERS.items()
+    } | {
+        "limit_case1": power_scaling_limit("I", lim_cfg, E_u),
+        "limit_case2": power_scaling_limit("II", lim_cfg, E_u),
+    }
 
 
-def fig6_bit_energy(spec: ExperimentSpec) -> ResultTable:
-    p = spec.sweep
-    K, T = p["k"], p["t"]
-    rows = []
-    for m in _aslist(p["m"]):
-        for rho_db in _aslist(p["rho_db"]):
-            rho = db_to_linear(rho_db)
-            P = rho * T
-            row = [m, rho_db]
-            for rec in ("mrc", "zf"):
-                closed = rate_mrc_closed if rec == "mrc" else rate_zf_closed
-                bench_cfg = SystemConfig(M=m, K=K, tau=K, T=T, rho_p=rho, rho_d=rho)
-                se_b = (T - K) / T * K * closed(bench_cfg)
-                se_o, _, _ = _optimize_numeric(P, T, m, K, rec, "one-bit", 200, T)
-                row += [se_b, P / se_b, se_o, P / se_o]
-            rows.append(row)
-    cols = [
-        "m",
-        "rho_db",
-        "sumse_benchmark_mrc",
-        "zeta_benchmark_mrc",
-        "sumse_optimal_mrc",
-        "zeta_optimal_mrc",
-        "sumse_benchmark_zf",
-        "zeta_benchmark_zf",
-        "sumse_optimal_zf",
-        "zeta_optimal_zf",
-    ]
-    return ResultTable(cols, rows)
+def fig6_bit_energy(p, n_trials, seed) -> dict:
+    m, K, T = p["m"], p["k"], p["t"]
+    rho = db_to_linear(p["rho_db"])
+    P = rho * T
+    bench_cfg = SystemConfig(M=m, K=K, tau=K, T=T, rho_p=rho, rho_d=rho)
+    out = {}
+    for rec, closed in _RECEIVERS.items():
+        se_b = (T - K) / T * K * closed(bench_cfg)
+        se_o = _optimize_numeric(P, T, m, K, rec, "one-bit", 200, T)[0]
+        out |= {
+            f"sumse_benchmark_{rec}": se_b,
+            f"zeta_benchmark_{rec}": P / se_b,
+            f"sumse_optimal_{rec}": se_o,
+            f"zeta_optimal_{rec}": P / se_o,
+        }
+    return out
 
 
-def fig7_opt_tau(spec: ExperimentSpec) -> ResultTable:
-    p = spec.sweep
-    K, m = p["k"], p["m"]
-    rows = []
-    for t in _aslist(p["t"]):
-        for rho_db in _aslist(p["rho_db"]):
-            P = db_to_linear(rho_db) * t
-            row = [t, rho_db]
-            for system in ("one-bit", "conventional"):
-                for rec in ("mrc", "zf"):
-                    _, _, tau = _optimize_numeric(P, t, m, K, rec, system, 200, t)
-                    row.append(tau)
-            rows.append(row)
-    cols = [
-        "t",
-        "rho_db",
-        "tau_onebit_mrc",
-        "tau_onebit_zf",
-        "tau_conv_mrc",
-        "tau_conv_zf",
-    ]
-    return ResultTable(cols, rows)
+def fig7_opt_tau(p, n_trials, seed) -> dict:
+    m, K, t = p["m"], p["k"], p["t"]
+    P = db_to_linear(p["rho_db"]) * t
+    return {
+        f"tau_{name}_{rec}": _optimize_numeric(P, t, m, K, rec, system, 200, t)[2]
+        for name, system in _SYSTEMS.items()
+        for rec in _RECEIVERS
+    }
 
 
-def fig8_se_vs_m(spec: ExperimentSpec) -> ResultTable:
-    p = spec.sweep
-    K, T = p["k"], p["t"]
+def fig8_se_vs_m(p, n_trials, seed) -> dict:
+    m, K, T = p["m"], p["k"], p["t"]
     P = db_to_linear(p["rho_db"]) * T
-    rows = []
-    for m in _aslist(p["m"]):
-        row = [m]
-        for system in ("one-bit", "conventional"):
-            for rec in ("mrc", "zf"):
-                se, _, _ = _optimize_numeric(P, T, m, K, rec, system, 200, T)
-                row.append(se)
-        rows.append(row)
-    cols = ["m", "sumse_onebit_mrc", "sumse_onebit_zf", "sumse_conv_mrc", "sumse_conv_zf"]
-    return ResultTable(cols, rows)
+    return {
+        f"sumse_{name}_{rec}": _optimize_numeric(P, T, m, K, rec, system, 200, T)[0]
+        for name, system in _SYSTEMS.items()
+        for rec in _RECEIVERS
+    }
 
 
-def fig9_kappa(spec: ExperimentSpec) -> ResultTable:
-    p = spec.sweep
-    K, T, m_conv = p["k"], p["t"], p["m_conv"]
-    cfg = SystemConfig(M=m_conv, K=K, tau=K, T=T)
-    rows = []
-    for rho_db in _aslist(p["rho_db"]):
-        budget = PowerBudget(rho=db_to_linear(rho_db), T=T)
-        row = [rho_db]
-        for rec in ("mrc", "zf"):
-            for mode in ("benchmark", "optimized"):
-                kappa = antenna_ratio(budget, cfg, rec, m_conv, mode=mode)
-                row.append(kappa)
-                row.append(np.ceil(kappa * m_conv) if np.isfinite(kappa) else np.inf)
-        rows.append(row)
-    cols = [
-        "rho_db",
-        "kappa_benchmark_mrc",
-        "m_one_benchmark_mrc",
-        "kappa_optimized_mrc",
-        "m_one_optimized_mrc",
-        "kappa_benchmark_zf",
-        "m_one_benchmark_zf",
-        "kappa_optimized_zf",
-        "m_one_optimized_zf",
-    ]
-    return ResultTable(cols, rows)
+def fig9_kappa(p, n_trials, seed) -> dict:
+    m_conv = p["m_conv"]
+    cfg = SystemConfig(M=m_conv, K=p["k"], tau=p["k"], T=p["t"])
+    budget = PowerBudget(rho=db_to_linear(p["rho_db"]), T=p["t"])
+    out = {}
+    for rec in _RECEIVERS:
+        for mode in ("benchmark", "optimized"):
+            kappa = antenna_ratio(budget, cfg, rec, m_conv, mode=mode)
+            out[f"kappa_{mode}_{rec}"] = kappa
+            m_one = np.ceil(kappa * m_conv) if np.isfinite(kappa) else np.inf
+            out[f"m_one_{mode}_{rec}"] = m_one
+    return out
 
 
 def _span(a, b, step):

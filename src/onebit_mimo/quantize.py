@@ -8,8 +8,6 @@ C_r given by the arcsine law, and quantizer noise q uncorrelated with y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import SystemConfig
@@ -20,9 +18,6 @@ __all__ = [
     "arcsine_covariance",
     "quantizer_noise_cov",
     "quantizer_noise_quad",
-    "bussgang_model",
-    "BussgangModel",
-    "low_snr_cq",
     "alpha_p",
     "alpha_d",
 ]
@@ -126,35 +121,6 @@ def quantizer_noise_quad(W: np.ndarray, C_y: np.ndarray) -> np.ndarray:
     pp = np.sum((ab @ P) * ab, axis=-1)  # a^T P a, then b^T P b, per row
     aqb = np.sum((a @ Q) * b, axis=-1)
     return (2.0 / np.pi) * (pp[..., :K] + pp[..., K:] + 2.0 * aqb)
-
-
-@dataclass(frozen=True)
-class BussgangModel:
-    """Linearization triple for a given input covariance.
-
-    gain is the diagonal of A; C_r the quantized-output covariance; C_q the
-    quantizer-noise covariance.
-    """
-
-    gain: np.ndarray
-    C_r: np.ndarray
-    C_q: np.ndarray
-
-
-def bussgang_model(C_y: np.ndarray) -> BussgangModel:
-    """Assemble gain, arcsine output covariance, and quantizer-noise covariance."""
-    return BussgangModel(
-        gain=bussgang_gain(C_y),
-        C_r=arcsine_covariance(C_y),
-        C_q=quantizer_noise_cov(C_y),
-    )
-
-
-def low_snr_cq(dim: int) -> np.ndarray:
-    """Uncorrelated quantizer-noise approximation (1 - 2/pi) I."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    return UNCORR_NOISE_VAR * np.eye(dim)
 
 
 def _alpha_sq(K, rho):

@@ -2,13 +2,23 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from onebit_mimo import SystemConfig, dft_pilots, laplacian_covariance, one_bit_quantize, vec
+from onebit_mimo import (
+    SystemConfig,
+    dft_pilots,
+    ergodic_rate_mc,
+    laplacian_covariance,
+    one_bit_quantize,
+    vec,
+)
 from onebit_mimo.channel import crandn
 from onebit_mimo.cli import ConfigError, _parse_value, main, validate_config
 from onebit_mimo import experiments
 from onebit_mimo.estimators import _nml_solve, blmmse_filter, lmmse_uncorrelated_filter
 from onebit_mimo.experiments import (
+    FIGURES,
     ExperimentSpec,
     _mse_point,
     figure_ids,
@@ -81,6 +91,13 @@ class TestConfigParsing:
     def test_nonfinite_value_rejected(self, tmp_path, text):
         p = _write(tmp_path, f"figure = fig2_mse\nsnr_db = {text}\n")
         with pytest.raises(ConfigError, match="cfg.txt:2: .*finite"):
+            validate_config(p)
+
+    @pytest.mark.parametrize("text", [",", " , ,"])
+    def test_empty_list_rejected(self, tmp_path, text):
+        # used to write a CSV with no rows, then die in the manifest's max_stderr
+        p = _write(tmp_path, f"figure = fig2_mse\nsnr_db = {text}\n")
+        with pytest.raises(ConfigError, match="cfg.txt:2: list .* has no values"):
             validate_config(p)
 
     def test_single_trial_rejected_for_monte_carlo_figure(self, tmp_path):
@@ -191,6 +208,81 @@ class TestConfigParsing:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="no such config"):
             validate_config(tmp_path / "absent.txt")
+
+    @pytest.mark.parametrize(
+        "figure, text, line, key",
+        [
+            # fig2 used to validate, then die in SystemConfig with a TypeError
+            ("fig2_mse", "k = 2\ntau = 4\nm = 4, 8", 4, "m"),
+            ("fig5_power_eff", "e_u_db = 0, 3", 2, "e_u_db"),
+            ("fig4_se_vs_snr", "k = 2, 4\nm = 32", 2, "k"),
+            ("fig7_opt_tau", "m = 100:50:200", 2, "m"),
+            ("fig9_kappa", "m_conv = 100, 200", 2, "m_conv"),
+        ],
+    )
+    def test_list_rejected_for_a_key_that_does_not_sweep(
+        self, tmp_path, figure, text, line, key
+    ):
+        p = _write(tmp_path, f"figure = {figure}\n{text}\nn_trials = 2\n")
+        with pytest.raises(ConfigError, match=rf"cfg.txt:{line}: {key} takes one value"):
+            validate_config(p)
+
+
+def _value_text(val) -> str:
+    # a trailing comma keeps a one-element list a list
+    return ", ".join(map(repr, val)) + "," if isinstance(val, list) else repr(val)
+
+
+def _config_text(spec) -> str:
+    """A resolved spec as config text."""
+    lines = [
+        f"figure = {spec.figure_id}",
+        f"seed = {spec.seed}",
+        f"n_trials = {spec.n_trials}",
+        f"output = {spec.output_path}",
+    ]
+    lines += [f"{key} = {_value_text(val)}" for key, val in spec.sweep.items()]
+    return "\n".join(lines) + "\n"
+
+
+_NUMBER = st.one_of(
+    st.integers(-40, 40), st.floats(-40, 40, allow_nan=False, allow_subnormal=False)
+)
+# values every figure accepts for its sweep keys (k = 8 at most by default)
+_SWEEP_VALUES = {
+    "snr_db": _NUMBER,
+    "rho_db": _NUMBER,
+    "m": st.integers(9, 400),
+    "t": st.integers(9, 400),
+}
+
+
+@st.composite
+def _configs(draw):
+    figure = draw(st.sampled_from(sorted(FIGURES)))
+    fig = FIGURES[figure]
+    lines = [f"figure = {figure}", f"seed = {draw(st.integers(0, 2**32))}"]
+    if fig.default_trials > 1:
+        lines.append(f"n_trials = {draw(st.integers(2, 5000))}")
+    if draw(st.booleans()):
+        lines.append(f"output = out{draw(st.integers(0, 99))}.csv")
+    for key in fig.grid:
+        values = st.lists(_SWEEP_VALUES[key], min_size=1, max_size=4)
+        val = draw(st.one_of(st.none(), _SWEEP_VALUES[key], values))
+        if val is not None:
+            lines.append(f"{key} = {_value_text(val)}")
+    return "\n".join(lines) + "\n"
+
+
+class TestConfigRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(text=_configs())
+    def test_written_spec_validates_to_itself(self, tmp_path_factory, text):
+        tmp = tmp_path_factory.mktemp("rt")
+        spec = validate_config(_write(tmp, text))
+        again = validate_config(_write(tmp, _config_text(spec), "again.cfg"))
+        assert again == spec
+        assert repr(again) == repr(spec)  # 5 and 5.0 are equal but not the same value
 
 
 class TestRunExperiment:
@@ -382,6 +474,129 @@ class TestRunExperiment:
         Phi = dft_pilots(2, 2)
         with pytest.raises(ValueError, match="n_trials must be >= 2"):
             _mse_point(cfg, Phi, {}, None, n_trials, 0)
+
+    # the columns of each figure, written out; the figures build theirs
+    COLUMNS = {
+        "fig2_mse": [
+            "snr_db",
+            "mse_blmmse",
+            "mse_ls",
+            "mse_nml",
+            "mse_uncorr",
+            "se_mse_blmmse",
+            "se_mse_ls",
+            "se_mse_nml",
+            "se_mse_uncorr",
+        ],
+        "fig3_corr_mse": [
+            "snr_db",
+            "mse_blmmse",
+            "mse_uncorr",
+            "se_mse_blmmse",
+            "se_mse_uncorr",
+        ],
+        "fig4_se_vs_snr": [
+            "m",
+            "snr_db",
+            "sumse_mrc_mc",
+            "sumse_mrc_closed",
+            "sumse_zf_mc",
+            "sumse_zf_closed",
+            "se_sumse_mrc_mc",
+            "se_sumse_zf_mc",
+        ],
+        "fig5_power_eff": [
+            "m",
+            "sumse_case1_mrc",
+            "sumse_case1_zf",
+            "sumse_case2_mrc",
+            "sumse_case2_zf",
+            "limit_case1",
+            "limit_case2",
+        ],
+        "fig6_bit_energy": [
+            "m",
+            "rho_db",
+            "sumse_benchmark_mrc",
+            "zeta_benchmark_mrc",
+            "sumse_optimal_mrc",
+            "zeta_optimal_mrc",
+            "sumse_benchmark_zf",
+            "zeta_benchmark_zf",
+            "sumse_optimal_zf",
+            "zeta_optimal_zf",
+        ],
+        "fig7_opt_tau": [
+            "t",
+            "rho_db",
+            "tau_onebit_mrc",
+            "tau_onebit_zf",
+            "tau_conv_mrc",
+            "tau_conv_zf",
+        ],
+        "fig8_se_vs_m": [
+            "m",
+            "sumse_onebit_mrc",
+            "sumse_onebit_zf",
+            "sumse_conv_mrc",
+            "sumse_conv_zf",
+        ],
+        "fig9_kappa": [
+            "rho_db",
+            "kappa_benchmark_mrc",
+            "m_one_benchmark_mrc",
+            "kappa_optimized_mrc",
+            "m_one_optimized_mrc",
+            "kappa_benchmark_zf",
+            "m_one_benchmark_zf",
+            "kappa_optimized_zf",
+            "m_one_optimized_zf",
+        ],
+    }
+    TINY = {
+        "fig2_mse": {"m": 4, "k": 2, "tau": 2, "snr_db": [0, 10], "nml_max_iters": 5},
+        "fig3_corr_mse": {"m": 4, "snr_db": [0, 10]},
+        "fig4_se_vs_snr": {"m": [4, 6], "k": 2, "tau": 2, "snr_db": [-5, 0]},
+        "fig5_power_eff": {"m": [16, 64]},
+        "fig6_bit_energy": {"m": [16], "k": 2, "t": 12, "rho_db": [-5, 0]},
+        "fig7_opt_tau": {"m": 16, "k": 2, "t": [10, 12], "rho_db": [-5]},
+        "fig8_se_vs_m": {"m": [16, 32], "k": 2, "t": 12},
+        "fig9_kappa": {"m_conv": 16, "k": 2, "t": 12, "rho_db": [-5, 0]},
+    }
+
+    @pytest.mark.parametrize("figure", sorted(COLUMNS))
+    def test_csv_header_is_the_figures_column_list(self, tmp_path, figure):
+        assert sorted(self.COLUMNS) == figure_ids()
+        out = tmp_path / f"{figure}.csv"
+        spec = ExperimentSpec(figure, self.TINY[figure], n_trials=2, output_path=str(out))
+        table = run_experiment(spec)
+        lines = out.read_text().splitlines()
+        assert lines[0].split(",") == self.COLUMNS[figure] == table.columns
+        axes = [len(v) for v in self.TINY[figure].values() if isinstance(v, list)]
+        assert len(lines) == 1 + np.prod(axes)
+        assert all(len(row) == len(table.columns) for row in table.rows)
+
+    def test_scalar_sweep_value_gives_one_row(self, tmp_path):
+        out = tmp_path / "fig4.csv"
+        spec = ExperimentSpec(
+            "fig4_se_vs_snr", {"m": 48, "snr_db": -6}, n_trials=4, output_path=str(out)
+        )
+        table = run_experiment(spec)
+        assert len(table.rows) == 1
+        assert table.rows[0][:2] == [48, -6]
+        assert out.read_text().splitlines()[1].startswith("48,-6,")
+        # the same point as the first of a two-point list: seed (seed, 0)
+        sweep = {"m": [48], "snr_db": [-6, 0]}
+        listed = ExperimentSpec("fig4_se_vs_snr", sweep, n_trials=4, output_path=str(out))
+        rows = run_experiment(listed).rows
+        assert rows[0] == table.rows[0]
+        # grid point i seeds MRC with (seed, 2i) and ZF with (seed, 2i + 1)
+        cfg = SystemConfig(M=48, K=8, tau=8, rho_p=1.0, rho_d=1.0)
+        mrc = ergodic_rate_mc(cfg, "mrc", 4, (0, 2))
+        zf = ergodic_rate_mc(cfg, "zf", 4, (0, 3))
+        got = dict(zip(table.columns, rows[1]))
+        assert got["sumse_mrc_mc"] == mrc.sum_spectral_efficiency
+        assert got["se_sumse_zf_mc"] == zf.stderr
 
     def test_unknown_figure_id(self):
         with pytest.raises(ValueError, match="unknown figure"):

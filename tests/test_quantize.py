@@ -9,14 +9,12 @@ from onebit_mimo import (
     alpha_p,
     arcsine_covariance,
     bussgang_gain,
-    bussgang_model,
     dft_pilots,
-    low_snr_cq,
     one_bit_quantize,
     quantizer_noise_cov,
 )
 from onebit_mimo.channel import crandn
-from onebit_mimo.quantize import quantizer_noise_quad
+from onebit_mimo.quantize import UNCORR_NOISE_VAR, quantizer_noise_quad
 
 SQ2 = np.sqrt(2.0)
 
@@ -141,10 +139,10 @@ class TestQuantizerNoiseCov:
         rng = np.random.default_rng(6)
         for _ in range(20):
             C = _random_unit_diag_cov(rng, 6, load=rng.uniform(0.2, 3.0))
-            model = bussgang_model(C)
-            assert np.linalg.eigvalsh(model.C_q)[0] >= -1e-8
-            assert np.linalg.eigvalsh(model.C_r)[0] >= -1e-8
-            assert np.allclose(model.C_q, model.C_q.conj().T)
+            C_q = quantizer_noise_cov(C)
+            assert np.linalg.eigvalsh(C_q)[0] >= -1e-8
+            assert np.linalg.eigvalsh(arcsine_covariance(C))[0] >= -1e-8
+            assert np.allclose(C_q, C_q.conj().T)
 
 
 def _channel_cov_stack(rng, n, M, K, rho):
@@ -216,7 +214,7 @@ class TestStackedQuantizerNoise:
 
 class TestLowSnrCq:
     def test_scalar_value(self):
-        assert low_snr_cq(1)[0, 0] == pytest.approx(0.36338, abs=5e-6)
+        assert UNCORR_NOISE_VAR == pytest.approx(0.36338, abs=5e-6)
 
     def test_matches_exact_at_low_snr(self):
         rng = np.random.default_rng(7)
@@ -225,7 +223,7 @@ class TestLowSnrCq:
         E = E + E.conj().T
         np.fill_diagonal(E, 0.0)
         C_y = (1 + K * rho) * np.eye(dim) + E
-        diff = np.abs(quantizer_noise_cov(C_y) - low_snr_cq(dim))
+        diff = np.abs(quantizer_noise_cov(C_y) - UNCORR_NOISE_VAR * np.eye(dim))
         assert diff.max() < 0.02
 
     def test_distance_grows_with_snr(self):
@@ -234,12 +232,9 @@ class TestLowSnrCq:
         dists = []
         for rho in (0.01, 0.1, 1.0, 10.0):
             C_y = rho * H @ H.conj().T + np.eye(6)
-            dists.append(np.linalg.norm(quantizer_noise_cov(C_y) - low_snr_cq(6)))
+            diff = quantizer_noise_cov(C_y) - UNCORR_NOISE_VAR * np.eye(6)
+            dists.append(np.linalg.norm(diff))
         assert all(b > a for a, b in zip(dists, dists[1:]))
-
-    def test_bad_dim(self):
-        with pytest.raises(ValueError):
-            low_snr_cq(0)
 
 
 class TestHardeningGains:
