@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from .config import SystemConfig
+from .quantize import _RSQRT2
 
 __all__ = [
     "vec",
@@ -42,14 +43,18 @@ def crandn_trials(rng: np.random.Generator, n: int, *shapes) -> list[np.ndarray]
 
     Bit-identical to n consecutive trials that each call ``crandn(rng, *shape)``
     once per shape, in order: one generator call draws every trial's real
-    and imaginary parts in that sequence.
+    and imaginary parts in that sequence, and each part is scaled straight
+    into its complex stack (numpy's complex-by-real division multiplies by
+    the reciprocal, so this keeps crandn's bits).
     """
     sizes = [math.prod(shape) for shape in shapes]
     z = rng.standard_normal((n, 2 * sum(sizes)))
     out, at = [], 0
     for shape, size in zip(shapes, sizes):
-        re, im = z[:, at : at + size], z[:, at + size : at + 2 * size]
-        out.append(((re + 1j * im) / np.sqrt(2.0)).reshape(n, *shape))
+        c = np.empty((n, size), dtype=complex)
+        np.multiply(z[:, at : at + size], _RSQRT2, out=c.real)
+        np.multiply(z[:, at + size : at + 2 * size], _RSQRT2, out=c.imag)
+        out.append(c.reshape(n, *shape))
         at += 2 * size
     return out
 

@@ -17,6 +17,7 @@ from .experiments import (
     FIGURES,
     ExperimentSpec,
     _aslist,
+    _check_sweep_value,
     _linear_params,
     _span,
     figure_ids,
@@ -191,11 +192,10 @@ def validate_config(path: str | Path) -> ExperimentSpec:
                     f"{figure} evaluates the ZF closed form, which needs M > K"
                 )
     for key, (val, lineno) in entries.items():
-        if isinstance(val, list) and key not in fig.grid:
-            raise ConfigError(
-                f"{path}:{lineno}: {key} takes one value, got a list; "
-                f"{figure} sweeps only {', '.join(fig.grid)}"
-            )
+        try:
+            _check_sweep_value(figure, key, val)
+        except ValueError as e:
+            raise ConfigError(f"{path}:{lineno}: {e}") from None
 
     spec = ExperimentSpec(
         figure_id=figure,

@@ -64,6 +64,8 @@ class ExperimentSpec:
             raise ValueError(
                 f"unknown parameter(s) for {self.figure_id}: {sorted(unknown)}"
             )
+        for key, val in self.sweep.items():
+            _check_sweep_value(self.figure_id, key, val)
         sweep.update(self.sweep)
         return ExperimentSpec(
             figure_id=self.figure_id,
@@ -97,6 +99,15 @@ class FigureDef:
     def grid(self) -> list:
         """Sweep keys: the keys whose default is a list, in declaration order."""
         return [key for key, val in self.defaults.items() if isinstance(val, list)]
+
+
+def _check_sweep_value(figure_id: str, key: str, val) -> None:
+    """Reject a list for a key that the figure does not sweep."""
+    grid = FIGURES[figure_id].grid
+    if isinstance(val, list) and key not in grid:
+        raise ValueError(
+            f"{key} takes one value, got a list; {figure_id} sweeps only {', '.join(grid)}"
+        )
 
 
 def _aslist(v) -> list:

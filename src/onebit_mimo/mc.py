@@ -14,11 +14,14 @@ __all__ = ["block_seeds", "run_blocks", "trial_stacks"]
 
 DEFAULT_BLOCK = 256
 
-# elements n * M * M of one stack of n trials with M antennas, i.e. of
-# each stacked M x M temporary (64 kB per real array). On fig4 at M = 32
-# (2-vCPU VM) 8,192 elements (8 trials) ran 2.3x as fast as one trial at a
-# time for 0.9 MB more peak RSS; 16,384 ran 2.5x for 1.8 MB, and larger
-# budgets ran slower again for up to 6.6 MB
+# elements n * M * M of one stack of n trials with M antennas; the largest
+# stacked temporaries are the real (n, 2M, M) arcsine arguments of the
+# quantizer-noise term (128 kB at this budget). ergodic_rate_mc, MRC + ZF,
+# K = tau = 8, 2-vCPU VM, us per trial (best of 3 processes) for budgets
+# 4,096 / 8,192 / 16,384 / 32,768 / 65,536:
+#   M = 32:  92 /  72 /  92 /  95 / 120 (peak RSS 38.0 -> 43.4 MB)
+#   M = 64: 327 / 199 / 223 / 216 / 257
+#   M = 128: 569 / 553 / 581 / 722 / 659 (one trial per stack up to 16,384)
 _STACK_ELEMS = 8_192
 
 

@@ -27,6 +27,11 @@ UNCORR_NOISE_VAR = 1.0 - 2.0 / np.pi
 
 _CLAMP_TOL = 1e-12
 
+# numpy divides a complex array by a real scalar by multiplying with the
+# reciprocal, so x * _RSQRT2 has the bits of x / np.sqrt(2.0); the correctly
+# rounded np.sqrt(0.5) is one ulp larger
+_RSQRT2 = 1.0 / np.sqrt(2.0)
+
 
 def one_bit_quantize(y: np.ndarray) -> np.ndarray:
     """Elementwise sign quantization to {+-1 +-1j}/sqrt(2), with sign(0) = +1.
@@ -34,9 +39,8 @@ def one_bit_quantize(y: np.ndarray) -> np.ndarray:
     Scale-invariant: Q(c*y) = Q(y) for any c > 0.
     """
     y = np.asarray(y)
-    re = np.where(y.real >= 0.0, 1.0, -1.0)
-    im = np.where(y.imag >= 0.0, 1.0, -1.0)
-    return (re + 1j * im) / np.sqrt(2.0)
+    parts = np.ascontiguousarray(y, dtype=complex).view(np.float64)  # (Re, Im) pairs
+    return np.where(parts >= 0.0, _RSQRT2, -_RSQRT2).view(complex).reshape(y.shape)
 
 
 def bussgang_gain(C_y: np.ndarray) -> np.ndarray:
@@ -90,36 +94,51 @@ def quantizer_noise_cov(C_y: np.ndarray) -> np.ndarray:
     be a stack (..., M, M): each matrix is converted as alone, and one
     invalid matrix rejects the stack with its own error.
     """
-    P, Q = _noise_parts(C_y)
-    return (2.0 / np.pi) * (P + 1j * Q)
-
-
-def _noise_parts(C_y: np.ndarray):
-    """P = arcsin(X) - X and Q = arcsin(Y) - Y, so that C_q = (2/pi)(P + jQ)."""
     X, Y = _normalized_parts(C_y)
     # A C_y A^H = (2/pi) * (X + jY) in normalized coordinates
-    P = np.arcsin(X)
-    P -= X
-    Q = np.arcsin(Y)
-    Q -= Y
-    return P, Q
+    return (2.0 / np.pi) * (_arcsin_excess(X) + 1j * _arcsin_excess(Y))
 
 
-def quantizer_noise_quad(W: np.ndarray, C_y: np.ndarray) -> np.ndarray:
-    """Re(w_k^T C_q w_k^*) for every row w_k of W, C_q = quantizer_noise_cov(C_y).
+def _arcsin_excess(Z: np.ndarray) -> np.ndarray:
+    """arcsin(Z) - Z elementwise: the part of the arcsine law beyond the Bussgang gain."""
+    E = np.arcsin(Z)
+    E -= Z
+    return E
 
-    W is K x M and C_y M x M, or stacks (..., K, M) and (..., M, M); the
-    result has shape (..., K). With w = a + jb and C_q = (2/pi)(P + jQ),
-    P = arcsin(X) - X symmetric and Q = arcsin(Y) - Y antisymmetric, the
-    form is (2/pi)(a^T P a + b^T P b + 2 a^T Q b): real products only, and
-    the complex C_q is never formed.
+
+def quantizer_noise_quad(W: np.ndarray, H: np.ndarray, rho: float) -> np.ndarray:
+    """Re(w_k^T C_q w_k^*) for every row w_k of W, C_q the quantizer-noise
+    covariance of y = sqrt(rho) H s + n, i.e. of C_y = rho H H^H + I.
+
+    W is K x M and H M x K, or stacks (..., K, M) and (..., M, K); the
+    result has shape (..., K). The normalized parts of C_y come straight
+    from the scaled rows F = diag(sqrt(rho / d)) H, d_i = 1 + rho ||h_i||^2:
+    X = Re(F F^H) and Y = Im(F F^H) off the diagonal, X_ii = 1, Y_ii = 0.
+    The +1 in d bounds |X_ij|, |Y_ij| below 1 (Cauchy-Schwarz), so unlike
+    :func:`quantizer_noise_cov` this needs no range check. With w = a + jb
+    and C_q = (2/pi)(P + jQ), P = arcsin(X) - X symmetric and
+    Q = arcsin(Y) - Y antisymmetric, the form is
+    (2/pi)(a^T P a + b^T P b + 2 a^T Q b): real products only, and neither
+    C_y nor C_q is formed.
     """
-    P, Q = _noise_parts(C_y)
+    M, K = H.shape[-2:]
+    H = np.ascontiguousarray(H, dtype=complex)
+    h = H.view(np.float64)  # rows (Re h_1, Im h_1, Re h_2, ...), (..., M, 2K)
+    F = H * np.sqrt(rho / (1.0 + rho * np.einsum("...k,...k->...", h, h)))[..., None]
+    G = F.view(np.float64)
+    J = (-1j * F).view(np.float64)  # rows of -jF: (Im, -Re) pairs
+    # G G^T = Re(F F^H) = X and J G^T = Im(F F^H) = Y in one matmul
+    Z = np.concatenate([G, J], axis=-2) @ np.swapaxes(G, -1, -2)
+    # the diagonal of F F^H lacks the +1 of C_y: set X_ii = 1 and Y_ii = 0
+    diag = Z.reshape(*Z.shape[:-2], 2, M * M)[..., :: M + 1]
+    diag[..., 0, :] = 1.0
+    diag[..., 1, :] = 0.0
+    PQ = _arcsin_excess(Z)
+    P, Q = PQ[..., :M, :], PQ[..., M:, :]
     a, b = W.real, W.imag
-    K = W.shape[-2]
     ab = np.concatenate([a, b], axis=-2)
-    pp = np.sum((ab @ P) * ab, axis=-1)  # a^T P a, then b^T P b, per row
-    aqb = np.sum((a @ Q) * b, axis=-1)
+    pp = np.einsum("...ij,...ij->...i", ab @ P, ab)  # a^T P a, then b^T P b, per row
+    aqb = np.einsum("...ij,...ij->...i", a @ Q, b)
     return (2.0 / np.pi) * (pp[..., :K] + pp[..., K:] + 2.0 * aqb)
 
 

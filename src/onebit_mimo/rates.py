@@ -123,7 +123,6 @@ def ergodic_rate_mc(
         G, _, _ = blmmse_filter(Phi, cfg)
     ap_rp = alpha_p(cfg) * np.sqrt(cfg.rho_p)
     Phi_conj = Phi.conj()
-    eye = np.eye(M)
 
     def block(rng: np.random.Generator, n: int):
         rates = np.empty((n, K))
@@ -139,7 +138,6 @@ def ergodic_rate_mc(
                 else:  # unvec(G @ vec(R_p)) per trial
                     r = np.swapaxes(R_p, 1, 2).reshape(-1, M * tau, 1)
                     H_hat = np.swapaxes((G @ r).reshape(-1, K, M), 1, 2)
-            C_y = cfg.rho_d * H @ np.swapaxes(H.conj(), 1, 2) + eye
             WT = combine(H_hat)
 
             sig = np.abs(WT @ H_hat) ** 2  # n x K x K, [t, k, i] = |w_k^T h_hat_i|^2
@@ -148,7 +146,7 @@ def ergodic_rate_mc(
             interf = cfg.rho_d * ad2 * (sig.sum(axis=2) - diag)
             est_err = cfg.rho_d * ad2 * np.sum(np.abs(WT @ (H - H_hat)) ** 2, axis=2)
             awgn = ad2 * np.sum(np.abs(WT) ** 2, axis=2)
-            quant = quantizer_noise_quad(WT, C_y)
+            quant = quantizer_noise_quad(WT, H, cfg.rho_d)
             den = interf + est_err + awgn + quant
             sinr = np.divide(desired, den, out=np.zeros_like(den), where=den > 0)
             rates[s] = np.log2(1.0 + sinr)

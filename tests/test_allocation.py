@@ -44,6 +44,27 @@ class TestSeSurface:
                 coeff = se_surface(gamma, tau, budget, cfg, rec)
                 assert coeff == pytest.approx(direct, rel=1e-9, abs=1e-12)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        K=st.integers(1, 16),
+        extra_m=st.integers(1, 400),
+        data=st.data(),
+        log_p=st.floats(-2.0, 4.0),
+        gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        receiver=st.sampled_from(["mrc", "zf"]),
+    )
+    def test_equals_direct_substitution_property(
+        self, K, extra_m, data, log_p, gamma, receiver
+    ):
+        # K < tau < T and M > K, where both forms are defined for MRC and ZF
+        T = data.draw(st.integers(K + 2, 500), label="T")
+        tau = data.draw(st.integers(K + 1, T - 1), label="tau")
+        budget = PowerBudget(rho=10**log_p / T, T=T)
+        cfg = SystemConfig(M=K + extra_m, K=K, tau=tau, T=T)
+        direct = se_at_allocation(gamma, tau, budget, cfg, receiver, "one-bit")
+        coeff = se_surface(gamma, tau, budget, cfg, receiver)
+        assert coeff == pytest.approx(direct, rel=1e-9, abs=1e-12)
+
     def test_boundary_gamma(self):
         budget = PowerBudget(rho=0.1, T=100)
         cfg = SystemConfig(M=32, K=4, tau=10, T=100)

@@ -168,8 +168,12 @@ def test_signal_dimension_mismatch():
 
 
 @pytest.mark.parametrize("n", [1, 4])
-@pytest.mark.parametrize("shapes", [[(3, 2), (3, 5)], [(6,)], [(2, 3, 2), (1, 1), (4, 1)]])
+@pytest.mark.parametrize(
+    "shapes", [[(3, 2), (3, 5)], [(6,)], [(2, 3, 2), (1, 1), (4, 1)], [(64, 8), (64, 80)]]
+)
 def test_crandn_trials_equals_per_trial_calls_bitwise(n, shapes):
+    # crandn is the (re + 1j*im) / sqrt(2) form; crandn_trials multiplies by
+    # the reciprocal instead, which must keep every bit
     got = crandn_trials(np.random.default_rng(21), n, *shapes)
     rng = np.random.default_rng(21)
     want = [[] for _ in shapes]
@@ -179,4 +183,4 @@ def test_crandn_trials_equals_per_trial_calls_bitwise(n, shapes):
     assert len(got) == len(shapes)
     for g, w in zip(got, want):
         assert g.shape == (n, *w[0].shape)
-        assert np.array_equal(g, np.stack(w))
+        assert np.array_equal(g.view(np.uint64), np.stack(w).view(np.uint64))

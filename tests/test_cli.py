@@ -286,6 +286,20 @@ class TestConfigRoundTrip:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize(
+        "figure, sweep, key",
+        [
+            ("fig2_mse", {"m": [4, 8], "k": 2, "tau": 4, "snr_db": [0]}, "m"),
+            ("fig5_power_eff", {"e_u_db": [0, 3]}, "e_u_db"),
+        ],
+    )
+    def test_list_rejected_for_a_key_that_does_not_sweep(self, tmp_path, figure, sweep, key):
+        # the library path gets the check and message of validate_config
+        spec = ExperimentSpec(figure, sweep, 2, output_path=str(tmp_path / "x.csv"))
+        with pytest.raises(ValueError, match=rf"^{key} takes one value, got a list; {figure}"):
+            run_experiment(spec)
+        assert not (tmp_path / "x.csv").exists()
+
     def test_csv_byte_identical_rerun(self, tmp_path):
         spec = ExperimentSpec(
             figure_id="fig5_power_eff",

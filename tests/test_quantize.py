@@ -14,9 +14,15 @@ from onebit_mimo import (
     quantizer_noise_cov,
 )
 from onebit_mimo.channel import crandn
-from onebit_mimo.quantize import UNCORR_NOISE_VAR, quantizer_noise_quad
+from onebit_mimo.quantize import (
+    _RSQRT2,
+    UNCORR_NOISE_VAR,
+    _normalized_parts,
+    quantizer_noise_quad,
+)
 
 SQ2 = np.sqrt(2.0)
+EPS = np.finfo(float).eps
 
 
 def _random_unit_diag_cov(rng, dim, load=1.0):
@@ -45,6 +51,36 @@ class TestOneBitQuantize:
         y = crandn(rng, 500)
         for c in (1e-6, 0.5, 3.0, 1e8):
             assert np.array_equal(one_bit_quantize(c * y), one_bit_quantize(y))
+
+    def test_bits_of_complex_division_form(self):
+        # the output is written as +-_RSQRT2; it must keep the bits of the
+        # (re + 1j*im) / sqrt(2) form, NaN and signed zeros included
+        y = np.array([0.3 - 0.7j, -2 + 1e-9j, 0j, complex(-0.0, -0.0), complex(np.nan, -1.0)])
+        y = np.concatenate([y, crandn(np.random.default_rng(2), 997)])
+        re = np.where(y.real >= 0.0, 1.0, -1.0)
+        im = np.where(y.imag >= 0.0, 1.0, -1.0)
+        want = (re + 1j * im) / np.sqrt(2.0)
+        got = one_bit_quantize(y)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        x=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: v != 0.0),
+            min_size=2,
+            max_size=40,
+        )
+    )
+    def test_complex_division_by_sqrt2_multiplies_by_reciprocal(self, x):
+        # crandn_trials and one_bit_quantize rely on this numpy behaviour to
+        # keep the bits of (re + 1j*im) / np.sqrt(2.0); signed zeros are the
+        # one exception (the division form turns -0.0 into +0.0)
+        re, im = np.array(x[::2]), np.array(x[1::2])
+        re = re[: im.size]
+        old = (re + 1j * im) / np.sqrt(2.0)
+        assert np.array_equal((re * _RSQRT2).view(np.uint64), old.real.view(np.uint64))
+        assert np.array_equal((im * _RSQRT2).view(np.uint64), old.imag.view(np.uint64))
 
 
 class TestBussgangGain:
@@ -104,6 +140,10 @@ class TestArcsineCovariance:
         A = crandn(rng, M, rank)
         scale = rng.uniform(0.1, 10.0, M)
         C = scale[:, None] * (A @ A.conj().T + 10.0**log_load * np.eye(M)) * scale
+        # the scaling rounds C_ij and C_ji apart; near-singular inputs put the
+        # normalized parts near +-1, where arcsin amplifies that 1-ulp gap
+        # past 1e-14, so the input is made exactly Hermitian
+        C = (C + C.conj().T) / 2
         R = arcsine_covariance(C)
         assert np.array_equal(np.diag(R), np.ones(M, dtype=complex))
         assert np.allclose(R, R.conj().T, rtol=0.0, atol=1e-14)
@@ -145,6 +185,15 @@ class TestQuantizerNoiseCov:
             assert np.allclose(C_q, C_q.conj().T)
 
 
+def _excess_slope(C_y):
+    """Slope k_ij of arcsin(x) - x at the normalized parts of C_y, summed over
+    the real and imaginary part; 0 on the diagonal, which is set exactly."""
+    X, Y = _normalized_parts(C_y)
+    with np.errstate(divide="ignore"):
+        k = 1.0 / np.sqrt(1.0 - X**2) + 1.0 / np.sqrt(1.0 - Y**2) - 2.0
+    return np.where(np.eye(X.shape[-1], dtype=bool), 0.0, k)
+
+
 def _channel_cov_stack(rng, n, M, K, rho):
     H = crandn(rng, n, M, K)
     return rho * H @ np.swapaxes(H.conj(), 1, 2) + np.eye(M)
@@ -179,37 +228,58 @@ class TestStackedQuantizerNoise:
         C = np.stack([np.eye(2), bad.astype(complex), np.eye(2)])
         with pytest.raises(ValueError, match=match) as single:
             quantizer_noise_cov(bad)
-        for fn in (quantizer_noise_cov, lambda c: quantizer_noise_quad(np.ones((3, 1, 2)), c)):
+        for fn in (quantizer_noise_cov, arcsine_covariance):
             with pytest.raises(ValueError) as stacked:
                 fn(C)
             assert str(stacked.value) == str(single.value)
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        n=st.integers(1, 4),
-        M=st.integers(1, 12),
-        K=st.integers(1, 6),
-        rho_db=st.floats(-30.0, 30.0),
+        stack=st.sampled_from([(), (1,), (3,), (2, 3)]),
+        M=st.integers(1, 40),
+        K=st.integers(1, 10),
+        log_rho=st.floats(-4.0, 12.0),
     )
-    def test_real_form_matches_complex_product(self, seed, n, M, K, rho_db):
+    def test_real_form_matches_complex_product(self, seed, stack, M, K, log_rho):
+        # reference: the complex form on C_y = rho H H^H + I, which the
+        # kernel never builds; a single matrix and stacks of any length
         rng = np.random.default_rng(seed)
-        C_y = _channel_cov_stack(rng, n, M, K, 10.0 ** (rho_db / 10.0))
-        W = crandn(rng, n, K, M)
+        rho = 10.0**log_rho
+        H = crandn(rng, *stack, M, K)
+        W = crandn(rng, *stack, K, M)
+        C_y = rho * H @ np.swapaxes(H.conj(), -1, -2) + np.eye(M)
         C_q = quantizer_noise_cov(C_y)
         want = np.real(np.sum((W @ C_q) * W.conj(), -1))
-        got = quantizer_noise_quad(W, C_y)
-        assert got.shape == (n, K)
-        # rounding scale of the form: sum_ij |w_i| |C_q,ij| |w_j|
-        scale = np.sum((np.abs(W) @ np.abs(C_q)) * np.abs(W), -1)
-        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+        got = quantizer_noise_quad(W, H, rho)
+        assert got.shape == (*stack, K)
+        assert np.all(np.isfinite(got))
+        # rounding scale of the form, sum_ij |w_i| |C_q,ij| |w_j|, plus the
+        # rounding of the arcsin arguments, which both sides make and arcsin
+        # amplifies near +-1 (K = 1 at high rho): sum_ij |w_i| k_ij |w_j|
+        aW = np.abs(W)
+        scale = np.sum((aW @ np.abs(C_q)) * aW, -1)
+        cond = np.sum((aW @ _excess_slope(C_y)) * aW, -1)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale + 4 * EPS * cond)
+
+    @pytest.mark.parametrize("rho", [0.0, 1e-300, 1e12, 1e300])
+    def test_finite_at_the_ends_of_the_snr_range(self, rho):
+        rng = np.random.default_rng(11)
+        H, W = crandn(rng, 4, 16, 3), crandn(rng, 4, 3, 16)
+        got = quantizer_noise_quad(W, H, rho)
+        assert np.all(np.isfinite(got))
+        # rho -> 0: C_q -> (1 - 2/pi) I
+        if rho < 1e-200:
+            want = UNCORR_NOISE_VAR * np.sum(np.abs(W) ** 2, -1)
+            np.testing.assert_allclose(got, want, rtol=1e-14)
 
     def test_single_matrix(self):
         rng = np.random.default_rng(9)
-        C_y = _channel_cov_stack(rng, 1, 5, 2, 1.0)[0]
+        H = crandn(rng, 5, 2)
+        C_y = H @ H.conj().T + np.eye(5)
         W = crandn(rng, 2, 5)
         want = np.real(np.sum((W @ quantizer_noise_cov(C_y)) * W.conj(), -1))
-        np.testing.assert_allclose(quantizer_noise_quad(W, C_y), want, rtol=1e-13)
+        np.testing.assert_allclose(quantizer_noise_quad(W, H, 1.0), want, rtol=1e-13)
 
 
 class TestLowSnrCq:
