@@ -7,7 +7,6 @@ import math
 import numpy as np
 
 from .config import SystemConfig
-from .quantize import _RSQRT2
 
 __all__ = [
     "vec",
@@ -31,6 +30,12 @@ def vec(X: np.ndarray) -> np.ndarray:
 def unvec(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """Inverse of :func:`vec`."""
     return np.reshape(x, (rows, cols), order="F")
+
+
+# numpy divides a complex array by a real scalar by multiplying with the
+# reciprocal, so x * _RSQRT2 has the bits of x / np.sqrt(2.0); the correctly
+# rounded np.sqrt(0.5) is one ulp larger
+_RSQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def crandn(rng: np.random.Generator, *shape: int) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .channel import _RSQRT2
 from .config import SystemConfig
 
 __all__ = [
@@ -26,11 +27,6 @@ __all__ = [
 UNCORR_NOISE_VAR = 1.0 - 2.0 / np.pi
 
 _CLAMP_TOL = 1e-12
-
-# numpy divides a complex array by a real scalar by multiplying with the
-# reciprocal, so x * _RSQRT2 has the bits of x / np.sqrt(2.0); the correctly
-# rounded np.sqrt(0.5) is one ulp larger
-_RSQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def one_bit_quantize(y: np.ndarray) -> np.ndarray:
@@ -64,6 +60,11 @@ def _normalized_parts(C_y: np.ndarray):
     S = s[..., :, None] * s[..., None, :]
     X = np.real(C_y) * S
     Y = np.imag(C_y) * S
+    # a C_y built by scaling or by BLAS products is Hermitian only to the
+    # last bit, and arcsin amplifies that gap near +-1: make X exactly
+    # symmetric and Y exactly antisymmetric, so that C_r and C_q are Hermitian
+    X = 0.5 * (X + np.swapaxes(X, -1, -2))
+    Y = 0.5 * (Y - np.swapaxes(Y, -1, -2))
     # exact by construction; repairing rounding here matters because arcsin
     # has infinite slope at 1
     i = np.arange(d.shape[-1])
