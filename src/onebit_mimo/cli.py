@@ -16,8 +16,8 @@ from pathlib import Path
 from .experiments import (
     FIGURES,
     ExperimentSpec,
+    SpecError,
     _aslist,
-    _check_sweep_value,
     _linear_params,
     _span,
     figure_ids,
@@ -26,7 +26,7 @@ from .experiments import (
 
 __all__ = ["ConfigError", "validate_config", "main"]
 
-RESERVED = {"figure", "figure_id", "seed", "n_trials", "output", "output_path"}
+_FIELDS = {"figure": "figure_id", "output": "output_path"}  # file key: spec field
 
 
 class ConfigError(ValueError):
@@ -71,20 +71,17 @@ def _parse_value(text: str):
     return _parse_scalar(text)
 
 
-def _nonfinite(val) -> bool:
-    return any(isinstance(v, float) and not math.isfinite(v) for v in _aslist(val))
-
-
 def validate_config(path: str | Path) -> ExperimentSpec:
     """Parse and validate a config file into a resolved ExperimentSpec.
 
     Applies the figure's defaults (T = 200 and rho_p = rho_d per sweep unless
-    overridden) and rejects invariant violations with file:line messages.
+    overridden). A spec that breaks a figure invariant is reported at the
+    line of the first of the SpecError's keys that the file sets.
     """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"{path}: no such config file")
-    entries: dict[str, tuple[object, int]] = {}
+    values, lines = {}, {}
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -93,118 +90,30 @@ def validate_config(path: str | Path) -> ExperimentSpec:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip().lower()
-        if key in entries:
+        name = _FIELDS.get(key, key)
+        if name in lines:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
-            entries[key] = (_parse_value(val), lineno)
+            values[name] = _parse_value(val)
         except ValueError as e:
             raise ConfigError(f"{path}:{lineno}: {e}") from None
-        if _nonfinite(entries[key][0]):
-            raise ConfigError(
-                f"{path}:{lineno}: {key} must be finite, got {val.strip()!r}"
-            )
+        lines[name] = lineno
 
-    def pop(name, default=None):
-        return entries.pop(name, (default, 0))[0]
-
-    n_trials_line = entries.get("n_trials", (None, 0))[1]
-    figure = pop("figure", pop("figure_id"))
-    if figure is None:
+    if "figure_id" not in values:
         raise ConfigError(f"{path}: missing required key 'figure'")
-    if figure not in FIGURES:
-        raise ConfigError(
-            f"{path}: unknown figure {figure!r}; choose from {', '.join(figure_ids())}"
-        )
-    seed = pop("seed", 0)
-    n_trials = pop("n_trials", 0)
-    output = pop("output", pop("output_path", ""))
-
-    defaults = FIGURES[figure].defaults
-    sweep = {}
-    for key, (val, lineno) in entries.items():
-        if key not in defaults:
-            raise ConfigError(
-                f"{path}:{lineno}: unknown parameter {key!r} for {figure} "
-                f"(expected one of {sorted(defaults)})"
-            )
-        sweep[key] = val
-
-    def value_of(name):
-        if name in entries:
-            return entries[name][0], entries[name][1]
-        return defaults.get(name), 0
-
-    if not isinstance(seed, int):
-        raise ConfigError(f"{path}: seed must be an integer, got {seed!r}")
-    if not isinstance(n_trials, int) or n_trials < 0:
-        raise ConfigError(f"{path}: n_trials must be a nonnegative integer")
-    fig = FIGURES[figure]
-    if n_trials == 1 and fig.default_trials > 1:
-        raise ConfigError(
-            f"{path}:{n_trials_line}: n_trials = 1 leaves no standard error; "
-            f"{figure} is a Monte Carlo figure and needs n_trials >= 2"
-        )
-    if fig.default_trials > 1:  # Monte Carlo figures draw arrays of these sizes
-        for name in ("m", "k", "tau"):
-            val, line = value_of(name)
-            for v in _aslist(val):
-                if not isinstance(v, int):
-                    raise ConfigError(
-                        f"{path}:{line}: {name} must be an integer, got {v!r}; "
-                        f"{figure} is a Monte Carlo figure"
-                    )
-    if "nml_max_iters" in defaults:
-        val, line = value_of("nml_max_iters")
-        if not isinstance(val, int) or val < 1:
-            raise ConfigError(
-                f"{path}:{line}: nml_max_iters must be an integer >= 1, got {val!r}"
-            )
-
-    k, k_line = value_of("k")
-    tau, tau_line = value_of("tau")
-    t, t_line = value_of("t")
-    if isinstance(k, int) and k < 1:
-        raise ConfigError(f"{path}:{k_line}: k must be >= 1")
-    if isinstance(k, int) and isinstance(tau, int) and tau < k:
-        raise ConfigError(
-            f"{path}:{tau_line or k_line}: tau ({tau}) violates k <= tau (k = {k})"
-        )
-    if isinstance(tau, int) and isinstance(t, int) and t < tau:
-        raise ConfigError(
-            f"{path}:{t_line or tau_line}: t ({t}) violates tau <= t (tau = {tau})"
-        )
-    if fig.t_exceeds_k and isinstance(k, int):
-        for v in _aslist(t):
-            if isinstance(v, (int, float)) and v <= k:
-                raise ConfigError(
-                    f"{path}:{t_line or k_line}: t ({v}) must exceed k ({k}); "
-                    f"{figure} optimizes tau in [K, T], which needs T > K"
-                )
-    for name in ("m", "m_conv"):
-        val, line = value_of(name)
-        for v in _aslist(val):
-            if isinstance(v, int) and v < 1:
-                raise ConfigError(f"{path}:{line}: {name} must be >= 1")
-            numeric = isinstance(v, (int, float))
-            if fig.m_exceeds_k and isinstance(k, int) and numeric and v <= k:
-                raise ConfigError(
-                    f"{path}:{line or k_line}: {name} ({v}) must exceed k ({k}); "
-                    f"{figure} evaluates the ZF closed form, which needs M > K"
-                )
-    for key, (val, lineno) in entries.items():
-        try:
-            _check_sweep_value(figure, key, val)
-        except ValueError as e:
-            raise ConfigError(f"{path}:{lineno}: {e}") from None
-
     spec = ExperimentSpec(
-        figure_id=figure,
-        sweep=sweep,
-        n_trials=n_trials,
-        seed=seed,
-        output_path=str(output) if output else "",
+        figure_id=values.pop("figure_id"),
+        n_trials=values.pop("n_trials", 0),
+        seed=values.pop("seed", 0),
+        output_path=str(values.pop("output_path", "") or ""),
+        sweep=values,
     )
-    return spec.resolved()
+    try:
+        return spec.resolved()
+    except SpecError as e:
+        line = next((lines[k] for k in e.keys if k in lines), None)
+        where = path if line is None else f"{path}:{line}"
+        raise ConfigError(f"{where}: {e}") from None
 
 
 def _print_spec(spec: ExperimentSpec) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,12 +35,25 @@ from .rates import ergodic_rate_mc, rate_mrc_closed, rate_zf_closed
 
 __all__ = [
     "ExperimentSpec",
+    "SpecError",
     "ResultTable",
     "FIGURES",
     "figure_ids",
     "run_experiment",
     "emit_manifest",
 ]
+
+
+class SpecError(ValueError):
+    """An ExperimentSpec that breaks an invariant of its figure.
+
+    ``keys`` names the offending key first, then the key it was checked
+    against, e.g. ``("tau", "k")``.
+    """
+
+    def __init__(self, message: str, *keys: str):
+        super().__init__(message)
+        self.keys = keys
 
 
 @dataclass
@@ -53,27 +67,102 @@ class ExperimentSpec:
     output_path: str = ""
 
     def resolved(self) -> "ExperimentSpec":
-        if self.figure_id not in FIGURES:
-            raise ValueError(
-                f"unknown figure {self.figure_id!r}; choose from {figure_ids()}"
-            )
-        fig = FIGURES[self.figure_id]
-        sweep = dict(fig.defaults)
-        unknown = set(self.sweep) - set(fig.defaults)
-        if unknown:
-            raise ValueError(
-                f"unknown parameter(s) for {self.figure_id}: {sorted(unknown)}"
-            )
-        for key, val in self.sweep.items():
-            _check_sweep_value(self.figure_id, key, val)
-        sweep.update(self.sweep)
+        """The spec with its figure's defaults filled in; SpecError if it is invalid."""
+        sweep = _checked_sweep(self)
         return ExperimentSpec(
             figure_id=self.figure_id,
             sweep=sweep,
-            n_trials=self.n_trials or fig.default_trials,
+            n_trials=self.n_trials or FIGURES[self.figure_id].default_trials,
             seed=self.seed,
             output_path=self.output_path or f"{self.figure_id}.csv",
         )
+
+
+def _checked_sweep(spec: ExperimentSpec) -> dict:
+    """The spec's sweep over its figure's defaults, checked against every invariant."""
+    fid = spec.figure_id
+    if not isinstance(fid, str) or fid not in FIGURES:
+        raise SpecError(
+            f"unknown figure {fid!r}; choose from {', '.join(figure_ids())}", "figure_id"
+        )
+    fig = FIGURES[fid]
+    for key, val in spec.sweep.items():
+        if key not in fig.defaults:
+            raise SpecError(
+                f"unknown parameter {key!r} for {fid} "
+                f"(expected one of {sorted(fig.defaults)})",
+                key,
+            )
+        if val == []:
+            raise SpecError(f"{key} takes at least one value, got []", key)
+        for v in _aslist(val):
+            if not isinstance(v, (int, float)) or not math.isfinite(v):
+                raise SpecError(f"{key} must be a finite number, got {v!r}", key)
+    if not isinstance(spec.seed, int):
+        raise SpecError(f"seed must be an integer, got {spec.seed!r}", "seed")
+    n = spec.n_trials
+    if not isinstance(n, int) or n < 0:
+        raise SpecError(f"n_trials must be a nonnegative integer, got {n!r}", "n_trials")
+    monte_carlo = fig.default_trials > 1
+    if monte_carlo and n == 1:
+        raise SpecError(
+            f"n_trials = 1 leaves no standard error; "
+            f"{fid} is a Monte Carlo figure and needs n_trials >= 2",
+            "n_trials",
+        )
+    p = {**fig.defaults, **spec.sweep}
+    if monte_carlo:  # Monte Carlo figures draw arrays of these sizes
+        for name in ("m", "k", "tau"):
+            for v in _aslist(p[name]):
+                if not isinstance(v, int):
+                    raise SpecError(
+                        f"{name} must be an integer, got {v!r}; {fid} is a Monte Carlo figure",
+                        name,
+                    )
+    iters = p.get("nml_max_iters", 1)
+    if not isinstance(iters, int) or iters < 1:
+        raise SpecError(
+            f"nml_max_iters must be an integer >= 1, got {iters!r}", "nml_max_iters"
+        )
+    for key, val in spec.sweep.items():
+        if isinstance(val, list) and key not in fig.grid:
+            raise SpecError(
+                f"{key} takes one value, got a list; {fid} sweeps only {', '.join(fig.grid)}",
+                key,
+            )
+
+    ks, taus, ts = (_aslist(p.get(key, [])) for key in ("k", "tau", "t"))
+    for k in ks:
+        if k < 1:
+            raise SpecError("k must be >= 1", "k")
+    for k, tau in itertools.product(ks, taus):
+        if tau < k:
+            raise SpecError(f"tau ({tau}) violates k <= tau (k = {k})", "tau", "k")
+    for tau, t in itertools.product(taus, ts):
+        if t < tau:
+            raise SpecError(f"t ({t}) violates tau <= t (tau = {tau})", "t", "tau")
+    if "tau" not in fig.defaults:  # an allocation figure: it optimizes tau over [K, T]
+        for k, t in itertools.product(ks, ts):
+            if t <= k:
+                raise SpecError(
+                    f"t ({t}) must exceed k ({k}); "
+                    f"{fid} optimizes tau in [K, T], which needs T > K",
+                    "t",
+                    "k",
+                )
+    for name in ("m", "m_conv"):
+        for m in _aslist(p.get(name, [])):
+            if m < 1:
+                raise SpecError(f"{name} must be >= 1", name)
+            for k in ks:
+                if fig.m_exceeds_k and m <= k:
+                    raise SpecError(
+                        f"{name} ({m}) must exceed k ({k}); "
+                        f"{fid} evaluates the ZF closed form, which needs M > K",
+                        name,
+                        "k",
+                    )
+    return p
 
 
 @dataclass
@@ -93,21 +182,11 @@ class FigureDef:
     default_trials: int
     description: str
     m_exceeds_k: bool = False  # evaluates the ZF closed form, defined for M > K only
-    t_exceeds_k: bool = False  # optimizes tau over [K, T], which needs T > K
 
     @property
     def grid(self) -> list:
         """Sweep keys: the keys whose default is a list, in declaration order."""
         return [key for key, val in self.defaults.items() if isinstance(val, list)]
-
-
-def _check_sweep_value(figure_id: str, key: str, val) -> None:
-    """Reject a list for a key that the figure does not sweep."""
-    grid = FIGURES[figure_id].grid
-    if isinstance(val, list) and key not in grid:
-        raise ValueError(
-            f"{key} takes one value, got a list; {figure_id} sweeps only {', '.join(grid)}"
-        )
 
 
 def _aslist(v) -> list:
@@ -445,7 +524,6 @@ FIGURES = {
         1,
         "bit energy vs sum SE, benchmark vs optimal allocation",
         m_exceeds_k=True,
-        t_exceeds_k=True,
     ),
     "fig7_opt_tau": FigureDef(
         fig7_opt_tau,
@@ -453,7 +531,6 @@ FIGURES = {
         1,
         "optimal training length vs coherence interval",
         m_exceeds_k=True,
-        t_exceeds_k=True,
     ),
     "fig8_se_vs_m": FigureDef(
         fig8_se_vs_m,
@@ -461,7 +538,6 @@ FIGURES = {
         1,
         "sum SE vs antenna count, one-bit vs conventional, optimal allocation",
         m_exceeds_k=True,
-        t_exceeds_k=True,
     ),
     "fig9_kappa": FigureDef(
         fig9_kappa,
@@ -469,7 +545,6 @@ FIGURES = {
         1,
         "antenna ratio kappa for equal SE, benchmark and optimized modes",
         m_exceeds_k=True,
-        t_exceeds_k=True,
     ),
 }
 

@@ -79,19 +79,22 @@ def gen_tap_channel(M: int, K: int, L: int, seed, profile=None) -> np.ndarray:
     return crandn(rng, M, K, L) * np.sqrt(np.asarray(profile))
 
 
-def _stacked_pilots(pilots_fd: np.ndarray, ofdm: OfdmConfig, cfg: SystemConfig):
-    N_c, K = pilots_fd.shape
+def _pilot_matrix(pilots_fd: np.ndarray, ofdm: OfdmConfig, K: int) -> np.ndarray:
+    """N_c x L*K time-domain pilot matrix Phi_L: each user's circulant, L columns."""
+    N_c, K_p = pilots_fd.shape
     if N_c != ofdm.N_c:
         raise ValueError(f"pilots have {N_c} rows but ofdm.N_c = {ofdm.N_c}")
-    if K != cfg.K:
-        raise ValueError(f"pilots have {K} columns but cfg.K = {cfg.K}")
+    if K_p != K:
+        raise ValueError(f"pilots have {K_p} columns but K = {K}")
     if N_c < ofdm.L * K:
         raise ValueError(
             f"N_c = {N_c} < L*K = {ofdm.L * K}: tap vector not identifiable"
         )
-    Phi_L = np.hstack(
-        [td_pilot_matrix(pilots_fd[:, k], ofdm.L) for k in range(K)]
-    )  # N_c x L*K
+    return np.hstack([td_pilot_matrix(pilots_fd[:, k], ofdm.L) for k in range(K)])
+
+
+def _stacked_pilots(pilots_fd: np.ndarray, ofdm: OfdmConfig, cfg: SystemConfig):
+    Phi_L = _pilot_matrix(pilots_fd, ofdm, cfg.K)
     return np.kron(np.eye(cfg.M), np.sqrt(cfg.rho_p) * Phi_L)  # M*N_c x M*K*L
 
 
@@ -104,7 +107,9 @@ def ofdm_training_signal(
     users' tap vectors concatenated inside each antenna block.
     """
     M, K, L = taps.shape
-    Phi_L = np.hstack([td_pilot_matrix(pilots_fd[:, k], L) for k in range(K)])
+    if L != ofdm.L:
+        raise ValueError(f"taps have {L} taps but ofdm.L = {ofdm.L}")
+    Phi_L = _pilot_matrix(pilots_fd, ofdm, K)
     h = taps.reshape(M, K * L)
     Y = np.sqrt(rho_p) * h @ Phi_L.T  # M x N_c
     rng = np.random.default_rng(noise_seed)

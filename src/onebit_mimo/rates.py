@@ -221,8 +221,7 @@ def mrc_moments(cfg: SystemConfig) -> ReceiverMoments:
 
 def zf_moments(cfg: SystemConfig) -> ReceiverMoments:
     """Closed-form ZF moment set (inverse-Wishart mean for the combiner norm)."""
-    if cfg.M <= cfg.K:
-        raise ValueError("ZF moments need M > K")
+    _check_zf_antennas(cfg.M, cfg.K, "zf")
     sig = estimate_variance(cfg)
     wnorm = 1.0 / (sig * (cfg.M - cfg.K))  # E{||w_k||^2}
     ad2 = _alpha_sq(cfg.K, cfg.rho_d)

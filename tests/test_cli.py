@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from onebit_mimo.estimators import _nml_solve, blmmse_filter, lmmse_uncorrelated
 from onebit_mimo.experiments import (
     FIGURES,
     ExperimentSpec,
+    SpecError,
     _mse_point,
     figure_ids,
     run_experiment,
@@ -227,6 +229,30 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=rf"cfg.txt:{line}: {key} takes one value"):
             validate_config(p)
 
+    def test_seed_and_n_trials_errors_carry_their_line(self, tmp_path):
+        p = _write(tmp_path, "figure = fig5_power_eff\nseed = abc\n")
+        with pytest.raises(ConfigError, match="cfg.txt:2: seed must be an integer, got 'abc'$"):
+            validate_config(p)
+        p = _write(tmp_path, "figure = fig5_power_eff\nn_trials = -2\n")
+        with pytest.raises(ConfigError, match="cfg.txt:2: n_trials must be a nonnegative"):
+            validate_config(p)
+
+    def test_figure_and_figure_id_are_one_key(self, tmp_path):
+        p = _write(tmp_path, "figure = fig2_mse\nfigure_id = fig5_power_eff\n")
+        with pytest.raises(ConfigError, match="cfg.txt:2: duplicate key 'figure_id'"):
+            validate_config(p)
+        p = _write(tmp_path, "figure_id = fig99\n")
+        with pytest.raises(ConfigError, match="cfg.txt:1: unknown figure 'fig99'"):
+            validate_config(p)
+
+
+CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_validates(path):
+    assert validate_config(path).figure_id in FIGURES
+
 
 def _value_text(val) -> str:
     # a trailing comma keeps a one-element list a list
@@ -299,6 +325,39 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=rf"^{key} takes one value, got a list; {figure}"):
             run_experiment(spec)
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "figure, sweep, message",
+        [
+            # zero-iteration solves: every nML estimate was 0
+            ("fig2_mse", {"nml_max_iters": 0}, "nml_max_iters must be an integer >= 1"),
+            ("fig6_bit_energy", {"t": 8}, "t (8) must exceed k (8)"),  # ZeroDivisionError
+            ("fig2_mse", {"m": 16.5}, "m must be an integer, got 16.5"),  # TypeError
+            ("fig5_power_eff", {"e_u_db": float("nan")}, "e_u_db must be a finite number"),
+            # failed only after the first grid point's MRC Monte Carlo
+            ("fig4_se_vs_snr", {"m": 8}, "m (8) must exceed k (8)"),
+        ],
+    )
+    def test_library_path_applies_the_config_checks(self, tmp_path, figure, sweep, message):
+        out = tmp_path / "x.csv"
+        spec = ExperimentSpec(figure, sweep, 2, output_path=str(out))
+        with pytest.raises(SpecError) as lib:
+            run_experiment(spec)
+        assert str(lib.value).startswith(message)
+        assert not out.exists()
+        # the CLI message is the library's, after the path:line prefix
+        p = _write(tmp_path, _config_text(spec))
+        with pytest.raises(ConfigError) as cli:
+            validate_config(p)
+        assert str(cli.value) == f"{p}:5: {lib.value}"
+
+    def test_empty_sweep_list_rejected(self, tmp_path):
+        # used to write a CSV with a header and no rows
+        out = tmp_path / "x.csv"
+        spec = ExperimentSpec("fig5_power_eff", {"m": []}, output_path=str(out))
+        with pytest.raises(SpecError, match=r"^m takes at least one value, got \[\]$"):
+            run_experiment(spec)
+        assert not out.exists()
 
     def test_csv_byte_identical_rerun(self, tmp_path):
         spec = ExperimentSpec(

@@ -57,6 +57,17 @@ def test_identifiability_guard():
         blmmse_ofdm(np.zeros(16), qpsk_pilots(8, 2, 0), ofdm, cfg)
 
 
+def test_training_signal_checks_its_pilots_and_taps():
+    # used to fail in a numpy broadcast, and to accept 4 taps for L = 2
+    ofdm = OfdmConfig(N_c=8, N_cp=3, L=2)
+    with pytest.raises(ValueError, match=r"^pilots have 12 rows but ofdm.N_c = 8$"):
+        ofdm_training_signal(gen_tap_channel(2, 2, 2, 0), qpsk_pilots(12, 2, 0), ofdm, 1.0, 1)
+    with pytest.raises(ValueError, match=r"^taps have 4 taps but ofdm.L = 2$"):
+        ofdm_training_signal(gen_tap_channel(2, 1, 4, 0), qpsk_pilots(8, 1, 0), ofdm, 1.0, 1)
+    with pytest.raises(ValueError, match=r"^pilots have 3 columns but K = 2$"):
+        ofdm_training_signal(gen_tap_channel(2, 2, 2, 0), qpsk_pilots(8, 3, 0), ofdm, 1.0, 1)
+
+
 def test_flat_degeneration():
     # L = 1, N_cp = 0, N_c = tau with pilots whose IFFT equals a DFT pilot
     # matrix: the tap estimator must reduce to the flat estimator

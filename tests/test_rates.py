@@ -226,6 +226,11 @@ class TestMomentFormRate:
             rate_zf_closed(cfg), rel=1e-13
         )
 
+    def test_zf_moments_share_the_zf_closed_form_check(self):
+        cfg = SystemConfig(M=8, K=8, tau=8)
+        with pytest.raises(ValueError, match=r"^ZF closed form needs M > K, got M=8, K=8$"):
+            zf_moments(cfg)
+
     def test_zero_gain_gives_zero_rate(self):
         cfg = SystemConfig(M=4, K=2, tau=2, rho_d=1.0)
         m = ReceiverMoments(mean_gain=0.0, gain_var=1.0, interference=1.0, noise_quant=1.0)
