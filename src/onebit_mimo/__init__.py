@@ -37,7 +37,6 @@ from .estimators import (
     blmmse_fast,
     blmmse_flat,
     estimate_variance,
-    lmmse_uncorrelated,
     ls_estimate,
     mse_closed_form,
     mse_floor,

@@ -40,17 +40,15 @@ _RSQRT2 = 1.0 / np.sqrt(2.0)
 
 def crandn(rng: np.random.Generator, *shape: int) -> np.ndarray:
     """Circularly-symmetric complex Gaussian CN(0, 1) samples."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    return crandn_trials(rng, 1, shape)[0][0]
 
 
 def crandn_trials(rng: np.random.Generator, n: int, *shapes) -> list[np.ndarray]:
     """CN(0, 1) draws of n trials, one (n, *shape) stack per shape.
 
-    Bit-identical to n consecutive trials that each call ``crandn(rng, *shape)``
-    once per shape, in order: one generator call draws every trial's real
-    and imaginary parts in that sequence, and each part is scaled straight
-    into its complex stack (numpy's complex-by-real division multiplies by
-    the reciprocal, so this keeps crandn's bits).
+    One generator call draws, trial by trial and shape by shape, the real
+    then the imaginary parts, so the stacks hold n consecutive
+    :func:`crandn` draws.
     """
     sizes = [math.prod(shape) for shape in shapes]
     z = rng.standard_normal((n, 2 * sum(sizes)))

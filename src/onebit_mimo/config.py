@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 
@@ -12,8 +13,6 @@ def db_to_linear(x_db: float) -> float:
 
 def linear_to_db(x: float) -> float:
     """Convert a linear power quantity to dB."""
-    import math
-
     return 10.0 * math.log10(x)
 
 
@@ -39,8 +38,8 @@ class SystemConfig:
             raise ValueError(
                 f"need 1 <= K <= tau <= T, got K={self.K}, tau={self.tau}, T={self.T}"
             )
-        if self.rho_p < 0 or self.rho_d < 0:
-            raise ValueError("SNRs must be nonnegative")
+        if not (0 <= self.rho_p < math.inf and 0 <= self.rho_d < math.inf):
+            raise ValueError(f"SNRs must be finite and >= 0, got {self.rho_p}, {self.rho_d}")
 
     def with_snr(self, rho: float) -> "SystemConfig":
         """Copy with rho_p = rho_d = rho (the common simulation sweep)."""
@@ -59,8 +58,8 @@ class PowerBudget:
     T: int = 200
 
     def __post_init__(self):
-        if self.rho <= 0 or self.T < 1:
-            raise ValueError("need rho > 0 and T >= 1")
+        if not 0 < self.rho < math.inf or self.T < 1:
+            raise ValueError(f"need finite rho > 0 and T >= 1, got rho={self.rho}, T={self.T}")
 
     @property
     def P(self) -> float:

@@ -33,7 +33,6 @@ __all__ = [
     "mse_floor",
     "estimate_variance",
     "ls_estimate",
-    "lmmse_uncorrelated",
     "lmmse_uncorrelated_filter",
     "nml_estimate",
 ]
@@ -192,6 +191,12 @@ def blmmse_flat(
     return ChannelEstimate(unvec(h_hat, cfg.M, cfg.K), sigma_sq=sigma_sq, mse=mse)
 
 
+def _fast_estimate(R_p: np.ndarray, Phi: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """alpha_p sqrt(rho_p) R_p Phi^*, the tau = K estimate, of an (..., M, tau) stack R_p."""
+    _check_pilots(Phi, cfg)
+    return alpha_p(cfg) * np.sqrt(cfg.rho_p) * (R_p @ Phi.conj())
+
+
 def blmmse_fast(r_p: np.ndarray, Phi: np.ndarray, cfg: SystemConfig) -> ChannelEstimate:
     """Inversion-free estimator for tau = K, DFT pilots, i.i.d. channel.
 
@@ -202,24 +207,27 @@ def blmmse_fast(r_p: np.ndarray, Phi: np.ndarray, cfg: SystemConfig) -> ChannelE
     if cfg.tau != cfg.K:
         raise ValueError(f"fast path requires tau == K, got tau={cfg.tau}, K={cfg.K}")
     R_p = unvec(np.asarray(r_p).reshape(-1), cfg.M, cfg.tau)
-    H_hat = alpha_p(cfg) * np.sqrt(cfg.rho_p) * (R_p @ Phi.conj())
     mse = mse_closed_form(cfg)
-    return ChannelEstimate(H_hat, sigma_sq=1.0 - mse, mse=mse)
+    return ChannelEstimate(_fast_estimate(R_p, Phi, cfg), sigma_sq=1.0 - mse, mse=mse)
+
+
+def _ls_pinv(Phi: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """pinv(sqrt(rho_p) Phi) (K x tau); the LS filter is its kron with I_M."""
+    _check_pilots(Phi, cfg)
+    return np.linalg.pinv(np.sqrt(cfg.rho_p) * Phi)
 
 
 def ls_estimate(r_p: np.ndarray, Phi: np.ndarray, cfg: SystemConfig) -> ChannelEstimate:
     """Least squares on the quantized output treated as the observation.
 
-    vec(H_hat) = (Phi_bar^H Phi_bar)^{-1} Phi_bar^H r_p; fed the unquantized
-    noiseless signal instead of r_p it recovers H exactly.
+    vec(H_hat) = (Phi_bar^H Phi_bar)^{-1} Phi_bar^H r_p, i.e.
+    H_hat = R_p pinv(sqrt(rho_p) Phi)^T; fed the unquantized noiseless
+    signal instead of r_p it recovers H exactly.
     """
-    tau, K = Phi.shape
-    A = np.sqrt(cfg.rho_p) * Phi
-    if np.linalg.matrix_rank(A) < K:
+    P = _ls_pinv(Phi, cfg)
+    if np.linalg.matrix_rank(P) < cfg.K:
         raise np.linalg.LinAlgError("rank-deficient pilot matrix")
-    R_p = unvec(np.asarray(r_p).reshape(-1), cfg.M, tau)
-    Ht, *_ = np.linalg.lstsq(A, R_p.T, rcond=None)
-    return ChannelEstimate(Ht.T)
+    return ChannelEstimate(unvec(np.asarray(r_p).reshape(-1), cfg.M, cfg.tau) @ P.T)
 
 
 def lmmse_uncorrelated_filter(
@@ -227,23 +235,6 @@ def lmmse_uncorrelated_filter(
 ) -> tuple[np.ndarray, float, float]:
     """Filter of the baseline that models quantizer noise as (1 - 2/pi) I."""
     return _linear_filter(Phi, cfg, C_h, uncorrelated=True)
-
-
-def lmmse_uncorrelated(
-    r_p: np.ndarray,
-    Phi: np.ndarray,
-    cfg: SystemConfig,
-    C_h: np.ndarray | None = None,
-) -> ChannelEstimate:
-    """LMMSE baseline with the quantizer noise modeled as uncorrelated.
-
-    Identical to :func:`blmmse_flat` except that the quantized-output
-    covariance is replaced by its low-SNR diagonal-noise surrogate. The
-    reported sigma_sq/mse are the surrogate model's own predictions.
-    """
-    G, sigma_sq, mse = lmmse_uncorrelated_filter(Phi, cfg, C_h)
-    h_hat = G @ np.asarray(r_p).reshape(-1)
-    return ChannelEstimate(unvec(h_hat, cfg.M, cfg.K), sigma_sq=sigma_sq, mse=mse)
 
 
 def _nml_objective(R: np.ndarray, Phi: np.ndarray, cfg: SystemConfig):

@@ -24,8 +24,8 @@ from .allocation import _optimize_numeric, antenna_ratio, power_scaling_limit
 from .channel import _psd_root, crandn_trials, dft_pilots, laplacian_covariance
 from .config import PowerBudget, SystemConfig, db_to_linear
 from .estimators import (
+    _ls_pinv,
     _nml_solve,
-    _pilot_model,
     blmmse_filter,
     lmmse_uncorrelated_filter,
 )
@@ -98,6 +98,12 @@ def _checked_sweep(spec: ExperimentSpec) -> dict:
         for v in _aslist(val):
             if not isinstance(v, (int, float)) or not math.isfinite(v):
                 raise SpecError(f"{key} must be a finite number, got {v!r}", key)
+            if key.endswith("_db"):
+                try:
+                    db_to_linear(v)
+                except OverflowError:
+                    msg = f"{key} must be finite in linear scale, got {v!r} dB"
+                    raise SpecError(msg, key) from None
     if not isinstance(spec.seed, int):
         raise SpecError(f"seed must be an integer, got {spec.seed!r}", "seed")
     n = spec.n_trials
@@ -346,17 +352,13 @@ def _mse_columns(res) -> dict:
     }
 
 
-def _ls_filter(Phi, cfg):
-    return np.linalg.pinv(_pilot_model(Phi, cfg))
-
-
 def fig2_mse(p, n_trials, seed) -> dict:
     rho = db_to_linear(p["snr_db"])
     cfg = SystemConfig(M=p["m"], K=p["k"], tau=p["tau"], T=p["t"], rho_p=rho)
     Phi = dft_pilots(cfg.tau, cfg.K)
     filters = {
         "blmmse": blmmse_filter(Phi, cfg)[0],
-        "ls": _ls_filter(Phi, cfg),
+        "ls": np.kron(_ls_pinv(Phi, cfg), np.eye(cfg.M)),
         "uncorr": lmmse_uncorrelated_filter(Phi, cfg)[0],
     }
     # the published nML curve constrains the squared norm to K

@@ -12,7 +12,7 @@ import numpy as np
 
 __all__ = ["block_seeds", "run_blocks", "trial_stacks"]
 
-DEFAULT_BLOCK = 256
+BLOCK = 256  # trials per block
 
 # elements n * M * M of one stack of n trials with M antennas; the largest
 # stacked temporaries are the real (n, 2M, M) arcsine arguments of the
@@ -34,15 +34,15 @@ def block_seeds(seed, n_blocks: int) -> list[np.random.SeedSequence]:
     return [np.random.SeedSequence(entropy=(*base, i)) for i in range(n_blocks)]
 
 
-def run_blocks(n_trials: int, fn, seed, block: int = DEFAULT_BLOCK) -> list:
-    """Run fn(rng, n) over contiguous trial blocks; returns per-block results in order.
+def run_blocks(n_trials: int, fn, seed) -> list:
+    """Run fn(rng, n) over contiguous blocks of BLOCK trials; returns their results in order.
 
     fn receives a fresh Generator seeded from :func:`block_seeds` and the
-    block's trial count.
+    block's trial count; the last block holds the remainder.
     """
-    sizes = [block] * (n_trials // block)
-    if n_trials % block:
-        sizes.append(n_trials % block)
+    sizes = [BLOCK] * (n_trials // BLOCK)
+    if n_trials % BLOCK:
+        sizes.append(n_trials % BLOCK)
     seeds = block_seeds(seed, len(sizes))
     return [fn(np.random.default_rng(s), n) for s, n in zip(seeds, sizes)]
 

@@ -8,20 +8,19 @@ conventional (infinite-resolution) reference rates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .allocation import _check_zf_antennas, _sinr
 from .channel import crandn_trials, dft_pilots
 from .config import SystemConfig
-from .estimators import blmmse_filter, estimate_variance
+from .estimators import _fast_estimate, blmmse_filter, estimate_variance
 from .mc import run_blocks, trial_stacks
 from .quantize import (
     UNCORR_NOISE_VAR,
     _alpha_sq,
     alpha_d,
-    alpha_p,
     one_bit_quantize,
     quantizer_noise_quad,
 )
@@ -118,11 +117,8 @@ def ergodic_rate_mc(
     Phi = dft_pilots(tau, K)
     ad2 = alpha_d(cfg) ** 2
     fast = tau == K
-    G = None
-    if csi == "estimated" and not fast:
-        G, _, _ = blmmse_filter(Phi, cfg)
-    ap_rp = alpha_p(cfg) * np.sqrt(cfg.rho_p)
-    Phi_conj = Phi.conj()
+    if csi == "estimated" and not fast:  # the i.i.d. filter is G_1 kron I_M
+        G1 = blmmse_filter(Phi, replace(cfg, M=1))[0]
 
     def block(rng: np.random.Generator, n: int):
         rates = np.empty((n, K))
@@ -133,11 +129,7 @@ def ergodic_rate_mc(
             else:
                 H, N = crandn_trials(rng, s.stop - s.start, (M, K), (M, tau))
                 R_p = one_bit_quantize(np.sqrt(cfg.rho_p) * H @ Phi.T + N)
-                if fast:
-                    H_hat = ap_rp * (R_p @ Phi_conj)
-                else:  # unvec(G @ vec(R_p)) per trial
-                    r = np.swapaxes(R_p, 1, 2).reshape(-1, M * tau, 1)
-                    H_hat = np.swapaxes((G @ r).reshape(-1, K, M), 1, 2)
+                H_hat = _fast_estimate(R_p, Phi, cfg) if fast else R_p @ G1.T
             WT = combine(H_hat)
 
             sig = np.abs(WT @ H_hat) ** 2  # n x K x K, [t, k, i] = |w_k^T h_hat_i|^2

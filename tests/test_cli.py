@@ -89,7 +89,8 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="cfg.txt:1"):
             validate_config(p)
 
-    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "-10, nan", "0:1:inf"])
+    # 4000 dB overflows db_to_linear: validate used to die in an OverflowError
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "-10, nan", "0:1:inf", "0, 4000"])
     def test_nonfinite_value_rejected(self, tmp_path, text):
         p = _write(tmp_path, f"figure = fig2_mse\nsnr_db = {text}\n")
         with pytest.raises(ConfigError, match="cfg.txt:2: .*finite"):
@@ -336,6 +337,8 @@ class TestRunExperiment:
             ("fig5_power_eff", {"e_u_db": float("nan")}, "e_u_db must be a finite number"),
             # failed only after the first grid point's MRC Monte Carlo
             ("fig4_se_vs_snr", {"m": 8}, "m (8) must exceed k (8)"),
+            # OverflowError after the earlier grid points had run
+            ("fig2_mse", {"snr_db": [0, 4000]}, "snr_db must be finite in linear scale"),
         ],
     )
     def test_library_path_applies_the_config_checks(self, tmp_path, figure, sweep, message):

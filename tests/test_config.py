@@ -17,6 +17,11 @@ class TestSystemConfig:
             dict(M=4, K=2, tau=12, T=10),  # tau > T
             dict(M=4, K=2, tau=2, T=10, rho_p=-0.1),
             dict(M=4, K=2, tau=2, T=10, rho_d=-0.1),
+            # nan < 0 is False: non-finite SNRs used to pass
+            dict(M=4, K=2, tau=2, T=10, rho_p=float("nan")),
+            dict(M=4, K=2, tau=2, T=10, rho_d=float("nan")),
+            dict(M=4, K=2, tau=2, T=10, rho_p=float("inf")),
+            dict(M=4, K=2, tau=2, T=10, rho_d=float("inf")),
         ],
     )
     def test_invalid(self, kwargs):
@@ -38,6 +43,9 @@ class TestPowerBudget:
             PowerBudget(rho=0.0, T=10)
         with pytest.raises(ValueError):
             PowerBudget(rho=1.0, T=0)
+        for rho in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                PowerBudget(rho=rho, T=10)
 
 
 def test_db_round_trip():

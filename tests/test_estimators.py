@@ -11,7 +11,6 @@ from onebit_mimo import (
     dft_pilots,
     estimate_variance,
     estimators,
-    lmmse_uncorrelated,
     ls_estimate,
     mse_closed_form,
     mse_floor,
@@ -23,13 +22,13 @@ from onebit_mimo.channel import crandn, unvec, vec
 from onebit_mimo.estimators import (
     _LOG_SQRT_2PI,
     _bussgang_lmmse,
+    _ls_pinv,
     _nml_objective,
     _nml_solve,
     _pilot_model,
     blmmse_filter,
     lmmse_uncorrelated_filter,
 )
-from onebit_mimo.experiments import _ls_filter
 
 
 def _quantized_training(cfg, Phi, seed):
@@ -569,11 +568,20 @@ class TestNmlStructuredOperator:
             nml_estimate(np.ones(16), dft_pilots(4, 3), cfg)
 
 
-def test_ls_filter_uses_pilot_model_shape_check():
-    cfg = SystemConfig(M=4, K=2, tau=4, rho_p=2.0)
-    Phi = dft_pilots(4, 2)
-    assert np.array_equal(
-        _ls_filter(Phi, cfg), np.linalg.pinv(np.kron(Phi, np.sqrt(2.0) * np.eye(4)))
-    )
+def test_ls_filter_matches_dense_pinv():
+    # fig2's LS filter pinv(sqrt(rho_p) Phi) kron I_M is the pseudo-inverse of
+    # the dense training matrix Phi kron sqrt(rho_p) I_M up to rounding
+    cfg = SystemConfig(M=16, K=4, tau=20, rho_p=2.0)
+    Phi = dft_pilots(20, 4)
+    dense = np.linalg.pinv(_pilot_model(Phi, cfg))
+    assert np.max(np.abs(np.kron(_ls_pinv(Phi, cfg), np.eye(16)) - dense)) <= 1e-15
     with pytest.raises(ValueError, match="pilot shape"):
-        _ls_filter(dft_pilots(5, 2), cfg)
+        _ls_pinv(dft_pilots(5, 2), SystemConfig(M=4, K=2, tau=4))
+
+
+@pytest.mark.parametrize("estimate", [blmmse_flat, blmmse_fast, ls_estimate, nml_estimate])
+def test_estimators_reject_inconsistent_pilots(estimate):
+    # a tau x 3 Phi under K = 4 used to give an M x 3 estimate (LS, fast)
+    cfg = SystemConfig(M=4, K=4, tau=4)
+    with pytest.raises(ValueError, match="pilot shape"):
+        estimate(np.ones(16), dft_pilots(4, 3), cfg)

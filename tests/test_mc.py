@@ -11,10 +11,10 @@ def _collect(rng, n):
 
 
 def test_run_blocks_equals_loop_over_block_seeds():
-    # blocks of 128 trials, the last one short, each drawn from its own
+    # blocks of 256 trials, the last one short, each drawn from its own
     # stream in block order
-    got = run_blocks(1000, _collect, seed=(5, 1), block=128)
-    sizes = [128] * 7 + [104]
+    got = run_blocks(1000, _collect, seed=(5, 1))
+    sizes = [256] * 3 + [232]
     want = [
         _collect(np.random.default_rng(s), n)
         for s, n in zip(block_seeds((5, 1), len(sizes)), sizes)
@@ -24,7 +24,7 @@ def test_run_blocks_equals_loop_over_block_seeds():
 
 
 def test_block_partition_covers_all_trials():
-    out = run_blocks(1000, lambda rng, n: n, seed=0, block=256)
+    out = run_blocks(1000, lambda rng, n: n, seed=0)
     assert out == [256, 256, 256, 232]
     assert sum(out) == 1000
 
@@ -38,9 +38,9 @@ def test_blocks_have_distinct_streams():
 
 
 def test_tuple_seed_supported():
-    a = np.concatenate(run_blocks(100, _collect, seed=(7, 2), block=64))
-    b = np.concatenate(run_blocks(100, _collect, seed=(7, 2), block=64))
-    c = np.concatenate(run_blocks(100, _collect, seed=(7, 3), block=64))
+    a = np.concatenate(run_blocks(400, _collect, seed=(7, 2)))
+    b = np.concatenate(run_blocks(400, _collect, seed=(7, 2)))
+    c = np.concatenate(run_blocks(400, _collect, seed=(7, 3)))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
