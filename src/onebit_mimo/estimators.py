@@ -141,24 +141,28 @@ def _bussgang_lmmse(
     return G, float(np.real(np.sum(G * B.conj()))), C_y, C
 
 
+def _iid_filter(
+    Phi: np.ndarray, cfg: SystemConfig, uncorrelated: bool = False
+) -> tuple[np.ndarray, float]:
+    """Filter G_1 (K x tau) of :func:`_bussgang_lmmse` at M = 1, i.i.d. channel; sigma_sq.
+
+    The Bussgang gain and the arcsine law keep the structure of the training
+    covariance (rho_p Phi Phi^H + I) kron I_M, so the filter for M antennas
+    is G_1 kron I_M, applied to (..., M, tau) training matrices R as R G_1^T.
+    """
+    _check_pilots(Phi, cfg)
+    G, power, _, _ = _bussgang_lmmse(np.sqrt(cfg.rho_p) * Phi, None, uncorrelated)
+    return G, power / cfg.K
+
+
 def _linear_filter(
     Phi: np.ndarray, cfg: SystemConfig, C_h: np.ndarray | None, uncorrelated: bool
 ) -> tuple[np.ndarray, float, float]:
-    """Filter G of :func:`_bussgang_lmmse` for the model of cfg, with (sigma_sq, mse).
-
-    For an i.i.d. channel (C_h None) the training covariance is
-    (rho_p Phi Phi^H + I) kron I_M, and the Bussgang gain and the arcsine
-    law keep that structure (the arcsine of a zero is zero). So the filter
-    is solved at M = 1, on sqrt(rho_p) Phi (tau x K), and returned as
-    G_1 kron I_M with M times its power. A correlated C_h is solved on the
-    dense Phi_bar.
-    """
+    """Filter G of :func:`_bussgang_lmmse` (G_1 kron I_M if C_h is None), sigma_sq, mse."""
     if C_h is None:
-        _check_pilots(Phi, cfg)
-        G, power, _, _ = _bussgang_lmmse(np.sqrt(cfg.rho_p) * Phi, None, uncorrelated)
-        G, power = np.kron(G, np.eye(cfg.M)), power * cfg.M
-    else:
-        G, power, _, _ = _bussgang_lmmse(_pilot_model(Phi, cfg), C_h, uncorrelated)
+        G, sigma_sq = _iid_filter(Phi, cfg, uncorrelated)
+        return np.kron(G, np.eye(cfg.M)), sigma_sq, 1.0 - sigma_sq
+    G, power, _, _ = _bussgang_lmmse(_pilot_model(Phi, cfg), C_h, uncorrelated)
     sigma_sq = power / (cfg.M * cfg.K)
     return G, sigma_sq, 1.0 - sigma_sq
 
@@ -186,9 +190,13 @@ def blmmse_flat(
     Bussgang decomposition of the training covariance and C_r from the
     arcsine law. C_h is the MK x MK channel covariance (None for i.i.d.).
     """
+    r_p = np.asarray(r_p).reshape(-1)
+    if C_h is None:
+        G, sigma_sq = _iid_filter(Phi, cfg)
+        H_hat = unvec(r_p, cfg.M, cfg.tau) @ G.T
+        return ChannelEstimate(H_hat, sigma_sq=sigma_sq, mse=1.0 - sigma_sq)
     G, sigma_sq, mse = blmmse_filter(Phi, cfg, C_h)
-    h_hat = G @ np.asarray(r_p).reshape(-1)
-    return ChannelEstimate(unvec(h_hat, cfg.M, cfg.K), sigma_sq=sigma_sq, mse=mse)
+    return ChannelEstimate(unvec(G @ r_p, cfg.M, cfg.K), sigma_sq=sigma_sq, mse=mse)
 
 
 def _fast_estimate(R_p: np.ndarray, Phi: np.ndarray, cfg: SystemConfig) -> np.ndarray:
@@ -241,8 +249,9 @@ def _nml_objective(R: np.ndarray, Phi: np.ndarray, cfg: SystemConfig):
     """Log-likelihood of the one-bit training signs and its gradient, per trial.
 
     R is an (n, M tau) stack of quantized training vectors r_p. Returns
-    objective_grad(h, rows) -> (objectives, gradients), which evaluates
-    trial rows[i] at h[i]: sum_j log F(z_j) and its gradient, with
+    objective(h, rows) -> (objectives, grad), which evaluates trial rows[i]
+    at h[i]: sum_j log F(z_j), and grad(keep) gives the gradients of the
+    trials rows[keep] only (those of accepted steps). Here
     z = sqrt(2) c (Phi_bar_R h), where h = [Re vec(H); Im vec(H)] is the
     real embedding of the M x K channel, c the observed signs of
     [Re r_p; Im r_p], F the standard normal CDF and Phi_bar_R the real
@@ -271,14 +280,23 @@ def _nml_objective(R: np.ndarray, Phi: np.ndarray, cfg: SystemConfig):
     c = np.sign(np.concatenate([R.real, R.imag], axis=-1)).reshape(-1, 2 * tau, M)
     sc = np.sqrt(2.0) * c
 
-    def objective_grad(h, rows):
+    def objective(h, rows):
         z = sc[rows] * (B @ h.reshape(-1, 2 * K, M))
         logF = log_ndtr(z)
-        lam = np.exp(-0.5 * z * z - _LOG_SQRT_2PI - logF)  # pdf/cdf ratio, stable
-        grad = np.sqrt(2.0) * (B.T @ (c[rows] * lam)).reshape(len(rows), -1)
+
+        def grad(keep):  # lam = pdf/cdf, then c lam, in one buffer
+            zk = z[keep]
+            lam = -0.5 * zk
+            lam *= zk
+            lam -= _LOG_SQRT_2PI
+            lam -= logF[keep]
+            np.exp(lam, out=lam)
+            lam *= c[rows[keep]]
+            return np.sqrt(2.0) * (B.T @ lam).reshape(len(zk), 2 * K * M)
+
         return logF.reshape(len(rows), -1).sum(axis=1), grad
 
-    return objective_grad
+    return objective
 
 
 def _nml_solve(
@@ -301,7 +319,7 @@ def _nml_solve(
     the converged flag and the last projected-gradient norm. A list passed
     as ``traces`` receives each trial's objective trace.
     """
-    objective_grad = _nml_objective(R, Phi, cfg)
+    objective = _nml_objective(R, Phi, cfg)
     M, K = cfg.M, cfg.K
     MK = M * K
     radius = np.sqrt(float(MK) if radius_sq is None else radius_sq)
@@ -319,7 +337,8 @@ def _nml_solve(
     # working arrays of the unfinished trials `rows`
     rows = np.arange(n)
     h = np.zeros((n, 2 * MK))
-    obj, grad = objective_grad(h, rows)
+    obj, grad_of = objective(h, rows)
+    grad = grad_of(slice(None))
     step = np.ones(n)
     started = np.zeros(n, dtype=int)  # outer iterations begun
     its = np.zeros(n, dtype=int)  # accepted steps
@@ -350,11 +369,11 @@ def _nml_solve(
             if not rows.size:
                 break
         h_new = project(h + step[:, None] * grad)
-        obj_new, grad_new = objective_grad(h_new, rows)
+        obj_new, grad_of = objective(h_new, rows)
         due = obj_new >= obj  # accepted
         np.copyto(h, h_new, where=due[:, None])
         np.copyto(obj, obj_new, where=due)
-        np.copyto(grad, grad_new, where=due[:, None])
+        grad[due] = grad_of(due)
         its += due
         step = np.where(due, step, step * 0.5)
         if traces is not None:

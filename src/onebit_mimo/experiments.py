@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,6 +23,7 @@ from .allocation import _optimize_numeric, antenna_ratio, power_scaling_limit
 from .channel import _psd_root, crandn_trials, dft_pilots, laplacian_covariance
 from .config import PowerBudget, SystemConfig, db_to_linear
 from .estimators import (
+    _iid_filter,
     _ls_pinv,
     _nml_solve,
     blmmse_filter,
@@ -96,14 +96,19 @@ def _checked_sweep(spec: ExperimentSpec) -> dict:
         if val == []:
             raise SpecError(f"{key} takes at least one value, got []", key)
         for v in _aslist(val):
-            if not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise SpecError(f"{key} must be a finite number, got {v!r}", key)
+            # abs(v) compares an int beyond the float range without converting it
+            if not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+                msg = f"{key} must be a finite number in float range, got {v!r}"
+                raise SpecError(msg, key)
             if key.endswith("_db"):
                 try:
-                    db_to_linear(v)
+                    positive = db_to_linear(v) > 0.0
                 except OverflowError:
                     msg = f"{key} must be finite in linear scale, got {v!r} dB"
                     raise SpecError(msg, key) from None
+                if not positive:
+                    msg = f"{key} must be positive in linear scale, got {v!r} dB"
+                    raise SpecError(msg, key)
     if not isinstance(spec.seed, int):
         raise SpecError(f"seed must be an integer, got {spec.seed!r}", "seed")
     n = spec.n_trials
@@ -136,6 +141,12 @@ def _checked_sweep(spec: ExperimentSpec) -> dict:
                 f"{key} takes one value, got a list; {fid} sweeps only {', '.join(fig.grid)}",
                 key,
             )
+    # fig3's Laplacian angular spectrum (channel.laplacian_covariance)
+    if p.get("spread_deg", 1) <= 0:
+        raise SpecError(f"spread_deg must be > 0, got {p['spread_deg']!r}", "spread_deg")
+    if not -90 < p.get("mean_angle_deg", 0) < 90:
+        msg = f"mean_angle_deg must lie strictly inside (-90, 90), got {p['mean_angle_deg']!r}"
+        raise SpecError(msg, "mean_angle_deg")
 
     ks, taus, ts = (_aslist(p.get(key, [])) for key in ("k", "tau", "t"))
     for k in ks:
@@ -306,6 +317,9 @@ def _mse_point(cfg, Phi, filters, nml_opts, n_trials, seed, root=None):
 
     Channels are root @ CN(0, I) draws (root None: i.i.d.); the linear
     filters, and nML unless nml_opts is None, see the same observations.
+    A K x tau filter G stands for G kron I_M and is applied to the training
+    matrices as H_hat = R G^T; any other filter is a dense MK x M tau matrix
+    applied to vec(R).
     Trials are evaluated in stacks (:func:`mc.trial_stacks`), with the draws
     of one trial at a time; nML solves a whole stack at once
     (:func:`estimators._nml_solve`).
@@ -327,7 +341,10 @@ def _mse_point(cfg, Phi, filters, nml_opts, n_trials, seed, root=None):
             r = np.swapaxes(R, 1, 2).reshape(-1, M * tau, 1)  # vec(R) per trial
             h = np.swapaxes(H, 1, 2).reshape(-1, M * K)
             for name, G in filters.items():
-                err = (G @ r)[..., 0] - h
+                if G.shape == (K, tau):
+                    err = np.swapaxes(R @ G.T, 1, 2).reshape(-1, M * K) - h
+                else:
+                    err = (G @ r)[..., 0] - h
                 acc[name][s] = np.sum(np.abs(err) ** 2, axis=1) / (M * K)
             if nml_opts is not None:
                 H_hat = _nml_solve(r[..., 0], Phi, cfg, **nml_opts)[0]
@@ -357,9 +374,9 @@ def fig2_mse(p, n_trials, seed) -> dict:
     cfg = SystemConfig(M=p["m"], K=p["k"], tau=p["tau"], T=p["t"], rho_p=rho)
     Phi = dft_pilots(cfg.tau, cfg.K)
     filters = {
-        "blmmse": blmmse_filter(Phi, cfg)[0],
-        "ls": np.kron(_ls_pinv(Phi, cfg), np.eye(cfg.M)),
-        "uncorr": lmmse_uncorrelated_filter(Phi, cfg)[0],
+        "blmmse": _iid_filter(Phi, cfg)[0],
+        "ls": _ls_pinv(Phi, cfg),
+        "uncorr": _iid_filter(Phi, cfg, uncorrelated=True)[0],
     }
     # the published nML curve constrains the squared norm to K
     nml_opts = {"radius_sq": float(p["k"]), "max_iters": p["nml_max_iters"]}

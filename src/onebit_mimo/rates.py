@@ -8,14 +8,14 @@ conventional (infinite-resolution) reference rates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .allocation import _check_zf_antennas, _sinr
 from .channel import crandn_trials, dft_pilots
 from .config import SystemConfig
-from .estimators import _fast_estimate, blmmse_filter, estimate_variance
+from .estimators import _fast_estimate, _iid_filter, estimate_variance
 from .mc import run_blocks, trial_stacks
 from .quantize import (
     UNCORR_NOISE_VAR,
@@ -118,7 +118,7 @@ def ergodic_rate_mc(
     ad2 = alpha_d(cfg) ** 2
     fast = tau == K
     if csi == "estimated" and not fast:  # the i.i.d. filter is G_1 kron I_M
-        G1 = blmmse_filter(Phi, replace(cfg, M=1))[0]
+        G1 = _iid_filter(Phi, cfg)[0]
 
     def block(rng: np.random.Generator, n: int):
         rates = np.empty((n, K))

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -17,7 +18,12 @@ from onebit_mimo import (
 from onebit_mimo.channel import crandn
 from onebit_mimo.cli import ConfigError, _parse_value, main, validate_config
 from onebit_mimo import experiments
-from onebit_mimo.estimators import _nml_solve, blmmse_filter, lmmse_uncorrelated_filter
+from onebit_mimo.estimators import (
+    _iid_filter,
+    _nml_solve,
+    blmmse_filter,
+    lmmse_uncorrelated_filter,
+)
 from onebit_mimo.experiments import (
     FIGURES,
     ExperimentSpec,
@@ -143,6 +149,36 @@ class TestConfigParsing:
             validate_config(p)
         p = _write(tmp_path, "figure = fig2_mse\nnml_max_iters = 1\n")
         assert validate_config(p).sweep["nml_max_iters"] == 1
+
+    @pytest.mark.parametrize(
+        "figure, text, message",
+        [
+            # linear 0.0: passed validate, then PowerBudget failed at run
+            ("fig9_kappa", "rho_db = -4000", "rho_db must be positive in linear scale"),
+            ("fig2_mse", "snr_db = 0, -4000", "snr_db must be positive in linear scale"),
+            # an int beyond the float range: an OverflowError traceback
+            ("fig2_mse", "m = 1" + "0" * 400, "m must be a finite number in float range"),
+            # passed validate, then laplacian_covariance failed at run
+            ("fig3_corr_mse", "spread_deg = 0", "spread_deg must be > 0"),
+            ("fig3_corr_mse", "spread_deg = -5.0", "spread_deg must be > 0"),
+            ("fig3_corr_mse", "mean_angle_deg = 90", "mean_angle_deg must lie strictly inside"),
+            ("fig3_corr_mse", "mean_angle_deg = -90.0", "mean_angle_deg must lie strictly inside"),
+            ("fig3_corr_mse", "mean_angle_deg = 120", "mean_angle_deg must lie strictly inside"),
+        ],
+    )
+    def test_value_that_failed_at_run_is_rejected_at_its_line(
+        self, tmp_path, capsys, figure, text, message
+    ):
+        p = _write(tmp_path, f"figure = {figure}\nseed = 1\n{text}\n")
+        with pytest.raises(ConfigError, match=f"cfg.txt:3: {message}"):
+            validate_config(p)
+        assert main(["validate", str(p)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {p}:3: {message}")
+
+    def test_fig3_angles_inside_their_ranges_validate(self, tmp_path):
+        p = _write(tmp_path, "figure = fig3_corr_mse\nspread_deg = 0.5\nmean_angle_deg = -89.5\n")
+        spec = validate_config(p)
+        assert (spec.sweep["spread_deg"], spec.sweep["mean_angle_deg"]) == (0.5, -89.5)
 
     def test_m_not_above_k_rejected_for_zf_closed_form_figures(self, tmp_path):
         p = _write(tmp_path, "figure = fig4_se_vs_snr\nm = 8\nk = 8\nn_trials = 2\n")
@@ -339,6 +375,10 @@ class TestRunExperiment:
             ("fig4_se_vs_snr", {"m": 8}, "m (8) must exceed k (8)"),
             # OverflowError after the earlier grid points had run
             ("fig2_mse", {"snr_db": [0, 4000]}, "snr_db must be finite in linear scale"),
+            # ValueError from PowerBudget, OverflowError, laplacian_covariance
+            ("fig9_kappa", {"rho_db": -4000}, "rho_db must be positive in linear scale"),
+            ("fig2_mse", {"m": 10**400}, "m must be a finite number in float range"),
+            ("fig3_corr_mse", {"spread_deg": 0.0}, "spread_deg must be > 0, got 0.0"),
         ],
     )
     def test_library_path_applies_the_config_checks(self, tmp_path, figure, sweep, message):
@@ -530,6 +570,38 @@ class TestRunExperiment:
             np.testing.assert_allclose(got[name], want[name], rtol=1e-12, atol=0.0)
         assert got_iterations == iterations
         assert len(iterations) == (n_trials if nml else 0)
+
+    def test_mse_point_applies_k_by_tau_filters_as_their_kron_expansion(self):
+        # fig2 passes its i.i.d. filters unexpanded (K x tau); _mse_point applies
+        # them as R G^T, the dense G kron I_M applied to vec(R) per trial
+        cfg = SystemConfig(M=16, K=4, tau=20, rho_p=2.0)
+        Phi = dft_pilots(20, 4)
+        G = _iid_filter(Phi, cfg)[0]
+        got = _mse_point(cfg, Phi, {"g": G}, None, 300, (1, 2))
+        want = _mse_point(cfg, Phi, {"g": np.kron(G, np.eye(16))}, None, 300, (1, 2))
+        np.testing.assert_allclose(got["g"], want["g"], rtol=1e-14, atol=0.0)
+
+    # fig2's nML columns (mse_nml, se_mse_nml) at the figbench `estimation`
+    # config and seed 0; a refactor of the nML solver keeps them byte for byte
+    FIG2_NML = [
+        ("0.919693740266312", "0.0591635450688811"),  # -20 dB
+        ("0.853957896167046", "0.0294399443201595"),
+        ("0.697431912586123", "0.0346230503731553"),
+        ("0.55431537678096", "0.0193812796752076"),
+        ("0.610652945485301", "0.0465255101708603"),  # 0 dB
+        ("0.636687690078978", "0.0387299182014574"),
+        ("0.562319283798821", "0.0276907383350416"),
+        ("0.621058992825164", "0.0337609441181087"),
+        ("0.576885933986833", "0.0317834394101492"),  # 20 dB
+    ]
+
+    def test_fig2_nml_columns_keep_their_bytes(self, tmp_path):
+        out = tmp_path / "fig2.csv"
+        sweep = {"m": 16, "k": 4, "tau": 20, "snr_db": list(range(-20, 25, 5))}
+        run_experiment(ExperimentSpec("fig2_mse", sweep | {"nml_max_iters": 200}, 10, 0, str(out)))
+        header, *rows = csv.reader(out.open())
+        i, j = header.index("mse_nml"), header.index("se_mse_nml")
+        assert [(row[i], row[j]) for row in rows] == self.FIG2_NML
 
     def test_zf_with_singular_gram_matrices_runs_to_a_finite_csv(self, tmp_path):
         # M = 3, K = 2: some one-bit estimates have collinear columns

@@ -18,10 +18,11 @@ from onebit_mimo import (
     one_bit_quantize,
     training_signal,
 )
-from onebit_mimo.channel import crandn, unvec, vec
+from onebit_mimo.channel import crandn, crandn_trials, unvec, vec
 from onebit_mimo.estimators import (
     _LOG_SQRT_2PI,
     _bussgang_lmmse,
+    _iid_filter,
     _ls_pinv,
     _nml_objective,
     _nml_solve,
@@ -481,7 +482,7 @@ class TestStackedNml:
 
 # --------------------------------------------------------------------------
 # reference nML objective on the dense real embedding of Phi_bar (2M tau x 2MK),
-# in the stacked form of _nml_objective: objective_grad(h, rows)
+# in the stacked form of _nml_objective: objective(h, rows) -> (objs, grad(keep))
 
 
 def _dense_objective(R, Phi, cfg):
@@ -490,7 +491,7 @@ def _dense_objective(R, Phi, cfg):
     R = np.asarray(R).reshape(-1, cfg.M * cfg.tau)
     C = np.sign(np.concatenate([R.real, R.imag], axis=1))
 
-    def objective_grad(h, rows):
+    def objective(h, rows):
         objs, grads = [], []
         for x, c in zip(h, C[rows]):
             z = np.sqrt(2.0) * c * (A @ x)
@@ -498,9 +499,9 @@ def _dense_objective(R, Phi, cfg):
             lam = np.exp(stats.norm.logpdf(z) - logF)
             objs.append(logF.sum())
             grads.append(np.sqrt(2.0) * (A.T @ (c * lam)))
-        return np.array(objs), np.array(grads)
+        return np.array(objs), lambda keep: np.array(grads)[keep]
 
-    return objective_grad
+    return objective
 
 
 class TestNmlStructuredOperator:
@@ -530,6 +531,7 @@ class TestNmlStructuredOperator:
         h *= np.sqrt(norm_frac * M * K) / np.linalg.norm(h, axis=1, keepdims=True)
         obj_s, grad_s = _nml_objective(R, Phi, cfg)(h, rows)
         obj_d, grad_d = _dense_objective(R, Phi, cfg)(h, rows)
+        grad_s, grad_d = grad_s(slice(None)), grad_d(slice(None))
         assert obj_s.shape == (2,) and grad_s.shape == (2, 2 * M * K)
         for i in range(2):
             assert abs(obj_s[i] - obj_d[i]) <= 1e-12 * abs(obj_d[i])
@@ -577,6 +579,41 @@ def test_ls_filter_matches_dense_pinv():
     assert np.max(np.abs(np.kron(_ls_pinv(Phi, cfg), np.eye(16)) - dense)) <= 1e-15
     with pytest.raises(ValueError, match="pilot shape"):
         _ls_pinv(dft_pilots(5, 2), SystemConfig(M=4, K=2, tau=4))
+
+
+@pytest.mark.parametrize("snr_db", [-20.0, 0.0, 20.0])
+@pytest.mark.parametrize("name", ["blmmse", "uncorr", "ls"])
+def test_structured_filter_equals_dense_kron_filter_on_a_stack(name, snr_db):
+    # fig2's shape: the K x tau filter G applied as R G^T to a stack of training
+    # matrices, against the dense G kron I_M applied to each vec(R)
+    M, K, tau = 16, 4, 20
+    cfg = SystemConfig(M=M, K=K, tau=tau, rho_p=10 ** (snr_db / 10))
+    Phi = dft_pilots(tau, K)
+    G = {
+        "blmmse": _iid_filter(Phi, cfg)[0],
+        "uncorr": _iid_filter(Phi, cfg, uncorrelated=True)[0],
+        "ls": _ls_pinv(Phi, cfg),
+    }[name]
+    dense = np.kron(G, np.eye(M))
+    if name != "ls":  # the public dense filter is this expansion
+        build = blmmse_filter if name == "blmmse" else lmmse_uncorrelated_filter
+        assert np.array_equal(build(Phi, cfg)[0], dense)
+    H, N = crandn_trials(np.random.default_rng(11), 40, (M, K), (M, tau))
+    R = one_bit_quantize(np.sqrt(cfg.rho_p) * H @ Phi.T + N)
+    got = R @ G.T
+    want = np.stack([unvec(dense @ vec(R_t), M, K) for R_t in R])
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_blmmse_flat_applies_the_m1_filter():
+    cfg = SystemConfig(M=6, K=2, tau=5, rho_p=3.0)
+    Phi = dft_pilots(5, 2)
+    _, r = _quantized_training(cfg, Phi, 4)
+    G1, sigma_sq = _iid_filter(Phi, cfg)
+    est = blmmse_flat(r, Phi, cfg)
+    assert np.array_equal(est.H_hat, unvec(r, 6, 5) @ G1.T)
+    assert (est.sigma_sq, est.mse) == (sigma_sq, 1.0 - sigma_sq)
+    assert est.sigma_sq == blmmse_filter(Phi, cfg)[1]
 
 
 @pytest.mark.parametrize("estimate", [blmmse_flat, blmmse_fast, ls_estimate, nml_estimate])
