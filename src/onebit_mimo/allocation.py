@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PowerBudget, SystemConfig
-from .estimators import _estimate_variance, estimate_variance
-from .quantize import UNCORR_NOISE_VAR, _alpha_sq
+from .estimators import estimate_variance
+from .rates import _check_zf_antennas, _sinr, _sum_se
 
 __all__ = [
     "AllocationSolution",
@@ -43,32 +43,6 @@ class AllocationSolution:
     P: float
 
 
-def _sinr(rho_p, rho_d, tau, M, K, receiver: str, system: str):
-    """Post-combining SINR of the closed-form rate expressions (M may be real)."""
-    if system == "conventional":
-        if receiver == "mrc":
-            return rho_d * tau * rho_p * M / ((1.0 + K * rho_d) * (1.0 + tau * rho_p))
-        if receiver == "zf":
-            return rho_d * tau * rho_p * (M - K) / (K * rho_d + tau * rho_p + 1.0)
-        raise ValueError(f"unknown receiver {receiver!r}")
-    if system == "one-bit":
-        ad2 = _alpha_sq(K, rho_d)
-        sig = _estimate_variance(K, tau, rho_p)
-        if receiver == "mrc":
-            return rho_d * ad2 * M * sig
-        if receiver == "zf":
-            den = rho_d * ad2 * K * (1.0 - sig) + ad2 + UNCORR_NOISE_VAR
-            return rho_d * ad2 * sig * (M - K) / den
-        raise ValueError(f"unknown receiver {receiver!r}")
-    raise ValueError(f"unknown system {system!r}")
-
-
-def _check_zf_antennas(M, K, receiver: str) -> None:
-    """The ZF closed forms hold for M > K only (the SINR has an M - K factor)."""
-    if receiver == "zf" and M <= K:
-        raise ValueError(f"ZF closed form needs M > K, got M={M}, K={K}")
-
-
 def _se_direct(gamma, tau, P, T, M, K, receiver: str, system: str):
     """Sum SE at the (gamma, tau) split; gamma and tau may be broadcasting arrays.
 
@@ -77,14 +51,11 @@ def _se_direct(gamma, tau, P, T, M, K, receiver: str, system: str):
     gamma = np.asarray(gamma, dtype=float)
     if ((gamma <= 0.0) | (gamma >= 1.0)).any():
         raise ValueError("gamma must lie strictly inside (0, 1)")
-    n_data = T - np.asarray(tau)
     rho_p = gamma * P / tau
-    # at tau = T the n_data factor zeroes the SE; one placeholder data
+    # at tau = T the (T - tau) factor zeroes the SE; one placeholder data
     # symbol keeps rho_d, and so the SINR, finite there
-    rho_d = (1.0 - gamma) * P / np.maximum(n_data, 1)
-    sinr = _sinr(rho_p, rho_d, tau, M, K, receiver, system)
-    se = n_data / T * K * np.log2(1.0 + sinr)
-    return se if se.ndim else float(se)
+    rho_d = (1.0 - gamma) * P / np.maximum(T - np.asarray(tau), 1)
+    return _sum_se(_sinr(rho_p, rho_d, tau, M, K, receiver, system), tau, T, K)
 
 
 def se_at_allocation(
@@ -130,35 +101,27 @@ def se_surface(
         return np.zeros_like(gamma) if gamma.ndim else 0.0
     pi = np.pi
     g = gamma
+    a2 = pi**2 + 2.0 * pi * P * g
+    a4 = pi * (K**2 * P**2 * (pi - 2.0) * (g - 1.0) * g - K * P * (pi - 2.0) * g * T)
     if receiver == "mrc":
         a1 = 4.0 * M * P**2 * (g - g**2)
-        a2 = pi**2 + 2.0 * pi * P * g
         a3 = pi * (
             K * P * (pi - 2.0) * g
             - K * P * (1.0 - g) * (pi + 2.0 * P * g)
             - (pi + 2.0 * P * g) * T
         )
-        a4 = pi * (
-            K**2 * P**2 * (pi - 2.0) * (g - 1.0) * g - K * P * (pi - 2.0) * g * T
-        )
     elif receiver == "zf":
         a1 = 4.0 * (M - K) * P**2 * (g - g**2)
-        a2 = pi**2 + 2.0 * pi * P * g
         # the inner sign of the 4P(g-g^2) + pi^2(2g-1) group is corrected here;
         # as published it breaks the identity with the direct substitution
         a3 = -K * P * (
             2.0 * pi * (g + P * (g - g**2))
             - 4.0 * P * (g - g**2)
             - pi**2 * (2.0 * g - 1.0)
-        ) - (pi**2 + 2.0 * pi * P * g) * T
-        a4 = pi * (
-            K**2 * P**2 * (pi - 2.0) * (g - 1.0) * g - K * P * (pi - 2.0) * g * T
-        )
+        ) - a2 * T
     else:
         raise ValueError(f"unknown receiver {receiver!r}")
-    sinr = a1 * tau / -(a2 * tau**2 + a3 * tau + a4)
-    se = (T - tau) / T * K * np.log2(1.0 + sinr)
-    return se if se.ndim else float(se)
+    return _sum_se(a1 * tau / -(a2 * tau**2 + a3 * tau + a4), tau, T, K)
 
 
 def _golden_max(f, lo, hi, tol: float = 1e-6):
@@ -186,6 +149,8 @@ def _golden_max(f, lo, hi, tol: float = 1e-6):
     return (float(x), float(fx)) if x.ndim == 0 else (x, fx)
 
 
+_GAMMA_GRID = 200  # gamma points of the pre-scan
+
 # elements per block of the gamma-grid pre-scan, 64 tau rows of 200 points
 # (100 kB per temporary array): at T = 200-500 this ran about twice as fast
 # as one n_tau x 200 block, and 80-row blocks (128 kB) lost the gain
@@ -193,15 +158,16 @@ _PRESCAN_ELEMS = 12_800
 
 
 def _optimize_numeric(
-    P, T, M, K, receiver: str, system: str, gamma_grid: int, tau_max: int
+    P, T, M, K, receiver: str, system: str, gamma_grid=_GAMMA_GRID, tau_max=None
 ):
-    """Best (se, gamma, tau) over integer tau in [K, tau_max] and gamma in (0, 1).
+    """Best (se, gamma, tau) over integer tau in [K, tau_max or T], gamma in (0, 1).
 
     Every tau is solved at once: a gamma grid pre-scan, one row per tau,
     seeds a golden-section refinement on one bracket per tau. Ties go to
     the smallest tau.
     """
     _check_zf_antennas(M, K, receiver)
+    tau_max = tau_max or T
     taus = np.arange(int(K), int(tau_max) + 1, dtype=float)
     if taus.size == 0:
         raise ValueError(f"empty training range: tau_max = {tau_max} < K = {K}")
@@ -228,7 +194,7 @@ def optimize_allocation(
     cfg: SystemConfig,
     receiver: str = "mrc",
     system: str = "one-bit",
-    gamma_grid: int = 200,
+    gamma_grid: int = _GAMMA_GRID,
     tau_max: int | None = None,
 ) -> AllocationSolution:
     """Maximize the sum spectral efficiency over (gamma, tau).
@@ -239,7 +205,7 @@ def optimize_allocation(
     """
     T = budget.T
     se_star, gamma_star, tau_star = _optimize_numeric(
-        budget.P, T, cfg.M, cfg.K, receiver, system, gamma_grid, tau_max or T
+        budget.P, T, cfg.M, cfg.K, receiver, system, gamma_grid, tau_max
     )
     rho_p = gamma_star * budget.P / tau_star
     rho_d = (1.0 - gamma_star) * budget.P / (T - tau_star) if tau_star < T else 0.0
@@ -265,13 +231,13 @@ def power_scaling_limit(case: str, cfg: SystemConfig, E_u: float) -> float:
         (T-tau)/T * K * log2(1 + (4/pi^2) tau E_u^2).
     The MRC and ZF rates share each limit.
     """
-    pref = (cfg.T - cfg.tau) / cfg.T * cfg.K
     if case == "I":
-        sig = estimate_variance(cfg)
-        return pref * float(np.log2(1.0 + (2.0 / np.pi) * sig * E_u))
-    if case == "II":
-        return pref * float(np.log2(1.0 + (4.0 / np.pi**2) * cfg.tau * E_u**2))
-    raise ValueError("case must be 'I' or 'II'")
+        sinr = (2.0 / np.pi) * estimate_variance(cfg) * E_u
+    elif case == "II":
+        sinr = (4.0 / np.pi**2) * cfg.tau * E_u**2
+    else:
+        raise ValueError("case must be 'I' or 'II'")
+    return _sum_se(sinr, cfg.tau, cfg.T, cfg.K)
 
 
 def bit_energy(allocation: AllocationSolution, se: float | None = None) -> float:
@@ -312,15 +278,10 @@ def antenna_ratio(
 
     if mode == "benchmark":
 
-        def se_bench(M, system):
-            sinr = _sinr(rho, rho, K, M, K, receiver, system)
-            return (T - K) / T * K * math.log2(1.0 + sinr)
+        def se_one(M, system="one-bit"):
+            return _sum_se(_sinr(rho, rho, K, M, K, receiver, system), K, T, K)
 
-        target = se_bench(M_conv, "conventional")
-
-        def se_one(M):
-            return se_bench(M, "one-bit")
-
+        target = se_one(M_conv, "conventional")
     else:
         _, target = _golden_max(
             lambda g: _se_direct(g, K, P, T, M_conv, K, receiver, "conventional"),
@@ -329,7 +290,7 @@ def antenna_ratio(
         )
 
         def se_one(M):
-            return _optimize_numeric(P, T, M, K, receiver, "one-bit", 200, T)[0]
+            return _optimize_numeric(P, T, M, K, receiver, "one-bit")[0]
 
     lo = float(K) + 1e-9 if receiver == "zf" else 1.0
     hi = float(M_conv)

@@ -31,7 +31,7 @@ from .estimators import (
 )
 from .mc import run_blocks, trial_stacks
 from .quantize import one_bit_quantize
-from .rates import ergodic_rate_mc, rate_mrc_closed, rate_zf_closed
+from .rates import _closed_se, ergodic_rate_mc
 
 __all__ = [
     "ExperimentSpec",
@@ -308,7 +308,7 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
 # figure points: each maps one grid point's parameters to {column: value}
 
 
-_RECEIVERS = {"mrc": rate_mrc_closed, "zf": rate_zf_closed}  # receiver: closed-form rate
+_RECEIVERS = ("mrc", "zf")
 _SYSTEMS = {"onebit": "one-bit", "conv": "conventional"}  # column tag: allocation system
 
 
@@ -401,12 +401,11 @@ def fig4_se_vs_snr(p, n_trials, seed) -> dict:
     rho = db_to_linear(p["snr_db"])
     cfg = SystemConfig(M=p["m"], K=p["k"], tau=p["tau"], T=p["t"], rho_p=rho, rho_d=rho)
     base, i = seed  # two seeds per grid point: MRC's, then ZF's
-    pref = (cfg.T - cfg.tau) / cfg.T * cfg.K
     out, se = {}, {}
-    for j, (rec, closed) in enumerate(_RECEIVERS.items()):
+    for j, rec in enumerate(_RECEIVERS):
         mc = ergodic_rate_mc(cfg, rec, n_trials, (base, 2 * i + j))
         out[f"sumse_{rec}_mc"] = mc.sum_spectral_efficiency
-        out[f"sumse_{rec}_closed"] = pref * closed(cfg)
+        out[f"sumse_{rec}_closed"] = _closed_se(cfg, rec)
         se[f"se_sumse_{rec}_mc"] = mc.stderr
     return out | se
 
@@ -420,12 +419,11 @@ def fig5_power_eff(p, n_trials, seed) -> dict:
         "case1": SystemConfig(M=m, K=K, tau=tau, T=T, rho_p=rho_p1, rho_d=E_u / m),
         "case2": SystemConfig(M=m, K=K, tau=tau, T=T, rho_p=r2, rho_d=r2),
     }
-    pref = (T - tau) / T * K
     lim_cfg = SystemConfig(M=1, K=K, tau=tau, T=T, rho_p=rho_p1)
     return {
-        f"sumse_{case}_{rec}": pref * closed(cfg)
+        f"sumse_{case}_{rec}": _closed_se(cfg, rec)
         for case, cfg in cases.items()
-        for rec, closed in _RECEIVERS.items()
+        for rec in _RECEIVERS
     } | {
         "limit_case1": power_scaling_limit("I", lim_cfg, E_u),
         "limit_case2": power_scaling_limit("II", lim_cfg, E_u),
@@ -438,9 +436,9 @@ def fig6_bit_energy(p, n_trials, seed) -> dict:
     P = rho * T
     bench_cfg = SystemConfig(M=m, K=K, tau=K, T=T, rho_p=rho, rho_d=rho)
     out = {}
-    for rec, closed in _RECEIVERS.items():
-        se_b = (T - K) / T * K * closed(bench_cfg)
-        se_o = _optimize_numeric(P, T, m, K, rec, "one-bit", 200, T)[0]
+    for rec in _RECEIVERS:
+        se_b = _closed_se(bench_cfg, rec)
+        se_o = _optimize_numeric(P, T, m, K, rec, "one-bit")[0]
         out |= {
             f"sumse_benchmark_{rec}": se_b,
             f"zeta_benchmark_{rec}": P / se_b,
@@ -450,24 +448,23 @@ def fig6_bit_energy(p, n_trials, seed) -> dict:
     return out
 
 
-def fig7_opt_tau(p, n_trials, seed) -> dict:
-    m, K, t = p["m"], p["k"], p["t"]
-    P = db_to_linear(p["rho_db"]) * t
-    return {
-        f"tau_{name}_{rec}": _optimize_numeric(P, t, m, K, rec, system, 200, t)[2]
-        for name, system in _SYSTEMS.items()
-        for rec in _RECEIVERS
-    }
-
-
-def fig8_se_vs_m(p, n_trials, seed) -> dict:
+def _optimal(p, column: str, field: int) -> dict:
+    """One field of the optimal allocation per system and receiver (fig7, fig8)."""
     m, K, T = p["m"], p["k"], p["t"]
     P = db_to_linear(p["rho_db"]) * T
     return {
-        f"sumse_{name}_{rec}": _optimize_numeric(P, T, m, K, rec, system, 200, T)[0]
+        f"{column}_{name}_{rec}": _optimize_numeric(P, T, m, K, rec, system)[field]
         for name, system in _SYSTEMS.items()
         for rec in _RECEIVERS
     }
+
+
+def fig7_opt_tau(p, n_trials, seed) -> dict:
+    return _optimal(p, "tau", 2)
+
+
+def fig8_se_vs_m(p, n_trials, seed) -> dict:
+    return _optimal(p, "sumse", 0)
 
 
 def fig9_kappa(p, n_trials, seed) -> dict:

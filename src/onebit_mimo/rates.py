@@ -3,7 +3,8 @@
 Provides the Monte Carlo lower bound on the ergodic rate with estimated CSI
 (worst-case-Gaussian quantizer noise), the low-SNR closed-form
 approximations for MRC and ZF with their supporting moment sets, and the
-conventional (infinite-resolution) reference rates.
+conventional (infinite-resolution) reference rates. The allocation solvers
+search the closed-form SINR and sum SE defined here.
 """
 
 from __future__ import annotations
@@ -12,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import _check_zf_antennas, _sinr
 from .channel import crandn_trials, dft_pilots
 from .config import SystemConfig
-from .estimators import _fast_estimate, _iid_filter, estimate_variance
+from .estimators import _estimate_variance, _fast_estimate, _iid_filter, estimate_variance
 from .mc import run_blocks, trial_stacks
 from .quantize import (
     UNCORR_NOISE_VAR,
@@ -82,12 +82,36 @@ def sum_se(per_user_rates: np.ndarray, cfg: SystemConfig) -> float:
     return (cfg.T - cfg.tau) / cfg.T * float(np.sum(per_user_rates))
 
 
-def _combiner(receiver: str):
-    if receiver == "mrc":
-        return mrc_matrix
-    if receiver == "zf":
-        return zf_matrix
-    raise ValueError(f"unknown receiver {receiver!r} (use 'mrc' or 'zf')")
+def _sinr(rho_p, rho_d, tau, M, K, receiver: str, system: str):
+    """Post-combining SINR of the closed-form rate expressions (M may be real)."""
+    if system == "conventional":
+        if receiver == "mrc":
+            return rho_d * tau * rho_p * M / ((1.0 + K * rho_d) * (1.0 + tau * rho_p))
+        if receiver == "zf":
+            return rho_d * tau * rho_p * (M - K) / (K * rho_d + tau * rho_p + 1.0)
+        raise ValueError(f"unknown receiver {receiver!r}")
+    if system == "one-bit":
+        ad2 = _alpha_sq(K, rho_d)
+        sig = _estimate_variance(K, tau, rho_p)
+        if receiver == "mrc":
+            return rho_d * ad2 * M * sig
+        if receiver == "zf":
+            den = rho_d * ad2 * K * (1.0 - sig) + ad2 + UNCORR_NOISE_VAR
+            return rho_d * ad2 * sig * (M - K) / den
+        raise ValueError(f"unknown receiver {receiver!r}")
+    raise ValueError(f"unknown system {system!r}")
+
+
+def _check_zf_antennas(M, K, receiver: str) -> None:
+    """The ZF closed forms hold for M > K only (the SINR has an M - K factor)."""
+    if receiver == "zf" and M <= K:
+        raise ValueError(f"ZF closed form needs M > K, got M={M}, K={K}")
+
+
+def _sum_se(sinr, tau, T, K):
+    """Sum SE (T - tau)/T * K * log2(1 + sinr); broadcasts, and 0-d gives a float."""
+    se = (T - np.asarray(tau)) / T * K * np.log2(1.0 + sinr)
+    return se if se.ndim else float(se)
 
 
 def ergodic_rate_mc(
@@ -110,7 +134,10 @@ def ergodic_rate_mc(
     """
     if csi not in ("estimated", "perfect"):
         raise ValueError("csi must be 'estimated' or 'perfect'")
-    combine = _combiner(receiver)
+    # built per call, so that a module attribute swapped in later is the one used
+    combine = {"mrc": mrc_matrix, "zf": zf_matrix}.get(receiver)
+    if combine is None:
+        raise ValueError(f"unknown receiver {receiver!r} (use 'mrc' or 'zf')")
     if n_trials < 2:
         raise ValueError(f"n_trials must be >= 2 for a standard error, got {n_trials}")
     M, K, tau = cfg.M, cfg.K, cfg.tau
@@ -185,6 +212,13 @@ def _closed_rate(cfg: SystemConfig, M, receiver: str, system: str) -> float:
     _check_zf_antennas(M, cfg.K, receiver)
     sinr = _sinr(cfg.rho_p, cfg.rho_d, cfg.tau, M, cfg.K, receiver, system)
     return float(np.log2(1.0 + sinr))
+
+
+def _closed_se(cfg: SystemConfig, receiver: str) -> float:
+    """One-bit closed-form low-SNR sum SE at cfg's powers; ZF needs M > K."""
+    _check_zf_antennas(cfg.M, cfg.K, receiver)
+    sinr = _sinr(cfg.rho_p, cfg.rho_d, cfg.tau, cfg.M, cfg.K, receiver, "one-bit")
+    return _sum_se(sinr, cfg.tau, cfg.T, cfg.K)
 
 
 def rate_mrc_closed(cfg: SystemConfig) -> float:

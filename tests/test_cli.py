@@ -603,6 +603,91 @@ class TestRunExperiment:
         i, j = header.index("mse_nml"), header.index("se_mse_nml")
         assert [(row[i], row[j]) for row in rows] == self.FIG2_NML
 
+    # closed-form columns at the figbench `rates-small-m` (fig4) and `design`
+    # configs, as CSV text; figbench compares them to 1e-12 and 1e-9 only.
+    # fig4's closed columns do not depend on the trial count.
+    CLOSED_FORM = {
+        "fig4_se_vs_snr": (
+            {"m": 32, "k": 8, "tau": 8, "snr_db": [-20, -10, 0]},
+            ["sumse_mrc_closed", "sumse_zf_closed"],
+            """\
+0.0981214653846678,0.0738360932174877
+3.07801955129032,2.57008999608383
+9.13615207544893,9.76099059146986
+""",
+        ),
+        "fig5_power_eff": (
+            {"k": 8, "tau": 8},
+            None,
+            """\
+31,3.06077879697251,2.53586926586272,4.82721397287918,4.28028012989636,3.73030343876734,16.01156446456
+36,3.13893059469798,2.68936750284133,5.17652796309057,4.73961173818385,3.73030343876734,16.01156446456
+42,3.21158457395355,2.82842118601682,5.54456638932478,5.2070371369525,3.73030343876734,16.01156446456
+49,3.27661040027369,2.95001007907232,5.91896745699331,5.66742547299136,3.73030343876734,16.01156446456
+57,3.33346243615737,3.05417329572281,6.29076358360086,6.11146939596934,3.73030343876734,16.01156446456
+66,3.38249297686921,3.14244886737389,6.65383355504495,6.53403040613571,3.73030343876734,16.01156446456
+76,3.42447608861265,3.21691901526176,7.0042601905511,6.93274909442935,3.73030343876734,16.01156446456
+88,3.46316934459504,3.28466109010775,7.36806026050434,7.33830465796111,3.73030343876734,16.01156446456
+102,3.49752806794631,3.34411081642997,7.73264191330975,7.73715676235363,3.73030343876734,16.01156446456
+119,3.52897192588377,3.39794713069027,8.10991990642844,8.14285566086527,3.73030343876734,16.01156446456
+138,3.55538059807318,3.44274813450626,8.46786115409082,8.52191871843446,3.73030343876734,16.01156446456
+160,3.57844491103764,3.48157027708374,8.81959196387186,8.88951659284719,3.73030343876734,16.01156446456
+185,3.59823344290219,3.51465427275666,9.15823501563805,9.23938992809023,3.73030343876734,16.01156446456
+215,3.61609261896155,3.54433654581406,9.5009456962763,9.58990057521878,3.73030343876734,16.01156446456
+249,3.63126996443425,3.56943139607832,9.82723200063446,9.9206783090342,3.73030343876734,16.01156446456
+289,3.64465949814154,3.59147165604904,10.1489914873942,10.2444087527082,3.73030343876734,16.01156446456
+335,3.65618378432738,3.61036807684166,10.4581416934427,10.5534433089076,3.73030343876734,16.01156446456
+388,3.66613262564629,3.62662686208463,10.755342168161,10.8489193399367,3.73030343876734,16.01156446456
+450,3.6748412852179,3.64081774292605,11.044612469551,11.1352006471562,3.73030343876734,16.01156446456
+522,3.68239208200201,3.65309090861788,11.3231946366476,11.409859891703,3.73030343876734,16.01156446456
+605,3.68889140357151,3.66363204827669,11.589045670155,11.6711610941784,3.73030343876734,16.01156446456
+701,3.69450774311097,3.67272405143033,11.8432497163203,11.9204034844901,3.73030343876734,16.01156446456
+813,3.69939777348325,3.68062743747421,12.0878384457017,12.159760727238,3.73030343876734,16.01156446456
+942,3.70359949913393,3.68740884963922,12.3197504680623,12.3863871314104,3.73030343876734,16.01156446456
+1092,3.70724473744601,3.69328500115052,12.5414218444779,12.6027855686049,3.73030343876734,16.01156446456
+1266,3.71039687293155,3.69836094855109,12.7523700671228,12.8085789257785,3.73030343876734,16.01156446456
+1467,3.71311166998118,3.70272869338827,12.9520260570387,13.0032858534048,3.73030343876734,16.01156446456
+1701,3.71546718113267,3.70651543912838,13.142170979394,13.1886986421491,3.73030343876734,16.01156446456
+1971,3.71749250015081,3.70976917068629,13.3214133532083,13.3635004850369,3.73030343876734,16.01156446456
+2285,3.71924768653568,3.71258728768024,13.4915140165174,13.5294363938498,3.73030343876734,16.01156446456
+2648,3.72075934582548,3.71501318027312,13.6517768518946,13.6858451286863,3.73030343876734,16.01156446456
+3070,3.72206834659668,3.7171129383921,13.8034408409209,13.8339457878178,3.73030343876734,16.01156446456
+3558,3.72319566411954,3.71892058292941,13.9460525701164,13.9732992986375,3.73030343876734,16.01156446456
+4124,3.72416955430556,3.72048170392819,14.0804412499984,14.1047145053126,3.73030343876734,16.01156446456
+4780,3.72501015362457,3.72182878756919,14.2068658419277,14.2284399795511,3.73030343876734,16.01156446456
+5541,3.72573623406062,3.72299207159061,14.3257939539915,14.3449260936322,3.73030343876734,16.01156446456
+6422,3.72636211634544,3.72399461577055,14.4373562997338,14.4542916617773,3.73030343876734,16.01156446456
+7443,3.72690227308855,3.72485968906333,14.542054597699,14.5570180408594,3.73030343876734,16.01156446456
+8627,3.72736869040534,3.72560655155727,14.6402994533912,14.6534972367578,3.73030343876734,16.01156446456
+10000,3.72777135526929,3.72625124280483,14.7324168530109,14.744038320518,3.73030343876734,16.01156446456
+""",
+        ),
+        "fig6_bit_energy": (
+            {"m": 128, "k": 8, "t": 50, "rho_db": [-10, 0]},
+            None,
+            """\
+128,-10,7.99413306601781,0.625458690605796,9.20707241114549,0.543060788133622,8.09748205508239,0.617475897567658,9.48042041674821,0.527402771206955
+128,0,17.5686332980044,2.84598119568467,17.8239894748986,2.80520811967571,20.2398039560541,2.47037965923796,20.6739010107778,2.41850824253893
+""",
+        ),
+        "fig9_kappa": (
+            {"m_conv": 128, "k": 8, "t": 50, "rho_db": -10},
+            None,
+            """\
+-10,2.46686744689941,316,2.46686744689941,316,2.71473693847911,348,2.81855773926016,361
+""",
+        ),
+    }
+
+    @pytest.mark.parametrize("figure", sorted(CLOSED_FORM))
+    def test_closed_form_columns_keep_their_bytes(self, tmp_path, figure):
+        sweep, columns, want = self.CLOSED_FORM[figure]
+        out = tmp_path / "closed.csv"
+        run_experiment(ExperimentSpec(figure, sweep, 2, 0, str(out)))
+        header, *rows = csv.reader(out.open())
+        idx = [header.index(c) for c in columns or header]
+        assert "".join(",".join(row[i] for i in idx) + "\n" for row in rows) == want
+
     def test_zf_with_singular_gram_matrices_runs_to_a_finite_csv(self, tmp_path):
         # M = 3, K = 2: some one-bit estimates have collinear columns
         out = tmp_path / "fig4.csv"

@@ -1,7 +1,9 @@
+import ast
 import importlib
 import importlib.util
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -64,3 +66,22 @@ def test_benchmark_tracer_entry_points_resolve(monkeypatch):
     from onebit_mimo.mc import run_blocks
 
     assert list(inspect.signature(run_blocks).parameters)[:2] == ["n_trials", "fn"]
+
+
+def test_rates_imports_nothing_from_allocation():
+    # the closed-form formulas sit below the solvers built on them
+    tree = ast.parse((SRC / "onebit_mimo" / "rates.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names |= {node.module or ""} | {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {a.name for a in node.names}
+    assert not any("allocation" in name.split(".") for name in names)
+
+
+def test_numpy_floor_has_vecdot():
+    # the nML solver calls np.vecdot, which numpy added in 2.0
+    deps = (ROOT / "pyproject.toml").read_text()
+    floor = re.search(r'"numpy>=(\d+)', deps)
+    assert floor and int(floor.group(1)) >= 2

@@ -19,11 +19,12 @@ from onebit_mimo import (
     training_signal,
     zf_matrix,
 )
+from onebit_mimo import rates
 from onebit_mimo.channel import crandn, unvec, vec
 from onebit_mimo.estimators import blmmse_fast, blmmse_filter
 from onebit_mimo.mc import run_blocks, trial_stacks
 from onebit_mimo.quantize import UNCORR_NOISE_VAR, alpha_p, quantizer_noise_cov
-from onebit_mimo.rates import mrc_moments, zf_moments
+from onebit_mimo.rates import _sum_se, mrc_moments, zf_moments
 
 
 class TestCombiners:
@@ -104,6 +105,22 @@ class TestSumSe:
         with pytest.raises(ValueError):
             SystemConfig(M=4, K=2, tau=0, T=10)
 
+    def test_closed_form_sum_se_of_a_scalar_is_a_float(self):
+        se = _sum_se(3.0, 8, 200, 8)
+        assert type(se) is float
+        assert se == 0.96 * 8 * 2.0
+
+    def test_closed_form_sum_se_broadcasts_tau_column_against_gamma_row(self):
+        sinr = np.array([[0.5, 1.0, 3.0]])
+        tau = np.array([[8], [20], [200]])
+        se = _sum_se(sinr, tau, 200, 8)
+        assert se.shape == (3, 3)
+        for i, t in enumerate((8, 20, 200)):
+            for j, g in enumerate((0.5, 1.0, 3.0)):
+                assert se[i, j] == _sum_se(g, t, 200, 8)
+        assert np.all(se[2] == 0.0)  # tau = T: no data symbols
+        assert _sum_se(1.0, 200, 200, 8) == 0.0
+
 
 # closed forms as written out per formula before they became wrappers
 def _ref_alpha_d(cfg):
@@ -139,7 +156,7 @@ def _ref_conventional_rate(cfg, M_conv, receiver):
 
 
 class TestClosedFormsMatchReference:
-    # the closed forms are wrappers over allocation._sinr; the explicit
+    # the closed forms are wrappers over rates._sinr; the explicit
     # expressions above are the reference they must reproduce
     @settings(max_examples=200, deadline=None)
     @given(
@@ -267,6 +284,21 @@ class TestMomentFormRate:
 
 
 class TestErgodicRateMc:
+    def test_unknown_receiver_is_rejected(self):
+        cfg = SystemConfig(M=4, K=2, tau=2)
+        with pytest.raises(ValueError, match=r"unknown receiver 'mmse' \(use 'mrc' or 'zf'\)"):
+            ergodic_rate_mc(cfg, "mmse", 10)
+
+    @pytest.mark.parametrize("receiver", ["mrc", "zf"])
+    def test_combiner_is_looked_up_per_call(self, monkeypatch, receiver):
+        # a combiner swapped into the module after import is the one used
+        calls = []
+        name = f"{receiver}_matrix"
+        combine = getattr(rates, name)
+        monkeypatch.setattr(rates, name, lambda H: calls.append(1) or combine(H))
+        ergodic_rate_mc(SystemConfig(M=4, K=2, tau=2), receiver, 10)
+        assert calls
+
     def test_zero_data_power(self):
         cfg = SystemConfig(M=8, K=2, tau=2, rho_p=1.0, rho_d=0.0)
         rep = ergodic_rate_mc(cfg, "mrc", n_trials=50, seed=0)
