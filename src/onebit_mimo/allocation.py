@@ -124,12 +124,12 @@ def se_surface(
     return _sum_se(a1 * tau / -(a2 * tau**2 + a3 * tau + a4), tau, T, K)
 
 
-def _golden_max(f, lo, hi, tol: float = 1e-6):
+def _golden_max(f, lo, hi):
     """Golden-section maximization of unimodal functions on brackets [lo, hi].
 
     lo and hi may be arrays: f then maps an array of points, one per bracket,
     to their values, and each bracket takes the steps of the scalar search
-    until its own width is within tol, after which it is frozen. Scalar
+    until its own width is within 1e-6, after which it is frozen. Scalar
     brackets return floats.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -137,7 +137,7 @@ def _golden_max(f, lo, hi, tol: float = 1e-6):
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while (active := b - a > tol).any():
+    while (active := b - a > 1e-6).any():
         left = fc >= fd  # the maximum lies in [a, d]
         x = np.where(left, d - invphi * (d - a), c + invphi * (b - c))
         fx = f(x)
@@ -149,36 +149,33 @@ def _golden_max(f, lo, hi, tol: float = 1e-6):
     return (float(x), float(fx)) if x.ndim == 0 else (x, fx)
 
 
-_GAMMA_GRID = 200  # gamma points of the pre-scan
+_GAMMA_GRID = np.linspace(0.0, 1.0, 202)[1:-1]  # the 200 points of the pre-scan
 
-# elements per block of the gamma-grid pre-scan, 64 tau rows of 200 points
+# tau rows per block of the gamma-grid pre-scan, 64 rows of 200 points
 # (100 kB per temporary array): at T = 200-500 this ran about twice as fast
 # as one n_tau x 200 block, and 80-row blocks (128 kB) lost the gain
-_PRESCAN_ELEMS = 12_800
+_PRESCAN_ROWS = 64
 
 
-def _optimize_numeric(
-    P, T, M, K, receiver: str, system: str, gamma_grid=_GAMMA_GRID, tau_max=None
-):
-    """Best (se, gamma, tau) over integer tau in [K, tau_max or T], gamma in (0, 1).
+def _optimize_numeric(P, T, M, K, receiver: str, system: str):
+    """Best (se, gamma, tau) over integer tau in [K, T], gamma in (0, 1).
 
     Every tau is solved at once: a gamma grid pre-scan, one row per tau,
     seeds a golden-section refinement on one bracket per tau. Ties go to
     the smallest tau.
     """
     _check_zf_antennas(M, K, receiver)
-    tau_max = tau_max or T
-    taus = np.arange(int(K), int(tau_max) + 1, dtype=float)
+    taus = np.arange(int(K), int(T) + 1, dtype=float)
     if taus.size == 0:
-        raise ValueError(f"empty training range: tau_max = {tau_max} < K = {K}")
-    grid = np.linspace(0.0, 1.0, gamma_grid + 2)[1:-1]
+        raise ValueError(f"empty training range: T = {T} < K = {K}")
+    grid = _GAMMA_GRID
     step = grid[1] - grid[0]
 
     def grid_argmax(rows):
         vals = _se_direct(grid, rows[:, None], P, T, M, K, receiver, system)
         return grid[np.argmax(vals, axis=1)]
 
-    n = max(1, _PRESCAN_ELEMS // gamma_grid)
+    n = _PRESCAN_ROWS
     g0 = np.concatenate([grid_argmax(taus[i : i + n]) for i in range(0, taus.size, n)])
     lo = np.maximum(g0 - step, 1e-9)
     hi = np.minimum(g0 + step, 1.0 - 1e-9)
@@ -194,18 +191,16 @@ def optimize_allocation(
     cfg: SystemConfig,
     receiver: str = "mrc",
     system: str = "one-bit",
-    gamma_grid: int = _GAMMA_GRID,
-    tau_max: int | None = None,
 ) -> AllocationSolution:
     """Maximize the sum spectral efficiency over (gamma, tau).
 
-    Scans every integer tau in [K, tau_max or T]; for each tau, a gamma grid
+    Scans every integer tau in [K, T]; for each tau, a 200-point gamma grid
     pre-scan (guards against non-unimodality) seeds a golden-section
     refinement. Returns the best point found, with the implied powers.
     """
     T = budget.T
     se_star, gamma_star, tau_star = _optimize_numeric(
-        budget.P, T, cfg.M, cfg.K, receiver, system, gamma_grid, tau_max
+        budget.P, T, cfg.M, cfg.K, receiver, system
     )
     rho_p = gamma_star * budget.P / tau_star
     rho_d = (1.0 - gamma_star) * budget.P / (T - tau_star) if tau_star < T else 0.0
@@ -253,14 +248,15 @@ def bit_energy(allocation: AllocationSolution, se: float | None = None) -> float
     return spent / se
 
 
+_M_MAX_FACTOR = 1e5  # antenna_ratio's search gives up beyond this many times M_conv
+
+
 def antenna_ratio(
     budget: PowerBudget,
     cfg: SystemConfig,
     receiver: str,
     M_conv: int,
     mode: str = "optimized",
-    se_tol: float = 1e-4,
-    M_max_factor: float = 1e5,
 ) -> float:
     """Antenna ratio kappa = M_one / M_conv for equal sum spectral efficiency.
 
@@ -268,7 +264,7 @@ def antenna_ratio(
     mode='optimized' gives each system its best resource allocation (the
     conventional side optimizes the power split with tau fixed at K). M_one
     is treated as continuous and found by bisection to an SE tolerance of
-    se_tol bits/s/Hz; returns inf when even M_max_factor * M_conv antennas
+    1e-4 bits/s/Hz; returns inf when even _M_MAX_FACTOR * M_conv antennas
     cannot reach the conventional SE (ZF at high SNR).
     """
     if mode not in ("benchmark", "optimized"):
@@ -297,7 +293,7 @@ def antenna_ratio(
     f_hi = se_one(hi)
     while f_hi < target:
         hi *= 2.0
-        if hi > M_max_factor * M_conv:
+        if hi > _M_MAX_FACTOR * M_conv:
             return np.inf
         f_hi = se_one(hi)
     if se_one(lo) >= target:
@@ -305,7 +301,7 @@ def antenna_ratio(
     while hi - lo > 1e-3 * hi:
         mid = 0.5 * (lo + hi)
         f_mid = se_one(mid)
-        if abs(f_mid - target) <= se_tol:
+        if abs(f_mid - target) <= 1e-4:
             return mid / M_conv
         if f_mid >= target:
             hi = mid

@@ -75,7 +75,6 @@ def laplacian_covariance(
     M: int,
     mean_angle: float = 0.0,
     angle_spread: float = 10.0,
-    n_points: int = 1440,
 ) -> np.ndarray:
     """Spatial covariance of a half-wavelength ULA under a Laplacian power spectrum.
 
@@ -88,7 +87,7 @@ def laplacian_covariance(
     uncorrelated (identity) case. Oblique mean angles compress the visible
     region and hence yield stronger correlation, as for a physical ULA.
 
-    Uses fixed-grid quadrature with `n_points` samples (>= 720 recommended).
+    Integrates with a fixed 1,440-point midpoint rule over [-1, 1].
     Raises if the numerically integrated matrix fails a PSD check.
     """
     if M < 1:
@@ -97,28 +96,25 @@ def laplacian_covariance(
         raise ValueError("angle_spread must be positive")
     if not -90.0 < mean_angle < 90.0:
         raise ValueError("mean_angle must lie strictly inside (-90, 90) degrees")
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
 
     u0 = np.sin(np.deg2rad(mean_angle))
     scale = np.cos(np.deg2rad(mean_angle)) * np.deg2rad(angle_spread) / np.sqrt(2.0)
 
     # midpoint rule over the visible region
-    edges = np.linspace(-1.0, 1.0, n_points + 1)
+    edges = np.linspace(-1.0, 1.0, 1441)
     u = 0.5 * (edges[:-1] + edges[1:])
     w = np.exp(-np.abs(u - u0) / scale)
     w /= w.sum()
 
     m = np.arange(M)
-    A = np.exp(1j * np.pi * np.outer(m, u))  # steering matrix, M x n_points
+    A = np.exp(1j * np.pi * np.outer(m, u))  # steering matrix, M x 1440
     C = (A * w) @ A.conj().T
     C = 0.5 * (C + C.conj().T)
 
     eigmin = np.linalg.eigvalsh(C)[0]
     if eigmin < -1e-8:
         raise np.linalg.LinAlgError(
-            f"integrated covariance is not PSD (min eigenvalue {eigmin:.3e}); "
-            "increase n_points"
+            f"integrated covariance is not PSD (min eigenvalue {eigmin:.3e})"
         )
     return C
 

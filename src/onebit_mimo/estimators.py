@@ -178,25 +178,17 @@ def blmmse_filter(
     return _linear_filter(Phi, cfg, C_h, uncorrelated=False)
 
 
-def blmmse_flat(
-    r_p: np.ndarray,
-    Phi: np.ndarray,
-    cfg: SystemConfig,
-    C_h: np.ndarray | None = None,
-) -> ChannelEstimate:
+def blmmse_flat(r_p: np.ndarray, Phi: np.ndarray, cfg: SystemConfig) -> ChannelEstimate:
     """Bussgang LMMSE channel estimate from the quantized training vector.
 
-    vec(H_hat) = C_h (A Phi_bar)^H C_r^{-1} r_p, with the gain A from the
-    Bussgang decomposition of the training covariance and C_r from the
-    arcsine law. C_h is the MK x MK channel covariance (None for i.i.d.).
+    vec(H_hat) = (A Phi_bar)^H C_r^{-1} r_p for an i.i.d. channel, with the
+    gain A from the Bussgang decomposition of the training covariance and
+    C_r from the arcsine law. A correlated MK x MK covariance C_h is applied
+    as ``unvec(blmmse_filter(Phi, cfg, C_h)[0] @ r_p, M, K)``.
     """
-    r_p = np.asarray(r_p).reshape(-1)
-    if C_h is None:
-        G, sigma_sq = _iid_filter(Phi, cfg)
-        H_hat = unvec(r_p, cfg.M, cfg.tau) @ G.T
-        return ChannelEstimate(H_hat, sigma_sq=sigma_sq, mse=1.0 - sigma_sq)
-    G, sigma_sq, mse = blmmse_filter(Phi, cfg, C_h)
-    return ChannelEstimate(unvec(G @ r_p, cfg.M, cfg.K), sigma_sq=sigma_sq, mse=mse)
+    G, sigma_sq = _iid_filter(Phi, cfg)
+    H_hat = unvec(np.asarray(r_p).reshape(-1), cfg.M, cfg.tau) @ G.T
+    return ChannelEstimate(H_hat, sigma_sq=sigma_sq, mse=1.0 - sigma_sq)
 
 
 def _fast_estimate(R_p: np.ndarray, Phi: np.ndarray, cfg: SystemConfig) -> np.ndarray:

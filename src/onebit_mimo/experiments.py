@@ -111,6 +111,8 @@ def _checked_sweep(spec: ExperimentSpec) -> dict:
                     raise SpecError(msg, key)
     if not isinstance(spec.seed, int):
         raise SpecError(f"seed must be an integer, got {spec.seed!r}", "seed")
+    if spec.seed < 0:  # numpy's SeedSequence takes nonnegative entropy only
+        raise SpecError(f"seed must be a nonnegative integer, got {spec.seed}", "seed")
     n = spec.n_trials
     if not isinstance(n, int) or n < 0:
         raise SpecError(f"n_trials must be a nonnegative integer, got {n!r}", "n_trials")
@@ -371,7 +373,7 @@ def _mse_columns(res) -> dict:
 
 def fig2_mse(p, n_trials, seed) -> dict:
     rho = db_to_linear(p["snr_db"])
-    cfg = SystemConfig(M=p["m"], K=p["k"], tau=p["tau"], T=p["t"], rho_p=rho)
+    cfg = SystemConfig(M=p["m"], K=p["k"], tau=p["tau"], T=p["tau"], rho_p=rho)
     Phi = dft_pilots(cfg.tau, cfg.K)
     filters = {
         "blmmse": _iid_filter(Phi, cfg)[0],
@@ -387,7 +389,7 @@ def fig3_corr_mse(p, n_trials, seed) -> dict:
     Cm = laplacian_covariance(p["m"], p["mean_angle_deg"], p["spread_deg"])
     C_h = np.kron(np.eye(p["k"]), Cm)
     rho = db_to_linear(p["snr_db"])
-    cfg = SystemConfig(M=p["m"], K=p["k"], tau=p["tau"], T=p["t"], rho_p=rho)
+    cfg = SystemConfig(M=p["m"], K=p["k"], tau=p["tau"], T=p["tau"], rho_p=rho)
     Phi = dft_pilots(cfg.tau, cfg.K)
     filters = {
         "blmmse": blmmse_filter(Phi, cfg, C_h)[0],
@@ -492,7 +494,6 @@ FIGURES = {
             "m": 16,
             "k": 4,
             "tau": 20,
-            "t": 200,
             "snr_db": _span(-20, 20, 5),
             "nml_max_iters": 200,
         },
@@ -505,7 +506,6 @@ FIGURES = {
             "m": 16,
             "k": 1,
             "tau": 2,
-            "t": 200,
             "snr_db": _span(-10, 30, 5),
             "spread_deg": 10.0,
             "mean_angle_deg": 70.0,

@@ -71,12 +71,10 @@ def uniform_tap_covariance(M: int, K: int, L: int) -> np.ndarray:
     return np.eye(M * K * L) / L
 
 
-def gen_tap_channel(M: int, K: int, L: int, seed, profile=None) -> np.ndarray:
-    """Draw time-domain taps h[m, k, l] ~ CN(0, profile[l]); returns an (M, K, L) array."""
+def gen_tap_channel(M: int, K: int, L: int, seed) -> np.ndarray:
+    """Draw time-domain taps h[m, k, l] ~ CN(0, 1/L); returns an (M, K, L) array."""
     rng = np.random.default_rng(seed)
-    if profile is None:
-        profile = np.full(L, 1.0 / L)
-    return crandn(rng, M, K, L) * np.sqrt(np.asarray(profile))
+    return crandn(rng, M, K, L) * np.sqrt(1.0 / L)
 
 
 def _pilot_matrix(pilots_fd: np.ndarray, ofdm: OfdmConfig, K: int) -> np.ndarray:
@@ -145,17 +143,13 @@ def ofdm_blmmse_filter(
 
 
 def blmmse_ofdm(
-    r_td: np.ndarray,
-    pilots_fd: np.ndarray,
-    ofdm: OfdmConfig,
-    cfg: SystemConfig,
-    C_h_td: np.ndarray | None = None,
-    diagonal_quantizer_noise: bool = False,
+    r_td: np.ndarray, pilots_fd: np.ndarray, ofdm: OfdmConfig, cfg: SystemConfig
 ) -> np.ndarray:
     """Tap-domain Bussgang LMMSE estimate from the quantized time-domain signal.
 
     Returns the stacked M*K*L tap vector (reshape to (M, K, L) to index per
-    antenna/user/tap).
+    antenna/user/tap). Other tap priors and the diagonal quantizer-noise
+    surrogate are applied as ``ofdm_blmmse_filter(...)[0] @ r_td``.
     """
-    G, _ = ofdm_blmmse_filter(pilots_fd, ofdm, cfg, C_h_td, diagonal_quantizer_noise)
+    G, _ = ofdm_blmmse_filter(pilots_fd, ofdm, cfg)
     return G @ np.asarray(r_td).reshape(-1)

@@ -1,5 +1,6 @@
 import csv
 import json
+import runpy
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,7 @@ class TestConfigParsing:
     def test_defaults_applied(self, tmp_path):
         p = _write(tmp_path, "figure = fig2_mse\n")
         spec = validate_config(p)
-        assert spec.sweep["t"] == 200  # coherence-interval default
+        assert "t" not in spec.sweep  # estimation has no coherence interval
         assert spec.sweep["m"] == 16
         assert spec.n_trials == 150
         assert spec.output_path == "fig2_mse.csv"
@@ -71,8 +72,15 @@ class TestConfigParsing:
             validate_config(p)
 
     def test_t_constraint(self, tmp_path):
-        p = _write(tmp_path, "figure = fig2_mse\ntau = 20\nt = 10\n")
+        p = _write(tmp_path, "figure = fig4_se_vs_snr\ntau = 20\nt = 10\n")
         with pytest.raises(ConfigError, match="violates tau <= t"):
+            validate_config(p)
+
+    @pytest.mark.parametrize("figure", ["fig2_mse", "fig3_corr_mse"])
+    def test_estimation_figures_reject_t(self, tmp_path, figure):
+        # their points never read a coherence interval
+        p = _write(tmp_path, f"figure = {figure}\nseed = 1\nt = 200\n")
+        with pytest.raises(ConfigError, match=r"cfg.txt:3: unknown parameter 't'"):
             validate_config(p)
 
     def test_unknown_figure(self, tmp_path):
@@ -274,6 +282,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="cfg.txt:2: n_trials must be a nonnegative"):
             validate_config(p)
 
+    def test_negative_seed_rejected_at_its_line(self, tmp_path):
+        # used to pass validate, then fail at run inside numpy's SeedSequence
+        p = _write(tmp_path, "figure = fig4_se_vs_snr\nm = 16\nk = 2\ntau = 2\nseed = -3\n")
+        with pytest.raises(
+            ConfigError, match="cfg.txt:5: seed must be a nonnegative integer, got -3$"
+        ):
+            validate_config(p)
+
     def test_figure_and_figure_id_are_one_key(self, tmp_path):
         p = _write(tmp_path, "figure = fig2_mse\nfigure_id = fig5_power_eff\n")
         with pytest.raises(ConfigError, match="cfg.txt:2: duplicate key 'figure_id'"):
@@ -283,12 +299,24 @@ class TestConfigParsing:
             validate_config(p)
 
 
-CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.cfg"))
+ROOT = Path(__file__).parents[1]
+# the benchmark's figure configs, read without importing (or compiling) figbench
+WORKLOADS = runpy.run_path(str(ROOT / "figbench" / "workloads.py"))["WORKLOADS"]
+CONFIGS = [
+    pytest.param(path.read_text(encoding="utf-8"), id=path.name)
+    for path in sorted((ROOT / "configs").glob("*.cfg"))
+] + [
+    pytest.param(f"figure = {figure}\nseed = 0\n{body}", id=f"{name}-{figure}")
+    for name, workload in WORKLOADS.items()
+    for figure, body in workload["figures"].items()
+]
 
 
-@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
-def test_shipped_config_validates(path):
-    assert validate_config(path).figure_id in FIGURES
+@pytest.mark.parametrize("text", CONFIGS)
+def test_shipped_config_validates(tmp_path, text):
+    # every config the repo ships or benchmarks, so that renaming or removing
+    # a key they set fails here rather than in a benchmark run
+    assert validate_config(_write(tmp_path, text)).figure_id in FIGURES
 
 
 def _value_text(val) -> str:
@@ -394,6 +422,14 @@ class TestRunExperiment:
             validate_config(p)
         assert str(cli.value) == f"{p}:5: {lib.value}"
 
+    def test_negative_seed_rejected_before_any_work(self, tmp_path):
+        out = tmp_path / "x.csv"
+        sweep = {"m": 16, "k": 2, "tau": 2, "snr_db": [0]}
+        spec = ExperimentSpec("fig4_se_vs_snr", sweep, 4, seed=-1, output_path=str(out))
+        with pytest.raises(SpecError, match="^seed must be a nonnegative integer, got -1$"):
+            run_experiment(spec)
+        assert not out.exists()
+
     def test_empty_sweep_list_rejected(self, tmp_path):
         # used to write a CSV with a header and no rows
         out = tmp_path / "x.csv"
@@ -456,7 +492,7 @@ class TestRunExperiment:
         assert manifest["n_trials"] == 40
         assert manifest["figure"] == "fig3_corr_mse"
         # every swept parameter is recorded, with dB -> linear round trip
-        for key in ("m", "k", "tau", "t", "snr_db", "spread_deg", "mean_angle_deg"):
+        for key in ("m", "k", "tau", "snr_db", "spread_deg", "mean_angle_deg"):
             assert key in manifest["parameters"]
         assert manifest["parameters_linear"]["snr"] == [pytest.approx(100.0)]
         assert manifest["stderr_columns"] == ["se_mse_blmmse", "se_mse_uncorr"]

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
@@ -85,3 +87,26 @@ def test_numpy_floor_has_vecdot():
     deps = (ROOT / "pyproject.toml").read_text()
     floor = re.search(r'"numpy>=(\d+)', deps)
     assert floor and int(floor.group(1)) >= 2
+
+
+@pytest.mark.parametrize(
+    "module, function, keyword",
+    [
+        ("allocation", "_golden_max", "tol"),
+        ("allocation", "_optimize_numeric", "gamma_grid"),
+        ("allocation", "_optimize_numeric", "tau_max"),
+        ("allocation", "optimize_allocation", "gamma_grid"),
+        ("allocation", "optimize_allocation", "tau_max"),
+        ("allocation", "antenna_ratio", "se_tol"),
+        ("allocation", "antenna_ratio", "M_max_factor"),
+        ("channel", "laplacian_covariance", "n_points"),
+        ("ofdm", "gen_tap_channel", "profile"),
+        ("estimators", "blmmse_flat", "C_h"),
+        ("ofdm", "blmmse_ofdm", "C_h_td"),
+        ("ofdm", "blmmse_ofdm", "diagonal_quantizer_noise"),
+    ],
+)
+def test_fixed_setting_has_no_keyword(module, function, keyword):
+    # settings that no figure or config varied are constants of their function
+    fn = getattr(importlib.import_module(f"onebit_mimo.{module}"), function)
+    assert keyword not in inspect.signature(fn).parameters
