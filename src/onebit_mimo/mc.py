@@ -15,14 +15,15 @@ __all__ = ["block_seeds", "run_blocks", "trial_stacks"]
 BLOCK = 256  # trials per block
 
 # elements n * M * M of one stack of n trials with M antennas; the largest
-# stacked temporaries are the real (n, 2M, M) arcsine arguments of the
-# quantizer-noise term (128 kB at this budget). ergodic_rate_mc, MRC + ZF,
-# K = tau = 8, 2-vCPU VM, us per trial (best of 3 processes) for budgets
-# 4,096 / 8,192 / 16,384 / 32,768 / 65,536:
-#   M = 32:  92 /  72 /  92 /  95 / 120 (peak RSS 38.0 -> 43.4 MB)
-#   M = 64: 327 / 199 / 223 / 216 / 257
-#   M = 128: 569 / 553 / 581 / 722 / 659 (one trial per stack up to 16,384)
-_STACK_ELEMS = 8_192
+# stacked arrays are the two real (n, 2M, M) of the quantizer-noise term, a
+# workspace ergodic_rate_mc allocates once (1 MiB at this budget, M <= 128).
+# ergodic_rate_mc, MRC + ZF, K = tau = 8, 2-vCPU VM, us per trial (best of 5
+# processes) for budgets 8,192 / 16,384 / 32,768 / 65,536:
+#   M = 32:    85 /  77 /   63 /   65 (peak RSS 38.6 -> 43.4 MB)
+#   M = 64:   201 / 123 /  111 /  137
+#   M = 128:  401 / 460 /  370 /  326
+#   M = 256: 1092 / 976 / 1108 / 1170 (one trial per stack throughout)
+_STACK_ELEMS = 32_768
 
 
 def block_seeds(seed, n_blocks: int) -> list[np.random.SeedSequence]:

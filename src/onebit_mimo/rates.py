@@ -16,10 +16,11 @@ import numpy as np
 from .channel import crandn_trials, dft_pilots
 from .config import SystemConfig
 from .estimators import _estimate_variance, _fast_estimate, _iid_filter, estimate_variance
-from .mc import run_blocks, trial_stacks
+from .mc import BLOCK, run_blocks, trial_stacks
 from .quantize import (
     UNCORR_NOISE_VAR,
     _alpha_sq,
+    _noise_workspace,
     alpha_d,
     one_bit_quantize,
     quantizer_noise_quad,
@@ -130,7 +131,8 @@ def ergodic_rate_mc(
     bounds the estimated-CSI rate.
 
     Each block of trials is evaluated in stacks (:func:`mc.trial_stacks`)
-    on (n, M, K) arrays; the draws are those of one trial at a time.
+    on (n, M, K) arrays; the draws are those of one trial at a time. The
+    stacks share one quantizer-noise workspace, allocated once per call.
     """
     if csi not in ("estimated", "perfect"):
         raise ValueError("csi must be 'estimated' or 'perfect'")
@@ -146,6 +148,7 @@ def ergodic_rate_mc(
     fast = tau == K
     if csi == "estimated" and not fast:  # the i.i.d. filter is G_1 kron I_M
         G1 = _iid_filter(Phi, cfg)[0]
+    work = _noise_workspace(trial_stacks(min(n_trials, BLOCK), M)[0].stop, M)
 
     def block(rng: np.random.Generator, n: int):
         rates = np.empty((n, K))
@@ -165,7 +168,7 @@ def ergodic_rate_mc(
             interf = cfg.rho_d * ad2 * (sig.sum(axis=2) - diag)
             est_err = cfg.rho_d * ad2 * np.sum(np.abs(WT @ (H - H_hat)) ** 2, axis=2)
             awgn = ad2 * np.sum(np.abs(WT) ** 2, axis=2)
-            quant = quantizer_noise_quad(WT, H, cfg.rho_d)
+            quant = quantizer_noise_quad(WT, H, cfg.rho_d, work)
             den = interf + est_err + awgn + quant
             sinr = np.divide(desired, den, out=np.zeros_like(den), where=den > 0)
             rates[s] = np.log2(1.0 + sinr)

@@ -18,7 +18,7 @@ from onebit_mimo import (
 )
 from onebit_mimo.channel import crandn
 from onebit_mimo.cli import ConfigError, _parse_value, main, validate_config
-from onebit_mimo import experiments
+from onebit_mimo import experiments, mc
 from onebit_mimo.estimators import (
     _iid_filter,
     _nml_solve,
@@ -570,7 +570,7 @@ class TestRunExperiment:
         "M, K, tau, n_trials, nml, correlated",
         [
             (6, 2, 5, 30, True, False),  # one partial stack, nML per trial
-            (6, 2, 5, 300, False, False),  # stacks of 227: partial in both blocks
+            (12, 2, 5, 300, False, False),  # a full stack splits block 1: partial in both
             (6, 2, 5, 300, False, True),
             (16, 1, 2, 70, False, True),  # fig3's shape
         ],
@@ -578,7 +578,11 @@ class TestRunExperiment:
     def test_mse_point_matches_per_trial_reference(
         self, monkeypatch, M, K, tau, n_trials, nml, correlated
     ):
-        assert n_trials % trial_stacks(256, M)[0].stop != 0
+        step = max(1, mc._STACK_ELEMS // (M * M))
+        blocks = [256] * (n_trials // 256) + [n_trials % 256]
+        assert all(b % step for b in blocks)  # every block ends on a partial stack
+        if M == 12:  # the case that splits a block
+            assert len(trial_stacks(256, M)) > 1
         cfg = SystemConfig(M=M, K=K, tau=tau, rho_p=2.0)
         Phi = dft_pilots(tau, K)
         root = None

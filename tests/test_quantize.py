@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from onebit_mimo import (
 from onebit_mimo.channel import _RSQRT2, crandn
 from onebit_mimo.quantize import (
     UNCORR_NOISE_VAR,
+    _noise_workspace,
     _normalized_parts,
     quantizer_noise_quad,
 )
@@ -289,6 +292,94 @@ class TestStackedQuantizerNoise:
         W = crandn(rng, 2, 5)
         want = np.real(np.sum((W @ quantizer_noise_cov(C_y)) * W.conj(), -1))
         np.testing.assert_allclose(quantizer_noise_quad(W, H, 1.0), want, rtol=1e-13)
+
+
+def _shifted_workspace(n, M, offset):
+    """A (Z, E) workspace whose Z starts `offset` bytes past a 64-byte boundary."""
+    size = n * 2 * M * M
+    buf = np.empty(2 * size + 8)
+    k = (offset - buf.ctypes.data) % 64 // 8
+    Z, E = (buf[k + i : k + i + size].reshape(n, 2 * M, M) for i in (0, size))
+    assert Z.ctypes.data % 64 == offset
+    return Z, E
+
+
+class TestNoiseWorkspace:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        M=st.integers(1, 40),
+        K=st.integers(1, 10),
+        n_max=st.integers(1, 9),
+        data=st.data(),
+        offset=st.sampled_from([None, 8, 16, 48]),
+        log_rho=st.floats(-4.0, 12.0),
+    )
+    def test_same_bits_as_the_allocating_form(self, seed, M, K, n_max, data, offset, log_rho):
+        # partial stacks (n < n_max) and workspaces off the 64-byte boundary;
+        # the NaN fill shows that nothing left in the workspace is read
+        rng = np.random.default_rng(seed)
+        rho = 10.0**log_rho
+        if offset is None:
+            work = _noise_workspace(n_max, M)
+        else:
+            work = _shifted_workspace(n_max, M, offset)
+        for w in work:
+            w.fill(np.nan)
+        for n in (data.draw(st.integers(1, n_max)), n_max):
+            H, W = crandn(rng, n, M, K), crandn(rng, n, K, M)
+            want = quantizer_noise_quad(W, H, rho)
+            assert np.array_equal(quantizer_noise_quad(W, H, rho, work), want)
+
+    @pytest.mark.parametrize("n, M", [(1, 1), (3, 5), (7, 33), (32, 32), (1, 256)])
+    def test_helper_gives_aligned_contiguous_arrays(self, n, M):
+        Z, E = _noise_workspace(n, M)
+        for w in (Z, E):
+            assert w.shape == (n, 2 * M, M) and w.dtype == np.float64
+            assert w.flags.c_contiguous and w.flags.writeable
+            assert w.ctypes.data % 64 == 0
+        assert not np.shares_memory(Z, E)
+
+    @pytest.mark.parametrize(
+        "n_max, M_work, H_shape",
+        [
+            (3, 6, (4, 6, 2)),  # too few rows
+            (4, 5, (4, 6, 2)),  # (2M, M) of another M
+            (4, 7, (4, 6, 2)),
+            (8, 6, (6, 2)),  # a single matrix is no stack
+        ],
+    )
+    def test_wrong_workspace_raises(self, n_max, M_work, H_shape):
+        rng = np.random.default_rng(3)
+        H = crandn(rng, *H_shape)
+        W = np.swapaxes(H.conj(), -1, -2)
+        with pytest.raises(ValueError, match="work needs C-contiguous"):
+            quantizer_noise_quad(W, H, 1.0, _noise_workspace(n_max, M_work))
+
+    def test_non_contiguous_workspace_raises(self):
+        H = crandn(np.random.default_rng(3), 2, 6, 2)
+        W = np.swapaxes(H.conj(), -1, -2)
+        Z, E = _noise_workspace(2, 6)
+        with pytest.raises(ValueError, match="work needs C-contiguous"):
+            quantizer_noise_quad(W, H, 1.0, (Z, np.asfortranarray(E)))
+
+    def test_workspace_keeps_stack_sized_arrays_off_the_heap(self):
+        # n = 8, M = 64: one (n, 2M, M) float64 array is 512 KiB, and the
+        # allocating form needs two of them at once
+        n, M, K = 8, 64, 8
+        rng = np.random.default_rng(5)
+        H, W = crandn(rng, n, M, K), crandn(rng, n, K, M)
+        work = _noise_workspace(n, M)
+        one = n * 2 * M * M * 8
+        peaks = []
+        for w in (work, None):
+            tracemalloc.start()
+            try:
+                quantizer_noise_quad(W, H, 0.5, w)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < one < 2 * one < peaks[1]
 
 
 class TestLowSnrCq:

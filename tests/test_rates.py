@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from onebit_mimo import (
     training_signal,
     zf_matrix,
 )
-from onebit_mimo import rates
+from onebit_mimo import mc, rates
 from onebit_mimo.channel import crandn, unvec, vec
 from onebit_mimo.estimators import blmmse_fast, blmmse_filter
 from onebit_mimo.mc import run_blocks, trial_stacks
@@ -433,6 +435,39 @@ class TestStackedKernelMatchesPerTrial:
         for combine in (mrc_matrix, zf_matrix):
             want = np.stack([combine(h) for h in H])
             np.testing.assert_allclose(combine(H), want, rtol=1e-14, atol=1e-15)
+
+
+class TestStackSizeInvariance:
+    # the stack budget decides how trials are grouped, never the numbers
+    @pytest.mark.parametrize("csi", ["estimated", "perfect"])
+    @pytest.mark.parametrize("tau", [4, 7])  # tau = K (fast path) and tau > K
+    @pytest.mark.parametrize("receiver", ["mrc", "zf"])
+    def test_rates_equal_at_two_budgets(self, monkeypatch, receiver, tau, csi):
+        cfg = SystemConfig(M=24, K=4, tau=tau, T=50, rho_p=0.3, rho_d=0.5)
+        budgets = (8_192, mc._STACK_ELEMS)  # 14 and 56 trials per stack at M = 24
+        assert budgets[0] < budgets[1]
+        got = []
+        for budget in budgets:
+            monkeypatch.setattr(mc, "_STACK_ELEMS", budget)
+            got.append(ergodic_rate_mc(cfg, receiver, 257, (3, tau), csi))
+        small, large = got
+        assert np.array_equal(large.per_user_rate, small.per_user_rate)
+        assert large.stderr == small.stderr
+
+
+@pytest.mark.parametrize("M", [32, 64, 128, 256])
+def test_rate_call_memory_peak(M):
+    # traced numpy memory of one rate call (its stacks, the quantizer-noise
+    # workspace and the draws); a larger stack budget that would raise the
+    # benchmark's resident memory by 10% shows here first
+    cfg = SystemConfig(M=M, K=8, tau=8)
+    tracemalloc.start()
+    try:
+        ergodic_rate_mc(cfg, "zf", 300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 class TestClosedFormTracksMonteCarlo:
