@@ -191,12 +191,6 @@ def blmmse_flat(r_p: np.ndarray, Phi: np.ndarray, cfg: SystemConfig) -> ChannelE
     return ChannelEstimate(H_hat, sigma_sq=sigma_sq, mse=1.0 - sigma_sq)
 
 
-def _fast_estimate(R_p: np.ndarray, Phi: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    """alpha_p sqrt(rho_p) R_p Phi^*, the tau = K estimate, of an (..., M, tau) stack R_p."""
-    _check_pilots(Phi, cfg)
-    return alpha_p(cfg) * np.sqrt(cfg.rho_p) * (R_p @ Phi.conj())
-
-
 def blmmse_fast(r_p: np.ndarray, Phi: np.ndarray, cfg: SystemConfig) -> ChannelEstimate:
     """Inversion-free estimator for tau = K, DFT pilots, i.i.d. channel.
 
@@ -206,9 +200,11 @@ def blmmse_fast(r_p: np.ndarray, Phi: np.ndarray, cfg: SystemConfig) -> ChannelE
     """
     if cfg.tau != cfg.K:
         raise ValueError(f"fast path requires tau == K, got tau={cfg.tau}, K={cfg.K}")
+    _check_pilots(Phi, cfg)
     R_p = unvec(np.asarray(r_p).reshape(-1), cfg.M, cfg.tau)
     mse = mse_closed_form(cfg)
-    return ChannelEstimate(_fast_estimate(R_p, Phi, cfg), sigma_sq=1.0 - mse, mse=mse)
+    H_hat = alpha_p(cfg) * np.sqrt(cfg.rho_p) * (R_p @ Phi.conj())
+    return ChannelEstimate(H_hat, sigma_sq=1.0 - mse, mse=mse)
 
 
 def _ls_pinv(Phi: np.ndarray, cfg: SystemConfig) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import crandn_trials, dft_pilots
 from .config import SystemConfig
-from .estimators import _estimate_variance, _fast_estimate, _iid_filter, estimate_variance
+from .estimators import _estimate_variance, _iid_filter, estimate_variance
 from .mc import BLOCK, run_blocks, trial_stacks
 from .quantize import (
     UNCORR_NOISE_VAR,
@@ -41,6 +41,13 @@ __all__ = [
     "conventional_rates",
 ]
 
+# a ZF Gram matrix G with lambda_min <= _ZF_RCOND * lambda_max is singular:
+# a solve of it would lose over 12 of its 16 digits. Rounding leaves an
+# exactly rank-deficient G (M < K) at up to 3.3 eps * lambda_max (Gaussian
+# draws, K <= 16); at M = 1, K = 2 that is above the K * eps that
+# np.linalg.matrix_rank allows.
+_ZF_RCOND = 1e-12
+
 
 @dataclass
 class RateReport:
@@ -60,21 +67,21 @@ def mrc_matrix(H_hat: np.ndarray) -> np.ndarray:
 def zf_matrix(H_hat: np.ndarray) -> np.ndarray:
     """Zero-forcing combiner W^T = (H_hat^H H_hat)^{-1} H_hat^H (K x M); stacks too.
 
-    A matrix whose Gram matrix is singular gets the minimum-norm combiner
-    pinv(H_hat); the other matrices of its stack are then solved one by
-    one, with the same result as the stacked solve.
+    Rank policy: a matrix whose Gram matrix G = H_hat^H H_hat has
+    lambda_min <= _ZF_RCOND * lambda_max is singular and gets the
+    minimum-norm combiner pinv(G) H_hat^H, with pinv cutting the eigenvalues
+    below that same fraction of lambda_max. Every other matrix takes the
+    stacked solve of G, with the bytes of a solve of it alone.
     """
     Hh = np.swapaxes(H_hat.conj(), -1, -2)
-    try:
-        return np.linalg.solve(Hh @ H_hat, Hh)
-    except np.linalg.LinAlgError:
-        pass
+    G = Hh @ H_hat
+    lam = np.linalg.eigvalsh(G)
+    singular = lam[..., 0] <= _ZF_RCOND * lam[..., -1]
+    if not singular.any():
+        return np.linalg.solve(G, Hh)
     W = np.empty(Hh.shape, dtype=np.result_type(Hh, 1.0))
-    for i in np.ndindex(H_hat.shape[:-2]):
-        try:
-            W[i] = np.linalg.solve(Hh[i] @ H_hat[i], Hh[i])
-        except np.linalg.LinAlgError:
-            W[i] = np.linalg.pinv(H_hat[i])
+    W[~singular] = np.linalg.solve(G[~singular], Hh[~singular])
+    W[singular] = np.linalg.pinv(G[singular], rtol=_ZF_RCOND, hermitian=True) @ Hh[singular]
     return W
 
 
@@ -120,22 +127,18 @@ def ergodic_rate_mc(
     receiver: str = "mrc",
     n_trials: int = 2000,
     seed=0,
-    csi: str = "estimated",
 ) -> RateReport:
     """Monte Carlo lower bound on the ergodic per-user rate with one-bit ADCs.
 
     Per channel draw: train with DFT pilots, quantize, form the Bussgang
-    LMMSE estimate, build the combiner from it, and evaluate the SINR with
-    the hardening gain alpha_d and the exact per-realization quantizer-noise
-    covariance. csi='perfect' skips estimation (H_hat = H), which upper
-    bounds the estimated-CSI rate.
+    LMMSE estimate R_p G_1^T, build the combiner from it, and evaluate the
+    SINR with the hardening gain alpha_d and the exact per-realization
+    quantizer-noise covariance.
 
     Each block of trials is evaluated in stacks (:func:`mc.trial_stacks`)
     on (n, M, K) arrays; the draws are those of one trial at a time. The
     stacks share one quantizer-noise workspace, allocated once per call.
     """
-    if csi not in ("estimated", "perfect"):
-        raise ValueError("csi must be 'estimated' or 'perfect'")
     # built per call, so that a module attribute swapped in later is the one used
     combine = {"mrc": mrc_matrix, "zf": zf_matrix}.get(receiver)
     if combine is None:
@@ -145,21 +148,14 @@ def ergodic_rate_mc(
     M, K, tau = cfg.M, cfg.K, cfg.tau
     Phi = dft_pilots(tau, K)
     ad2 = alpha_d(cfg) ** 2
-    fast = tau == K
-    if csi == "estimated" and not fast:  # the i.i.d. filter is G_1 kron I_M
-        G1 = _iid_filter(Phi, cfg)[0]
+    G1 = _iid_filter(Phi, cfg)[0]  # the i.i.d. filter is G_1 kron I_M
     work = _noise_workspace(trial_stacks(min(n_trials, BLOCK), M)[0].stop, M)
 
     def block(rng: np.random.Generator, n: int):
         rates = np.empty((n, K))
         for s in trial_stacks(n, M):
-            if csi == "perfect":
-                (H,) = crandn_trials(rng, s.stop - s.start, (M, K))
-                H_hat = H
-            else:
-                H, N = crandn_trials(rng, s.stop - s.start, (M, K), (M, tau))
-                R_p = one_bit_quantize(np.sqrt(cfg.rho_p) * H @ Phi.T + N)
-                H_hat = _fast_estimate(R_p, Phi, cfg) if fast else R_p @ G1.T
+            H, N = crandn_trials(rng, s.stop - s.start, (M, K), (M, tau))
+            H_hat = one_bit_quantize(np.sqrt(cfg.rho_p) * H @ Phi.T + N) @ G1.T
             WT = combine(H_hat)
 
             sig = np.abs(WT @ H_hat) ** 2  # n x K x K, [t, k, i] = |w_k^T h_hat_i|^2
@@ -177,8 +173,8 @@ def ergodic_rate_mc(
     results = run_blocks(n_trials, block, seed)
     per_user = sum(r for r, _ in results) / n_trials
     samples = np.concatenate([s for _, s in results])
-    pref = (cfg.T - cfg.tau) / cfg.T
-    stderr = pref * float(np.std(samples, ddof=1) / np.sqrt(n_trials))
+    # the prefactor of the sum SE scales the standard error of the trial sums
+    stderr = sum_se(np.std(samples, ddof=1) / np.sqrt(n_trials), cfg)
     return RateReport(per_user, sum_se(per_user, cfg), "mc_lower_bound", stderr)
 
 

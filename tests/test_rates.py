@@ -50,6 +50,18 @@ class TestCombiners:
         assert ratio.real > 0 and abs(ratio.imag) < 1e-12
 
 
+def _zf_policy(H):
+    """What zf_matrix's rank policy gives a stack: (flagged, G, H^H)."""
+    Hh = np.swapaxes(H.conj(), -1, -2)
+    G = Hh @ H
+    lam = np.linalg.eigvalsh(G)
+    return lam[..., 0] <= rates._ZF_RCOND * lam[..., -1], G, Hh
+
+
+def _min_norm_combiner(G, Hh):
+    return np.linalg.pinv(G, rtol=rates._ZF_RCOND, hermitian=True) @ Hh
+
+
 class TestSingularZf:
     @staticmethod
     def _stack_with_singular_trials():
@@ -62,9 +74,12 @@ class TestSingularZf:
 
     def test_singular_trials_get_the_pseudo_inverse(self):
         H = self._stack_with_singular_trials()
+        flagged, G, Hh = _zf_policy(H)
+        np.testing.assert_array_equal(flagged, [False, True, False, True, False])
         W = zf_matrix(H)
+        np.testing.assert_array_equal(W[flagged], _min_norm_combiner(G[flagged], Hh[flagged]))
         for t in (1, 3):
-            np.testing.assert_array_equal(W[t], np.linalg.pinv(H[t]))
+            np.testing.assert_allclose(W[t], np.linalg.pinv(H[t]), rtol=0, atol=1e-15)
             # the minimum-norm combiner still satisfies W H W = W
             np.testing.assert_allclose(W[t] @ H[t] @ W[t], W[t], atol=1e-12)
         assert np.all(np.isfinite(W))
@@ -81,17 +96,71 @@ class TestSingularZf:
 
     def test_single_singular_matrix(self):
         H = self._stack_with_singular_trials()[1]
-        np.testing.assert_array_equal(zf_matrix(H), np.linalg.pinv(H))
+        flagged, G, Hh = _zf_policy(H)
+        assert flagged
+        np.testing.assert_array_equal(zf_matrix(H), _min_norm_combiner(G, Hh))
 
     def test_rate_with_singular_trials_is_finite(self, monkeypatch):
         # M = 3, K = 2 at 30 dB: one-bit estimates with collinear columns
         calls = []
         pinv = np.linalg.pinv
-        monkeypatch.setattr(np.linalg, "pinv", lambda a: calls.append(1) or pinv(a))
+        monkeypatch.setattr(np.linalg, "pinv", lambda a, **kw: calls.append(1) or pinv(a, **kw))
         cfg = SystemConfig(M=3, K=2, tau=2, rho_p=1000.0, rho_d=1000.0)
         rep = ergodic_rate_mc(cfg, "zf", 100, 0)
         assert calls
         assert np.all(np.isfinite(rep.per_user_rate)) and np.isfinite(rep.stderr)
+
+
+def _recorded_zf_rate(monkeypatch, cfg, n_trials, seed):
+    """ergodic_rate_mc(cfg, 'zf') and the (H_hat, W^T) stacks its combiner saw."""
+    seen = []
+
+    def recording(H_hat):
+        W = zf_matrix(H_hat)
+        seen.append((H_hat, W))
+        return W
+
+    monkeypatch.setattr(rates, "zf_matrix", recording)
+    return ergodic_rate_mc(cfg, "zf", n_trials, seed), seen
+
+
+def _assert_policy_taken(seen):
+    """Each flagged trial has the minimum-norm combiner and each other trial
+    the stacked solve, bit for bit; returns the number flagged."""
+    n_flagged = 0
+    for H_hat, W in seen:
+        flagged, G, Hh = _zf_policy(H_hat)
+        np.testing.assert_array_equal(W[flagged], _min_norm_combiner(G[flagged], Hh[flagged]))
+        np.testing.assert_array_equal(W[~flagged], np.linalg.solve(G[~flagged], Hh[~flagged]))
+        n_flagged += int(flagged.sum())
+    return n_flagged
+
+
+class TestZfRankPolicy:
+    # M = 3, K = 2 at 30 dB: one-bit estimates with (nearly) collinear
+    # columns; the flagged trials are those with cond(G) > 1e12, and the
+    # nearest other trial has cond(G) < 1e3
+    @pytest.mark.parametrize("tau, n_singular", [(2, 17), (3, 4), (4, 4)])
+    def test_flagged_trials_take_the_minimum_norm_combiner(self, monkeypatch, tau, n_singular):
+        cfg = SystemConfig(M=3, K=2, tau=tau, rho_p=1000.0, rho_d=1000.0)
+        rep, seen = _recorded_zf_rate(monkeypatch, cfg, 300, 0)
+        assert _assert_policy_taken(seen) == n_singular
+        G = np.concatenate([_zf_policy(H_hat)[1] for H_hat, _ in seen])
+        s = np.linalg.svd(G, compute_uv=False)
+        assert np.sum(s[:, -1] < 1e-12 * s[:, 0]) == n_singular
+        assert np.sum(s[:, -1] < 1e-3 * s[:, 0]) == n_singular
+        assert np.all(np.isfinite(rep.per_user_rate)) and np.isfinite(rep.stderr)
+
+    @pytest.mark.parametrize("M, K, tau", [(1, 2, 2), (2, 4, 4), (2, 3, 5)])
+    def test_fewer_antennas_than_users(self, monkeypatch, M, K, tau):
+        # every Gram matrix has rank M < K, so every trial is flagged
+        cfg = SystemConfig(M=M, K=K, tau=tau, T=50, rho_p=0.3, rho_d=0.5)
+        rep, seen = _recorded_zf_rate(monkeypatch, cfg, 300, (9, tau))
+        assert _assert_policy_taken(seen) == 300
+        assert np.all(np.isfinite(rep.per_user_rate)) and np.isfinite(rep.stderr)
+        per_user, stderr = _ref_ergodic_rate_mc(cfg, "zf", 300, (9, tau))
+        np.testing.assert_allclose(rep.per_user_rate, per_user, rtol=1e-12, atol=0.0)
+        assert rep.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
 
 
 class TestSumSe:
@@ -329,15 +398,6 @@ class TestErgodicRateMc:
         assert ses[1] > ses[0] + 2 * (errs[0] + errs[1])
         assert ses[2] > ses[1] + 2 * (errs[1] + errs[2])
 
-    def test_perfect_csi_at_least_estimated(self):
-        cfg = SystemConfig(M=32, K=4, tau=4, rho_p=0.1, rho_d=0.1)
-        est = ergodic_rate_mc(cfg, "mrc", n_trials=400, seed=13)
-        perf = ergodic_rate_mc(cfg, "mrc", n_trials=400, seed=13, csi="perfect")
-        assert (
-            perf.sum_spectral_efficiency
-            > est.sum_spectral_efficiency - 2 * (perf.stderr + est.stderr)
-        )
-
     def test_report_invariants(self):
         cfg = SystemConfig(M=16, K=4, tau=4, rho_p=0.1, rho_d=0.1)
         rep = ergodic_rate_mc(cfg, "zf", n_trials=100, seed=1)
@@ -359,17 +419,16 @@ class TestErgodicRateMc:
             ergodic_rate_mc(cfg, "mrc", n_trials=n_trials, seed=0)
 
 
-def _ref_ergodic_rate_mc(cfg, receiver, n_trials, seed, csi):
+def _ref_ergodic_rate_mc(cfg, receiver, n_trials, seed):
     """ergodic_rate_mc as it ran before trials were stacked: one trial at a
-    time, with the complex quantizer-noise covariance; (per-user, stderr)."""
+    time, with the dense filter (the closed form at tau = K) and the complex
+    quantizer-noise covariance; (per-user, stderr)."""
     combine = mrc_matrix if receiver == "mrc" else zf_matrix
     M, K, tau = cfg.M, cfg.K, cfg.tau
     Phi = dft_pilots(tau, K)
     ad = alpha_d(cfg)
     fast = tau == K
-    G = None
-    if csi == "estimated" and not fast:
-        G, _, _ = blmmse_filter(Phi, cfg)
+    G = None if fast else blmmse_filter(Phi, cfg)[0]
     ap_rp = alpha_p(cfg) * np.sqrt(cfg.rho_p)
     Phi_conj = Phi.conj()
 
@@ -378,15 +437,12 @@ def _ref_ergodic_rate_mc(cfg, receiver, n_trials, seed, csi):
         samples = np.empty(n)
         for t in range(n):
             H = crandn(rng, M, K)
-            if csi == "perfect":
-                H_hat = H
+            Y = np.sqrt(cfg.rho_p) * H @ Phi.T + crandn(rng, M, tau)
+            R_p = one_bit_quantize(Y)
+            if fast:
+                H_hat = ap_rp * (R_p @ Phi_conj)
             else:
-                Y = np.sqrt(cfg.rho_p) * H @ Phi.T + crandn(rng, M, tau)
-                R_p = one_bit_quantize(Y)
-                if fast:
-                    H_hat = ap_rp * (R_p @ Phi_conj)
-                else:
-                    H_hat = unvec(G @ vec(R_p), M, K)
+                H_hat = unvec(G @ vec(R_p), M, K)
             Eps = H - H_hat
             C_qd = quantizer_noise_cov(cfg.rho_d * H @ H.conj().T + np.eye(M))
             WT = combine(H_hat)
@@ -420,13 +476,12 @@ class TestStackedKernelMatchesPerTrial:
         assert 7 < sizes[0]
 
     @pytest.mark.parametrize("n_trials", [2, 7, 257])
-    @pytest.mark.parametrize("csi", ["estimated", "perfect"])
-    @pytest.mark.parametrize("tau", [4, 7])  # tau = K (fast path) and tau > K
+    @pytest.mark.parametrize("tau", [4, 7])  # tau = K (closed form in the reference) and tau > K
     @pytest.mark.parametrize("receiver", ["mrc", "zf"])
-    def test_matches_reference(self, receiver, tau, csi, n_trials):
+    def test_matches_reference(self, receiver, tau, n_trials):
         cfg = SystemConfig(M=self.M, K=4, tau=tau, T=50, rho_p=0.3, rho_d=0.5)
-        got = ergodic_rate_mc(cfg, receiver, n_trials, (9, tau), csi)
-        per_user, stderr = _ref_ergodic_rate_mc(cfg, receiver, n_trials, (9, tau), csi)
+        got = ergodic_rate_mc(cfg, receiver, n_trials, (9, tau))
+        per_user, stderr = _ref_ergodic_rate_mc(cfg, receiver, n_trials, (9, tau))
         np.testing.assert_allclose(got.per_user_rate, per_user, rtol=1e-12, atol=0.0)
         assert got.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
 
@@ -439,17 +494,16 @@ class TestStackedKernelMatchesPerTrial:
 
 class TestStackSizeInvariance:
     # the stack budget decides how trials are grouped, never the numbers
-    @pytest.mark.parametrize("csi", ["estimated", "perfect"])
-    @pytest.mark.parametrize("tau", [4, 7])  # tau = K (fast path) and tau > K
+    @pytest.mark.parametrize("tau", [4, 7])
     @pytest.mark.parametrize("receiver", ["mrc", "zf"])
-    def test_rates_equal_at_two_budgets(self, monkeypatch, receiver, tau, csi):
+    def test_rates_equal_at_two_budgets(self, monkeypatch, receiver, tau):
         cfg = SystemConfig(M=24, K=4, tau=tau, T=50, rho_p=0.3, rho_d=0.5)
         budgets = (8_192, mc._STACK_ELEMS)  # 14 and 56 trials per stack at M = 24
         assert budgets[0] < budgets[1]
         got = []
         for budget in budgets:
             monkeypatch.setattr(mc, "_STACK_ELEMS", budget)
-            got.append(ergodic_rate_mc(cfg, receiver, 257, (3, tau), csi))
+            got.append(ergodic_rate_mc(cfg, receiver, 257, (3, tau)))
         small, large = got
         assert np.array_equal(large.per_user_rate, small.per_user_rate)
         assert large.stderr == small.stderr
