@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .allocation import _optimize_numeric, antenna_ratio, power_scaling_limit
-from .channel import _psd_root, crandn_trials, dft_pilots, laplacian_covariance
+from .channel import _psd_root, dft_pilots, laplacian_covariance
 from .config import PowerBudget, SystemConfig, db_to_linear
 from .estimators import (
     _iid_filter,
@@ -29,8 +29,7 @@ from .estimators import (
     blmmse_filter,
     lmmse_uncorrelated_filter,
 )
-from .mc import run_blocks, trial_stacks
-from .quantize import one_bit_quantize
+from .mc import training_trials
 from .rates import _closed_se, ergodic_rate_mc
 
 __all__ = [
@@ -124,14 +123,12 @@ def _checked_sweep(spec: ExperimentSpec) -> dict:
             "n_trials",
         )
     p = {**fig.defaults, **spec.sweep}
-    if monte_carlo:  # Monte Carlo figures draw arrays of these sizes
-        for name in ("m", "k", "tau"):
-            for v in _aslist(p[name]):
-                if not isinstance(v, int):
-                    raise SpecError(
-                        f"{name} must be an integer, got {v!r}; {fid} is a Monte Carlo figure",
-                        name,
-                    )
+    # k and tau count users and pilots; Monte Carlo figures draw m antennas too
+    for name in ("m", "k", "tau") if monte_carlo else ("k", "tau"):
+        why = f"; {fid} is a Monte Carlo figure" if name == "m" else ""
+        for v in _aslist(p.get(name, [])):
+            if not isinstance(v, int):
+                raise SpecError(f"{name} must be an integer, got {v!r}{why}", name)
     iters = p.get("nml_max_iters", 1)
     if not isinstance(iters, int) or iters < 1:
         raise SpecError(
@@ -317,51 +314,36 @@ _SYSTEMS = {"onebit": "one-bit", "conv": "conventional"}  # column tag: allocati
 def _mse_point(cfg, Phi, filters, nml_opts, n_trials, seed, root=None):
     """Mean and standard error of the normalized MSE per estimator.
 
-    Channels are root @ CN(0, I) draws (root None: i.i.d.); the linear
-    filters, and nML unless nml_opts is None, see the same observations.
-    A K x tau filter G stands for G kron I_M and is applied to the training
-    matrices as H_hat = R G^T; any other filter is a dense MK x M tau matrix
-    applied to vec(R).
-    Trials are evaluated in stacks (:func:`mc.trial_stacks`), with the draws
-    of one trial at a time; nML solves a whole stack at once
-    (:func:`estimators._nml_solve`).
+    The trials of :func:`mc.training_trials` (channels root @ CN(0, I),
+    i.i.d. for root None) give the same observations to each linear filter
+    and, unless nml_opts is None, to nML, which solves a whole stack at once
+    (:func:`estimators._nml_solve`). A K x tau filter G stands for G kron I_M
+    and is applied to the training matrices as H_hat = R G^T; any other
+    filter is a dense MK x M tau matrix applied to vec(R).
     """
-    if n_trials < 2:
-        raise ValueError(f"n_trials must be >= 2 for a standard error, got {n_trials}")
     M, K, tau = cfg.M, cfg.K, cfg.tau
-    names = list(filters)
-    if nml_opts is not None:
-        names.append("nml")
+    names = [*filters, *([] if nml_opts is None else ["nml"])]
 
-    def block(rng, n):
-        acc = {name: np.empty(n) for name in names}
-        for s in trial_stacks(n, M):
-            H, N = crandn_trials(rng, s.stop - s.start, (M, K), (M, tau))
-            if root is not None:
-                H = root @ H
-            R = one_bit_quantize(np.sqrt(cfg.rho_p) * H @ Phi.T + N)
-            r = np.swapaxes(R, 1, 2).reshape(-1, M * tau, 1)  # vec(R) per trial
-            h = np.swapaxes(H, 1, 2).reshape(-1, M * K)
-            for name, G in filters.items():
-                if G.shape == (K, tau):
-                    err = np.swapaxes(R @ G.T, 1, 2).reshape(-1, M * K) - h
-                else:
-                    err = (G @ r)[..., 0] - h
-                acc[name][s] = np.sum(np.abs(err) ** 2, axis=1) / (M * K)
-            if nml_opts is not None:
-                H_hat = _nml_solve(r[..., 0], Phi, cfg, **nml_opts)[0]
-                acc["nml"][s] = np.sum(np.abs(H_hat - H) ** 2, axis=(1, 2)) / (M * K)
-        return acc
+    def mse(H, R):
+        r = np.swapaxes(R, 1, 2).reshape(-1, M * tau, 1)  # vec(R) per trial
+        h = np.swapaxes(H, 1, 2).reshape(-1, M * K)
+        sq = []
+        for G in filters.values():
+            if G.shape == (K, tau):
+                err = np.swapaxes(R @ G.T, 1, 2).reshape(-1, M * K) - h
+            else:
+                err = (G @ r)[..., 0] - h
+            sq.append(np.sum(np.abs(err) ** 2, axis=1))
+        if nml_opts is not None:
+            H_hat = _nml_solve(r[..., 0], Phi, cfg, **nml_opts)[0]
+            sq.append(np.sum(np.abs(H_hat - H) ** 2, axis=(1, 2)))
+        return np.stack(sq, axis=1) / (M * K)
 
-    blocks = run_blocks(n_trials, block, seed)
-    out = {}
-    for name in names:
-        samples = np.concatenate([b[name] for b in blocks])
-        out[name] = (
-            float(samples.mean()),
-            float(samples.std(ddof=1) / np.sqrt(len(samples))),
-        )
-    return out
+    samples = np.concatenate(training_trials(cfg, Phi, n_trials, seed, mse, root))
+    return {
+        name: (float(x.mean()), float(x.std(ddof=1) / np.sqrt(len(x))))
+        for name, x in zip(names, samples.T)
+    }
 
 
 def _mse_columns(res) -> dict:
@@ -484,7 +466,9 @@ def fig9_kappa(p, n_trials, seed) -> dict:
 
 
 def _span(a, b, step):
-    return [round(a + i * step, 10) for i in range(int(round((b - a) / step)) + 1)]
+    # floor, so that no value passes b; 1e-9 keeps b when (b - a) / step rounds
+    # just below an integer, as 0.3 / 0.1 = 2.9999999999999996 does
+    return [round(a + i * step, 10) for i in range(int((b - a) / step + 1e-9) + 1)]
 
 
 FIGURES = {

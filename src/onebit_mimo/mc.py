@@ -2,15 +2,18 @@
 
 Trials are partitioned into contiguous blocks; each block gets its own
 seed stream derived from (seed, block index), and the blocks run serially
-in block order. Inside a block, trials are processed in stacks of
-:func:`trial_stacks`.
+in block order. Inside a block, :func:`training_trials` draws, trains and
+quantizes the trials in stacks of :func:`trial_stacks`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["block_seeds", "run_blocks", "trial_stacks"]
+from .channel import crandn_trials
+from .quantize import one_bit_quantize
+
+__all__ = ["block_seeds", "run_blocks", "trial_stacks", "training_trials"]
 
 BLOCK = 256  # trials per block
 
@@ -52,3 +55,24 @@ def trial_stacks(n: int, M: int) -> list[slice]:
     """Consecutive slices covering range(n), each of at most max(1, _STACK_ELEMS // M^2) trials."""
     step = max(1, _STACK_ELEMS // (M * M))
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def training_trials(cfg, Phi, n_trials: int, seed, stat, root=None) -> list[np.ndarray]:
+    """stat(H, R) over n_trials training phases: one array per block, its stacks' rows joined.
+
+    A trial draws CN(0, 1) H (M x K; root @ H unless root is None) and N (M x tau), then
+    R = Q(sqrt(rho_p) H Phi^T + N); stat maps a stack's (n, M, K) H and (n, M, tau) R to n rows.
+    """
+    if n_trials < 2:
+        raise ValueError(f"n_trials must be >= 2 for a standard error, got {n_trials}")
+
+    def block(rng: np.random.Generator, n: int) -> np.ndarray:
+        rows = []
+        for s in trial_stacks(n, cfg.M):
+            H, N = crandn_trials(rng, s.stop - s.start, (cfg.M, cfg.K), (cfg.M, cfg.tau))
+            if root is not None:
+                H = root @ H
+            rows.append(stat(H, one_bit_quantize(np.sqrt(cfg.rho_p) * H @ Phi.T + N)))
+        return np.concatenate(rows)
+
+    return run_blocks(n_trials, block, seed)

@@ -13,16 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import crandn_trials, dft_pilots
+from .channel import dft_pilots
 from .config import SystemConfig
 from .estimators import _estimate_variance, _iid_filter, estimate_variance
-from .mc import BLOCK, run_blocks, trial_stacks
+from .mc import training_trials
 from .quantize import (
     UNCORR_NOISE_VAR,
     _alpha_sq,
     _noise_workspace,
     alpha_d,
-    one_bit_quantize,
     quantizer_noise_quad,
 )
 
@@ -130,49 +129,41 @@ def ergodic_rate_mc(
 ) -> RateReport:
     """Monte Carlo lower bound on the ergodic per-user rate with one-bit ADCs.
 
-    Per channel draw: train with DFT pilots, quantize, form the Bussgang
+    Per trial of :func:`mc.training_trials` (DFT pilots): form the Bussgang
     LMMSE estimate R_p G_1^T, build the combiner from it, and evaluate the
     SINR with the hardening gain alpha_d and the exact per-realization
-    quantizer-noise covariance.
-
-    Each block of trials is evaluated in stacks (:func:`mc.trial_stacks`)
-    on (n, M, K) arrays; the draws are those of one trial at a time. The
-    stacks share one quantizer-noise workspace, allocated once per call.
+    quantizer-noise covariance. The trial stacks share one quantizer-noise
+    workspace, allocated once per call.
     """
     # built per call, so that a module attribute swapped in later is the one used
     combine = {"mrc": mrc_matrix, "zf": zf_matrix}.get(receiver)
     if combine is None:
         raise ValueError(f"unknown receiver {receiver!r} (use 'mrc' or 'zf')")
-    if n_trials < 2:
-        raise ValueError(f"n_trials must be >= 2 for a standard error, got {n_trials}")
-    M, K, tau = cfg.M, cfg.K, cfg.tau
-    Phi = dft_pilots(tau, K)
+    Phi = dft_pilots(cfg.tau, cfg.K)
     ad2 = alpha_d(cfg) ** 2
     G1 = _iid_filter(Phi, cfg)[0]  # the i.i.d. filter is G_1 kron I_M
-    work = _noise_workspace(trial_stacks(min(n_trials, BLOCK), M)[0].stop, M)
+    work = []  # made for the first stack, the largest
 
-    def block(rng: np.random.Generator, n: int):
-        rates = np.empty((n, K))
-        for s in trial_stacks(n, M):
-            H, N = crandn_trials(rng, s.stop - s.start, (M, K), (M, tau))
-            H_hat = one_bit_quantize(np.sqrt(cfg.rho_p) * H @ Phi.T + N) @ G1.T
-            WT = combine(H_hat)
+    def rates(H, R):
+        if not work:
+            work.extend(_noise_workspace(len(H), cfg.M))
+        H_hat = R @ G1.T
+        WT = combine(H_hat)
 
-            sig = np.abs(WT @ H_hat) ** 2  # n x K x K, [t, k, i] = |w_k^T h_hat_i|^2
-            diag = np.diagonal(sig, axis1=1, axis2=2)
-            desired = cfg.rho_d * ad2 * diag
-            interf = cfg.rho_d * ad2 * (sig.sum(axis=2) - diag)
-            est_err = cfg.rho_d * ad2 * np.sum(np.abs(WT @ (H - H_hat)) ** 2, axis=2)
-            awgn = ad2 * np.sum(np.abs(WT) ** 2, axis=2)
-            quant = quantizer_noise_quad(WT, H, cfg.rho_d, work)
-            den = interf + est_err + awgn + quant
-            sinr = np.divide(desired, den, out=np.zeros_like(den), where=den > 0)
-            rates[s] = np.log2(1.0 + sinr)
-        return rates.sum(axis=0), rates.sum(axis=1)
+        sig = np.abs(WT @ H_hat) ** 2  # n x K x K, [t, k, i] = |w_k^T h_hat_i|^2
+        diag = np.diagonal(sig, axis1=1, axis2=2)
+        desired = cfg.rho_d * ad2 * diag
+        interf = cfg.rho_d * ad2 * (sig.sum(axis=2) - diag)
+        est_err = cfg.rho_d * ad2 * np.sum(np.abs(WT @ (H - H_hat)) ** 2, axis=2)
+        awgn = ad2 * np.sum(np.abs(WT) ** 2, axis=2)
+        quant = quantizer_noise_quad(WT, H, cfg.rho_d, work)
+        den = interf + est_err + awgn + quant
+        sinr = np.divide(desired, den, out=np.zeros_like(den), where=den > 0)
+        return np.log2(1.0 + sinr)
 
-    results = run_blocks(n_trials, block, seed)
-    per_user = sum(r for r, _ in results) / n_trials
-    samples = np.concatenate([s for _, s in results])
+    blocks = training_trials(cfg, Phi, n_trials, seed, rates)
+    per_user = sum(b.sum(axis=0) for b in blocks) / n_trials
+    samples = np.concatenate([b.sum(axis=1) for b in blocks])
     # the prefactor of the sum SE scales the standard error of the trial sums
     stderr = sum_se(np.std(samples, ddof=1) / np.sqrt(n_trials), cfg)
     return RateReport(per_user, sum_se(per_user, cfg), "mc_lower_bound", stderr)

@@ -251,6 +251,11 @@ class TestConfigParsing:
         ints = _parse_value("-20:5:20")
         assert ints == list(range(-20, 21, 5))
         assert all(type(v) is int for v in ints)
+        # the last value never passes the stop, and a stop that the steps
+        # reach up to rounding is kept
+        assert _parse_value("0:4:6") == [0, 4]
+        assert _parse_value("0:0.6:1") == [0.0, 0.6]
+        assert _parse_value("0:0.1:0.3") == [0.0, 0.1, 0.2, 0.3]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="no such config"):
@@ -407,6 +412,10 @@ class TestRunExperiment:
             ("fig9_kappa", {"rho_db": -4000}, "rho_db must be positive in linear scale"),
             ("fig2_mse", {"m": 10**400}, "m must be a finite number in float range"),
             ("fig3_corr_mse", {"spread_deg": 0.0}, "spread_deg must be > 0, got 0.0"),
+            # closed-form figures ran with these: fig7 at k = 8.5 reported tau = 8 < K
+            ("fig7_opt_tau", {"k": 8.5}, "k must be an integer, got 8.5"),
+            ("fig5_power_eff", {"k": 2.5}, "k must be an integer, got 2.5"),
+            ("fig5_power_eff", {"tau": 8.5}, "tau must be an integer, got 8.5"),
         ],
     )
     def test_library_path_applies_the_config_checks(self, tmp_path, figure, sweep, message):
@@ -621,28 +630,6 @@ class TestRunExperiment:
         want = _mse_point(cfg, Phi, {"g": np.kron(G, np.eye(16))}, None, 300, (1, 2))
         np.testing.assert_allclose(got["g"], want["g"], rtol=1e-14, atol=0.0)
 
-    # fig2's nML columns (mse_nml, se_mse_nml) at the figbench `estimation`
-    # config and seed 0; a refactor of the nML solver keeps them byte for byte
-    FIG2_NML = [
-        ("0.919693740266312", "0.0591635450688811"),  # -20 dB
-        ("0.853957896167046", "0.0294399443201595"),
-        ("0.697431912586123", "0.0346230503731553"),
-        ("0.55431537678096", "0.0193812796752076"),
-        ("0.610652945485301", "0.0465255101708603"),  # 0 dB
-        ("0.636687690078978", "0.0387299182014574"),
-        ("0.562319283798821", "0.0276907383350416"),
-        ("0.621058992825164", "0.0337609441181087"),
-        ("0.576885933986833", "0.0317834394101492"),  # 20 dB
-    ]
-
-    def test_fig2_nml_columns_keep_their_bytes(self, tmp_path):
-        out = tmp_path / "fig2.csv"
-        sweep = {"m": 16, "k": 4, "tau": 20, "snr_db": list(range(-20, 25, 5))}
-        run_experiment(ExperimentSpec("fig2_mse", sweep | {"nml_max_iters": 200}, 10, 0, str(out)))
-        header, *rows = csv.reader(out.open())
-        i, j = header.index("mse_nml"), header.index("se_mse_nml")
-        assert [(row[i], row[j]) for row in rows] == self.FIG2_NML
-
     # closed-form columns at the figbench `rates-small-m` (fig4) and `design`
     # configs, as CSV text; figbench compares them to 1e-12 and 1e-9 only.
     # fig4's closed columns do not depend on the trial count.
@@ -719,14 +706,73 @@ class TestRunExperiment:
         ),
     }
 
+    @staticmethod
+    def _columns_text(tmp_path, figure, sweep, n_trials, columns) -> str:
+        """The CSV text of the given columns (None: all) of a seed-0 run."""
+        out = tmp_path / "pinned.csv"
+        run_experiment(ExperimentSpec(figure, sweep, n_trials, 0, str(out)))
+        header, *rows = csv.reader(out.read_text(encoding="utf-8").splitlines())
+        idx = [header.index(c) for c in columns or header]
+        return "".join(",".join(row[i] for i in idx) + "\n" for row in rows)
+
     @pytest.mark.parametrize("figure", sorted(CLOSED_FORM))
     def test_closed_form_columns_keep_their_bytes(self, tmp_path, figure):
         sweep, columns, want = self.CLOSED_FORM[figure]
-        out = tmp_path / "closed.csv"
-        run_experiment(ExperimentSpec(figure, sweep, 2, 0, str(out)))
-        header, *rows = csv.reader(out.open())
-        idx = [header.index(c) for c in columns or header]
-        assert "".join(",".join(row[i] for i in idx) + "\n" for row in rows) == want
+        assert self._columns_text(tmp_path, figure, sweep, 2, columns) == want
+
+    # Monte Carlo columns at the figbench `estimation` (fig2, fig3) and
+    # `rates-small-m` (fig4) configs and seed 0, as CSV text; figbench
+    # compares them to 1e-12 only. A refactor of the trial loops, the nML
+    # solver or the rate kernel keeps them byte for byte.
+    MONTE_CARLO = {
+        "fig2_mse": (
+            {"m": 16, "k": 4, "tau": 20, "snr_db": list(range(-20, 25, 5)), "nml_max_iters": 200},
+            10,
+            None,
+            """\
+-20,0.915936469719913,5.20281458999653,0.919693740266312,0.915936570639111,0.0603585432329992,0.172117697784953,0.0591635450688811,0.0603585640007201
+-15,0.779565800242717,1.58039238458081,0.853957896167046,0.779565601075838,0.0270858783308367,0.0613816156569429,0.0294399443201595,0.0270860356601124
+-10,0.457991228074543,0.490383555916971,0.697431912586123,0.457915140924995,0.0169925681220666,0.0124448705892576,0.0346230503731553,0.016939962086413
+-5,0.262481240657595,0.295448146755894,0.55431537678096,0.263411323650934,0.0098503056835199,0.01087106447425,0.0193812796752076,0.00992090438931146
+0,0.197966799632859,0.446692531982641,0.610652945485301,0.1990984954602,0.00839815562430142,0.0352567951017283,0.0465255101708603,0.00737999273218328
+5,0.170412336446558,0.656314441355992,0.636687690078978,0.170992072662214,0.00741900401615401,0.0391637815176113,0.0387299182014574,0.00607004536503623
+10,0.157428709364942,0.72646075945511,0.562319283798821,0.163512078831879,0.012891886751472,0.0310659844672942,0.0276907383350416,0.0119508598986264
+15,0.165027056418473,0.896372846280984,0.621058992825164,0.165792385699454,0.0140830247382733,0.039511472736831,0.0337609441181087,0.0130717758450942
+20,0.143074349926515,0.901897608375234,0.576885933986833,0.146778640344426,0.00788624670835204,0.0388843182519674,0.0317834394101492,0.00743901495214392
+""",
+        ),
+        "fig3_corr_mse": (
+            {"m": 16, "k": 1, "tau": 2, "snr_db": list(range(-10, 35, 5))},
+            1024,  # four blocks
+            None,
+            """\
+-10,0.462835749799466,0.462831981015478,0.0100578344136339,0.010057112208933
+-5,0.274431638791763,0.274458678904381,0.00555663173900226,0.00555335275264616
+0,0.160423530143685,0.160878596336149,0.00379416081189058,0.00369656294922934
+5,0.139001201868936,0.142984990714257,0.00448991620741591,0.0040032269528046
+10,0.165817846173893,0.175678491442818,0.00585545672000697,0.00486230389117297
+15,0.181226982940486,0.20387731182417,0.00730081416718356,0.00618447480247
+20,0.196333708803931,0.227626718395207,0.00703146657558453,0.00582131159592711
+25,0.192266739263791,0.225735558834914,0.00620484900233449,0.00518288154220685
+30,0.192097589825819,0.229565469572754,0.00672655199545003,0.00577756027674522
+""",
+        ),
+        "fig4_se_vs_snr": (
+            {"m": 32, "k": 8, "tau": 8, "snr_db": [-20, -10, 0]},
+            768,
+            ["sumse_mrc_mc", "sumse_zf_mc", "se_sumse_mrc_mc", "se_sumse_zf_mc"],
+            """\
+0.0981861352063715,0.0790563564477866,2.15937764935771e-05,0.000135770751475078
+3.13059929755299,2.72990036352123,0.00291744089904441,0.00487079308492229
+9.44467381920719,10.0374257510656,0.0143858557271962,0.0162849727779046
+""",
+        ),
+    }
+
+    @pytest.mark.parametrize("figure", sorted(MONTE_CARLO))
+    def test_monte_carlo_columns_keep_their_bytes(self, tmp_path, figure):
+        sweep, n_trials, columns, want = self.MONTE_CARLO[figure]
+        assert self._columns_text(tmp_path, figure, sweep, n_trials, columns) == want
 
     def test_zf_with_singular_gram_matrices_runs_to_a_finite_csv(self, tmp_path):
         # M = 3, K = 2: some one-bit estimates have collinear columns

@@ -70,16 +70,33 @@ def test_benchmark_tracer_entry_points_resolve(monkeypatch):
     assert list(inspect.signature(run_blocks).parameters)[:2] == ["n_trials", "fn"]
 
 
-def test_rates_imports_nothing_from_allocation():
-    # the closed-form formulas sit below the solvers built on them
-    tree = ast.parse((SRC / "onebit_mimo" / "rates.py").read_text())
+def _imported_names(module: str) -> set:
+    """Module and object names that a module of the package imports."""
+    tree = ast.parse((SRC / "onebit_mimo" / f"{module}.py").read_text())
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             names |= {node.module or ""} | {a.name for a in node.names}
         elif isinstance(node, ast.Import):
             names |= {a.name for a in node.names}
+    return names
+
+
+def test_rates_imports_nothing_from_allocation():
+    # the closed-form formulas sit below the solvers built on them
+    names = _imported_names("rates")
     assert not any("allocation" in name.split(".") for name in names)
+
+
+@pytest.mark.parametrize("module", ["rates", "experiments"])
+def test_training_phase_runs_in_mc_only(module):
+    # mc.training_trials is the one loop that draws, trains and quantizes the
+    # trial stacks; the rate bound and the estimator MSE pass it a statistic.
+    # Neither module imports the loop's parts nor reaches them as attributes.
+    loop = {"crandn_trials", "one_bit_quantize", "run_blocks", "trial_stacks"}
+    tree = ast.parse((SRC / "onebit_mimo" / f"{module}.py").read_text())
+    used = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(tree)}
+    assert not loop & (_imported_names(module) | used)
 
 
 def test_numpy_floor_has_vecdot():
