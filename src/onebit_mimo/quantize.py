@@ -36,7 +36,9 @@ def one_bit_quantize(y: np.ndarray) -> np.ndarray:
     """
     y = np.asarray(y)
     parts = np.ascontiguousarray(y, dtype=complex).view(np.float64)  # (Re, Im) pairs
-    return np.where(parts >= 0.0, _RSQRT2, -_RSQRT2).view(complex).reshape(y.shape)
+    q = (parts >= 0.0) * (2.0 * _RSQRT2)
+    q -= _RSQRT2  # 2r - r and 0 - r are exact: +-_RSQRT2, and NaN gives -
+    return q.view(complex).reshape(y.shape)
 
 
 def bussgang_gain(C_y: np.ndarray) -> np.ndarray:
@@ -145,9 +147,11 @@ def quantizer_noise_quad(
     M, K = H.shape[-2:]
     H = np.ascontiguousarray(H, dtype=complex)
     h = H.view(np.float64)  # rows (Re h_1, Im h_1, Re h_2, ...), (..., M, 2K)
-    F = H * np.sqrt(rho / (1.0 + rho * np.einsum("...k,...k->...", h, h)))[..., None]
-    G = F.view(np.float64)
-    J = (-1j * F).view(np.float64)  # rows of -jF: (Im, -Re) pairs
+    scale = np.sqrt(rho / (1.0 + rho * np.einsum("...k,...k->...", h, h)))[..., None]
+    FJ = np.empty((*H.shape[:-2], 2 * M, K), dtype=complex)  # the rows of F, then of -jF
+    np.multiply(np.multiply(H, scale, out=FJ[..., :M, :]), -1j, out=FJ[..., M:, :])
+    GJ = FJ.view(np.float64)  # [G; J]: G = [Re, Im] pairs of F, J = (Im, -Re) pairs
+    G = GJ[..., :M, :]
     Z = E = None
     if work is not None:
         Z, E = (w[: H.shape[0]] for w in work)
@@ -155,7 +159,7 @@ def quantizer_noise_quad(
         if any(w.shape != shape or not w.flags.c_contiguous for w in (Z, E)):
             raise ValueError(f"work needs C-contiguous {shape} arrays, got {Z.shape}, {E.shape}")
     # G G^T = Re(F F^H) = X and J G^T = Im(F F^H) = Y in one matmul
-    Z = np.matmul(np.concatenate([G, J], axis=-2), np.swapaxes(G, -1, -2), out=Z)
+    Z = np.matmul(GJ, np.swapaxes(G, -1, -2), out=Z)
     # the diagonal of F F^H lacks the +1 of C_y: set X_ii = 1 and Y_ii = 0
     diag = Z.reshape(*Z.shape[:-2], 2, M * M)[..., :: M + 1]
     diag[..., 0, :] = 1.0

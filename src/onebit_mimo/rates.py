@@ -69,17 +69,29 @@ def zf_matrix(H_hat: np.ndarray) -> np.ndarray:
     Rank policy: a matrix whose Gram matrix G = H_hat^H H_hat has
     lambda_min <= _ZF_RCOND * lambda_max is singular and gets the
     minimum-norm combiner pinv(G) H_hat^H, with pinv cutting the eigenvalues
-    below that same fraction of lambda_max. Every other matrix takes the
-    stacked solve of G, with the bytes of a solve of it alone.
+    below that same fraction of lambda_max. Every other matrix gets
+    inv(G) H_hat^H, with the bytes of an inverse of it alone.
+
+    A stacked slogdet screens first: since det G <= lambda_min
+    lambda_max^(K-1) and lambda_max <= tr G, det G > 2 _ZF_RCOND tr(G)^K
+    (compared in logs, so tr^K cannot overflow) certifies G as regular, the
+    factor 2 covering the rounding of det near the cutoff. Only the
+    uncertified matrices take eigvalsh, which decides the policy.
     """
     Hh = np.swapaxes(H_hat.conj(), -1, -2)
     G = Hh @ H_hat
-    lam = np.linalg.eigvalsh(G)
-    singular = lam[..., 0] <= _ZF_RCOND * lam[..., -1]
+    sign, logdet = np.linalg.slogdet(G)
+    with np.errstate(divide="ignore"):  # tr G = 0 only for H_hat = 0
+        log_tr = np.log(np.trace(G, axis1=-2, axis2=-1).real)
+    bound = np.log(2.0 * _ZF_RCOND) + G.shape[-1] * log_tr
+    singular = np.asarray(~((sign.real > 0.0) & (logdet > bound)))  # 0-d for one matrix
+    if singular.any():
+        lam = np.linalg.eigvalsh(G[singular])
+        singular[singular] = lam[..., 0] <= _ZF_RCOND * lam[..., -1]
     if not singular.any():
-        return np.linalg.solve(G, Hh)
+        return np.linalg.inv(G) @ Hh
     W = np.empty(Hh.shape, dtype=np.result_type(Hh, 1.0))
-    W[~singular] = np.linalg.solve(G[~singular], Hh[~singular])
+    W[~singular] = np.linalg.inv(G[~singular]) @ Hh[~singular]
     W[singular] = np.linalg.pinv(G[singular], rtol=_ZF_RCOND, hermitian=True) @ Hh[singular]
     return W
 

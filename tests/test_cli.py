@@ -528,6 +528,21 @@ class TestRunExperiment:
         run_experiment(respec)
         assert out.read_bytes() == raw
 
+    def test_fig3_builds_its_covariance_once_per_channel(self, tmp_path, monkeypatch):
+        calls = []
+        build = experiments.laplacian_covariance
+        monkeypatch.setattr(
+            experiments, "laplacian_covariance", lambda *a: calls.append(a) or build(*a)
+        )
+        experiments._laplacian_channel.cache_clear()
+        out = str(tmp_path / "fig3.csv")
+        for spread in (10.0, 10.0, 20.0):
+            sweep = {"m": 4, "k": 1, "tau": 2, "snr_db": [0, 10, 20], "spread_deg": spread}
+            run_experiment(ExperimentSpec("fig3_corr_mse", sweep, 4, 0, out))
+        assert calls == [(4, 70.0, 10.0), (4, 70.0, 20.0)]
+        Cm, root = experiments._laplacian_channel(4, 70.0, 20.0)
+        assert not Cm.flags.writeable and not root.flags.writeable
+
     def test_mse_point_draws_channels_through_root(self):
         # the paired-trial loop of fig3, written out: H = root @ CN(0, I)
         M, K, tau, rho = 4, 1, 2, 10.0

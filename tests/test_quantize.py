@@ -66,6 +66,18 @@ class TestOneBitQuantize:
         assert got.dtype == want.dtype
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    def test_edge_values_keep_the_bits_of_the_where_form(self):
+        tiny = np.finfo(float).smallest_subnormal
+        edge = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny, 1e-310, -1e-310, 1.0]
+        mixed = np.empty((len(edge), len(edge)), dtype=complex)
+        mixed.real, mixed.imag = np.meshgrid(edge, edge)
+        for y in (mixed, np.array(edge), mixed.T[::2], mixed.conj()):
+            parts = np.ascontiguousarray(y, dtype=complex).view(np.float64)
+            want = np.where(parts >= 0.0, _RSQRT2, -_RSQRT2).view(complex).reshape(y.shape)
+            got = one_bit_quantize(y)
+            assert got.shape == y.shape and got.dtype == want.dtype
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     @settings(max_examples=100, deadline=None)
     @given(
         x=st.lists(

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -88,11 +89,11 @@ class TestSingularZf:
         H = self._stack_with_singular_trials()
         keep = [0, 2, 4]
         Hh = np.swapaxes(H[keep].conj(), 1, 2)
-        np.testing.assert_array_equal(zf_matrix(H)[keep], np.linalg.solve(Hh @ H[keep], Hh))
-        # a stack without a singular trial takes the stacked solve alone
-        np.testing.assert_array_equal(zf_matrix(H[keep]), np.linalg.solve(Hh @ H[keep], Hh))
+        np.testing.assert_array_equal(zf_matrix(H)[keep], np.linalg.inv(Hh @ H[keep]) @ Hh)
+        # a stack without a singular trial takes the stacked inverse alone
+        np.testing.assert_array_equal(zf_matrix(H[keep]), np.linalg.inv(Hh @ H[keep]) @ Hh)
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(np.swapaxes(H.conj(), 1, 2) @ H, np.swapaxes(H.conj(), 1, 2))
+            np.linalg.inv(np.swapaxes(H.conj(), 1, 2) @ H)
 
     def test_single_singular_matrix(self):
         H = self._stack_with_singular_trials()[1]
@@ -126,12 +127,12 @@ def _recorded_zf_rate(monkeypatch, cfg, n_trials, seed):
 
 def _assert_policy_taken(seen):
     """Each flagged trial has the minimum-norm combiner and each other trial
-    the stacked solve, bit for bit; returns the number flagged."""
+    inv(G) H_hat^H, bit for bit; returns the number flagged."""
     n_flagged = 0
     for H_hat, W in seen:
         flagged, G, Hh = _zf_policy(H_hat)
         np.testing.assert_array_equal(W[flagged], _min_norm_combiner(G[flagged], Hh[flagged]))
-        np.testing.assert_array_equal(W[~flagged], np.linalg.solve(G[~flagged], Hh[~flagged]))
+        np.testing.assert_array_equal(W[~flagged], np.linalg.inv(G[~flagged]) @ Hh[~flagged])
         n_flagged += int(flagged.sum())
     return n_flagged
 
@@ -161,6 +162,71 @@ class TestZfRankPolicy:
         per_user, stderr = _ref_ergodic_rate_mc(cfg, "zf", 300, (9, tau))
         np.testing.assert_allclose(rep.per_user_rate, per_user, rtol=1e-12, atol=0.0)
         assert rep.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
+
+
+def _zf_with_pinv_inputs(H):
+    """zf_matrix(H) and the Gram matrices it handed to pinv, stacked."""
+    seen = []
+    pinv = np.linalg.pinv
+
+    def recording(a, **kw):
+        seen.append(a)
+        return pinv(a, **kw)
+
+    with mock.patch.object(np.linalg, "pinv", recording):
+        W = zf_matrix(H)
+    K = H.shape[-1]
+    return W, np.concatenate(seen) if seen else np.empty((0, K, K))
+
+
+def _screen_case(rng, kind, M, K, n, scale_exp):
+    """A stack (n, M, K), or one matrix for n = 0, whose Gram matrices
+    have entries near 10**scale_exp."""
+    H = crandn(rng, max(n, 1), M, K)
+    if kind == "collinear" and K > 1:
+        H[::2, :, -1] = (0.5 - 2j) * H[::2, :, 0]
+    elif kind == "near_cutoff" and K > 1 and M >= K:
+        # G = diag(lam) up to rounding, lambda_min / lambda_max within 2% of
+        # the cutoff on either side
+        Q = np.linalg.qr(H)[0]
+        lam = np.ones((len(H), K))
+        lam[:, 0] = rates._ZF_RCOND * rng.uniform(0.98, 1.02, len(H))
+        H = Q * np.sqrt(lam)[:, None, :]
+    elif kind == "zero":
+        H[0] = 0.0
+    H *= 10.0 ** (scale_exp / 2)
+    return H if n else H[0]
+
+
+class TestZfScreen:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["random", "collinear", "near_cutoff", "zero"]),
+        M=st.integers(1, 9),
+        K=st.integers(1, 6),
+        n=st.integers(0, 6),
+        scale_exp=st.integers(-150, 150),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_screen_then_eigvalsh_flags_what_eigvalsh_flags(self, kind, M, K, n, scale_exp, seed):
+        # covers M < K, M = K, K = 1 and the unstacked (0-d flag) case
+        H = _screen_case(np.random.default_rng(seed), kind, M, K, n, scale_exp)
+        flagged, G, Hh = _zf_policy(H)
+        flagged = np.asarray(flagged)
+        W, pinv_inputs = _zf_with_pinv_inputs(H)
+        np.testing.assert_array_equal(pinv_inputs, G[flagged])
+        np.testing.assert_array_equal(W[flagged], _min_norm_combiner(G[flagged], Hh[flagged]))
+        np.testing.assert_array_equal(W[~flagged], np.linalg.inv(G[~flagged]) @ Hh[~flagged])
+        if M < K:
+            assert flagged.all()
+
+    def test_regular_trials_skip_eigvalsh(self, monkeypatch):
+        # fig4's shapes: the screen certifies every trial
+        H = crandn(np.random.default_rng(3), 64, 32, 8)
+        flagged, G, Hh = _zf_policy(H)
+        assert not flagged.any()
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: pytest.fail("eigvalsh ran"))
+        np.testing.assert_array_equal(zf_matrix(H), np.linalg.inv(G) @ Hh)
 
 
 class TestSumSe:
