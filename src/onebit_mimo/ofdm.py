@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import crandn
+from .channel import crandn, training_signal, unvec
 from .config import SystemConfig
 from .estimators import _bussgang_lmmse
-from .quantize import arcsine_covariance
 
 __all__ = [
     "OfdmConfig",
@@ -50,9 +49,11 @@ def td_pilot_matrix(x_fd: np.ndarray, L: int | None = None) -> np.ndarray:
     """Circulant time-domain pilot matrix of one user, truncated to L columns.
 
     Its first column is the unitary IFFT of the frequency-domain symbol
-    vector x_fd.
+    vector x_fd. L, if given, must lie in [1, len(x_fd)].
     """
     x_fd = np.asarray(x_fd).reshape(-1)
+    if L is not None and not 1 <= L <= x_fd.size:
+        raise ValueError(f"need 1 <= L <= {x_fd.size}, got L={L}")
     phi_td = np.fft.ifft(x_fd) * np.sqrt(x_fd.size)
     i = np.arange(phi_td.size)
     C = phi_td[(i[:, None] - i) % phi_td.size]  # C[i, j] = phi_td[(i - j) mod N]
@@ -101,17 +102,15 @@ def ofdm_training_signal(
 ) -> np.ndarray:
     """Unquantized stacked time-domain receive vector of length M*N_c.
 
-    taps has shape (M, K, L); the stacking is antenna-major with the K
-    users' tap vectors concatenated inside each antenna block.
+    taps has shape (M, K, L). The flat :func:`training_signal` with the K*L
+    taps as users and Phi_L as pilots, stacked antenna-major.
     """
     M, K, L = taps.shape
     if L != ofdm.L:
         raise ValueError(f"taps have {L} taps but ofdm.L = {ofdm.L}")
     Phi_L = _pilot_matrix(pilots_fd, ofdm, K)
-    h = taps.reshape(M, K * L)
-    Y = np.sqrt(rho_p) * h @ Phi_L.T  # M x N_c
-    rng = np.random.default_rng(noise_seed)
-    return (Y + crandn(rng, M, ofdm.N_c)).reshape(-1)
+    y = training_signal(taps.reshape(M, K * L), Phi_L, rho_p, noise_seed)
+    return unvec(y, M, ofdm.N_c).reshape(-1)
 
 
 def ofdm_blmmse_filter(
@@ -121,24 +120,18 @@ def ofdm_blmmse_filter(
     C_h_td: np.ndarray | None = None,
     diagonal_quantizer_noise: bool = False,
 ) -> tuple[np.ndarray, float]:
-    """LMMSE filter for the quantized time-domain signal, with predicted MSE.
+    """LMMSE filter for the quantized time-domain signal, with its MSE.
 
-    Returns (G, mse) where the tap estimate is G @ r_td. Setting
-    `diagonal_quantizer_noise` replaces the arcsine output covariance by the
-    uncorrelated surrogate A C_y A^H + (1 - 2/pi) I; in that case the
-    returned mse is the exact second-order MSE of the mismatched filter.
+    Returns (G, mse): the tap estimate is G @ r_td, and mse the normalized
+    MSE it attains (arcsine law). The tap covariance C_h_td defaults to
+    :func:`uniform_tap_covariance`, the prior of :func:`gen_tap_channel`.
+    `diagonal_quantizer_noise` solves with the uncorrelated surrogate
+    A C_y A^H + (1 - 2/pi) I in place of the arcsine output covariance.
     """
+    if C_h_td is None:
+        C_h_td = uniform_tap_covariance(cfg.M, cfg.K, ofdm.L)
     Phib = _stacked_pilots(pilots_fd, ofdm, cfg)
-    G, cross, C_y, C = _bussgang_lmmse(Phib, C_h_td, diagonal_quantizer_noise)
-    # exact second-order MSE of the (possibly mismatched) linear filter:
-    # tr(C_h) - 2 Re tr(G C_rh) + tr(G C_r G^H), with C_rh = A Phi_bar C_h
-    trace_prior = (
-        float(Phib.shape[1]) if C_h_td is None else float(np.real(np.trace(C_h_td)))
-    )
-    # the arcsine-law filter was solved with C_r itself
-    C_r = arcsine_covariance(C_y) if diagonal_quantizer_noise else C
-    quad = float(np.real(np.sum((G @ C_r) * G.conj())))
-    mse = (trace_prior - 2.0 * cross + quad) / trace_prior
+    G, _, mse = _bussgang_lmmse(Phib, C_h_td, diagonal_quantizer_noise)
     return G, mse
 
 
@@ -148,8 +141,9 @@ def blmmse_ofdm(
     """Tap-domain Bussgang LMMSE estimate from the quantized time-domain signal.
 
     Returns the stacked M*K*L tap vector (reshape to (M, K, L) to index per
-    antenna/user/tap). Other tap priors and the diagonal quantizer-noise
-    surrogate are applied as ``ofdm_blmmse_filter(...)[0] @ r_td``.
+    antenna/user/tap), under the taps CN(0, 1/L) of :func:`gen_tap_channel`.
+    Other priors and the diagonal quantizer-noise surrogate are applied as
+    ``ofdm_blmmse_filter(...)[0] @ r_td``.
     """
     G, _ = ofdm_blmmse_filter(pilots_fd, ofdm, cfg)
     return G @ np.asarray(r_td).reshape(-1)

@@ -18,7 +18,7 @@ from onebit_mimo import (
     one_bit_quantize,
     training_signal,
 )
-from onebit_mimo.channel import crandn, crandn_trials, unvec, vec
+from onebit_mimo.channel import _psd_root, crandn, crandn_trials, laplacian_covariance, unvec, vec
 from onebit_mimo.estimators import (
     _LOG_SQRT_2PI,
     _bussgang_lmmse,
@@ -30,6 +30,7 @@ from onebit_mimo.estimators import (
     blmmse_filter,
     lmmse_uncorrelated_filter,
 )
+from onebit_mimo.quantize import arcsine_covariance, bussgang_gain
 
 
 def _quantized_training(cfg, Phi, seed):
@@ -170,6 +171,17 @@ class TestBlmmseFlat:
         assert 0.0 <= est.mse <= 1.0
 
 
+def _attained(G, Phib, C_h):
+    """Re tr(G C_r G^H) and the normalized MSE of the estimate G r, r = Q(Phib h + n)
+    with h ~ CN(0, C_h) (I for None), from the arcsine law."""
+    C_h = np.eye(Phib.shape[1]) if C_h is None else C_h
+    C_y = Phib @ C_h @ Phib.conj().T + np.eye(Phib.shape[0])
+    C_hr = C_h @ Phib.conj().T * bussgang_gain(C_y)  # E{h r^H}
+    var = np.real(np.trace(G @ arcsine_covariance(C_y) @ G.conj().T))
+    err = np.real(np.trace(C_h)) - 2.0 * np.real(np.trace(G @ C_hr.conj().T)) + var
+    return var, err / np.real(np.trace(C_h))
+
+
 class TestIidFilterKronecker:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -191,22 +203,85 @@ class TestIidFilterKronecker:
         Phi = dft_pilots(tau, K) if dft else crandn(np.random.default_rng(seed), tau, K)
         build = lmmse_uncorrelated_filter if uncorrelated else blmmse_filter
         G, sigma_sq, mse = build(Phi, cfg)
-        G_d, power, _, _ = _bussgang_lmmse(_pilot_model(Phi, cfg), None, uncorrelated)
+        Phib = _pilot_model(Phi, cfg)
+        G_d, var, mse_d = _bussgang_lmmse(Phib, None, uncorrelated)
         assert G.shape == G_d.shape == (M * K, M * tau)
         assert np.max(np.abs(G - G_d)) <= 1e-12 * max(1.0, np.max(np.abs(G_d)))
-        assert abs(sigma_sq - power / (M * K)) <= 1e-12
-        assert mse == 1.0 - sigma_sq
+        assert abs(sigma_sq - var / (M * K)) <= 1e-12
+        assert abs(mse - mse_d) <= 1e-12
+        if uncorrelated:
+            want_var, want_mse = _attained(G, Phib, None)
+            assert abs(sigma_sq - want_var / (M * K)) <= 1e-12
+            assert abs(mse - want_mse) <= 1e-12
+        else:
+            assert mse == 1.0 - sigma_sq
 
     def test_correlated_channel_keeps_the_dense_build(self):
         cfg = SystemConfig(M=3, K=2, tau=3, rho_p=2.0)
         Phi = dft_pilots(3, 2)
         A = crandn(np.random.default_rng(0), 6, 6)
         C_h = A @ A.conj().T / 6
+        Phib = _pilot_model(Phi, cfg)
         for uncorrelated, build in ((False, blmmse_filter), (True, lmmse_uncorrelated_filter)):
-            G_d, power, _, _ = _bussgang_lmmse(_pilot_model(Phi, cfg), C_h, uncorrelated)
-            G, sigma_sq, _ = build(Phi, cfg, C_h)
+            G_d, var, mse_d = _bussgang_lmmse(Phib, C_h, uncorrelated)
+            G, sigma_sq, mse = build(Phi, cfg, C_h)
             assert np.array_equal(G, G_d)
-            assert sigma_sq == power / 6
+            assert sigma_sq == var / 6
+            assert mse == mse_d
+            # normalized by tr C_h, which is not MK here
+            want_var, want_mse = _attained(G, Phib, C_h)
+            assert abs(var - want_var) <= 1e-12 * want_var
+            assert abs(mse - want_mse) <= 1e-12
+
+
+def _paired_quality(builds, Phi, cfg, root, n, seed):
+    """Check each build's (sigma_sq, mse) against the estimate power and squared
+    error that its G realizes on n one-bit training draws, shared by all builds.
+
+    H = root @ W with W i.i.d. CN(0, 1). Each mean, and each build's MSE minus
+    the first's, must lie within 4 standard errors of its prediction.
+    """
+    M, K, tau = cfg.M, cfg.K, cfg.tau
+    W, N = crandn_trials(np.random.default_rng(seed), n, (M, K), (M, tau))
+    H = W if root is None else root @ W
+    R = one_bit_quantize(np.sqrt(cfg.rho_p) * H @ Phi.T + N)
+    h = np.swapaxes(H, 1, 2).reshape(n, M * K)  # vec(H) per trial
+    r = np.swapaxes(R, 1, 2).reshape(n, M * tau)
+
+    def within(samples, want):
+        se = samples.std(ddof=1) / np.sqrt(n)
+        return abs(samples.mean() - want) <= 4.0 * se
+
+    errors, predicted = [], []
+    for G, sigma_sq, mse in builds:
+        h_hat = r @ G.T
+        power = np.sum(np.abs(h_hat) ** 2, axis=1) / (M * K)
+        err = np.sum(np.abs(h_hat - h) ** 2, axis=1) / (M * K)
+        assert within(power, sigma_sq), (power.mean(), sigma_sq)
+        assert within(err, mse), (err.mean(), mse)
+        errors.append(err)
+        predicted.append(mse)
+    for err, mse in zip(errors[1:], predicted[1:]):
+        assert within(err - errors[0], mse - predicted[0])
+
+
+class TestPredictedMseIsRealized:
+    # sigma_sq and mse of a linear filter are those it attains on one-bit
+    # training data: for the white-noise baseline, not its model's belief
+    @pytest.mark.parametrize("snr_db", [0.0, 20.0])
+    def test_iid_channel_at_fig2_shape(self, snr_db):
+        cfg = SystemConfig(M=16, K=4, tau=20, rho_p=10 ** (snr_db / 10))
+        Phi = dft_pilots(20, 4)
+        builds = [blmmse_filter(Phi, cfg), lmmse_uncorrelated_filter(Phi, cfg)]
+        _paired_quality(builds, Phi, cfg, None, 4000, 31)
+
+    def test_correlated_channel(self):
+        # fig3's shape and Laplacian covariance at 20 dB
+        cfg = SystemConfig(M=16, K=1, tau=2, rho_p=100.0)
+        Phi = dft_pilots(2, 1)
+        C_h = laplacian_covariance(16, mean_angle=70.0, angle_spread=10.0)
+        builds = [blmmse_filter(Phi, cfg, C_h), lmmse_uncorrelated_filter(Phi, cfg, C_h)]
+        _paired_quality(builds, Phi, cfg, _psd_root(C_h), 20_000, 32)
 
 
 def test_singular_output_covariance_falls_back_with_warning():
@@ -609,10 +684,11 @@ def test_blmmse_flat_applies_the_m1_filter():
     cfg = SystemConfig(M=6, K=2, tau=5, rho_p=3.0)
     Phi = dft_pilots(5, 2)
     _, r = _quantized_training(cfg, Phi, 4)
-    G1, sigma_sq = _iid_filter(Phi, cfg)
+    G1, sigma_sq, mse = _iid_filter(Phi, cfg)
     est = blmmse_flat(r, Phi, cfg)
     assert np.array_equal(est.H_hat, unvec(r, 6, 5) @ G1.T)
-    assert (est.sigma_sq, est.mse) == (sigma_sq, 1.0 - sigma_sq)
+    assert (est.sigma_sq, est.mse) == (sigma_sq, mse)
+    assert mse == 1.0 - sigma_sq
     assert est.sigma_sq == blmmse_filter(Phi, cfg)[1]
 
 

@@ -99,6 +99,23 @@ def test_training_phase_runs_in_mc_only(module):
     assert not loop & (_imported_names(module) | used)
 
 
+def test_arcsine_law_is_evaluated_by_the_estimator_layer_only():
+    # estimators._bussgang_lmmse forms C_r, the filter and its MSE for flat and
+    # OFDM training alike; ofdm only builds the stacked pilot model. The
+    # package namespace re-exports arcsine_covariance, so __init__ is left out.
+    users = set()
+    for path in sorted((SRC / "onebit_mimo").glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        names = set()  # referenced, defined or imported
+        for node in ast.walk(ast.parse(path.read_text())):
+            names |= {getattr(node, key, None) for key in ("id", "attr", "name")}
+        if "arcsine_covariance" in names:
+            users.add(path.stem)
+    assert users == {"quantize", "estimators"}
+    assert not any("quantize" in name.split(".") for name in _imported_names("ofdm"))
+
+
 def test_numpy_floor_has_vecdot():
     # the nML solver calls np.vecdot, which numpy added in 2.0
     deps = (ROOT / "pyproject.toml").read_text()
