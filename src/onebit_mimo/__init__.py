@@ -5,12 +5,7 @@ achievable-rate evaluation for MRC/ZF receivers, and pilot/power resource
 allocation, with a CLI for reproducing the reference experiments.
 """
 
-from importlib.metadata import PackageNotFoundError, version
-
-try:
-    __version__ = version("onebit-mimo")
-except PackageNotFoundError:  # running from a source tree
-    __version__ = "0.1.0"
+__version__ = "0.1.0"  # the version of pyproject.toml, kept equal by a test
 
 from .allocation import (
     AllocationSolution,

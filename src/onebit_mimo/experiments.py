@@ -395,10 +395,12 @@ def fig3_corr_mse(p, n_trials, seed) -> dict:
 def fig4_se_vs_snr(p, n_trials, seed) -> dict:
     rho = db_to_linear(p["snr_db"])
     cfg = SystemConfig(M=p["m"], K=p["k"], tau=p["tau"], T=p["t"], rho_p=rho, rho_d=rho)
-    base, i = seed  # two seeds per grid point: MRC's, then ZF's
+    base, i = seed
+    # both receivers on the same draws; (base, 2i), not (base, i), keeps the
+    # MRC columns on the stream they have been published with
+    reports = ergodic_rate_mc(cfg, _RECEIVERS, n_trials, (base, 2 * i))
     out, se = {}, {}
-    for j, rec in enumerate(_RECEIVERS):
-        mc = ergodic_rate_mc(cfg, rec, n_trials, (base, 2 * i + j))
+    for rec, mc in zip(_RECEIVERS, reports):
         out[f"sumse_{rec}_mc"] = mc.sum_spectral_efficiency
         out[f"sumse_{rec}_closed"] = _closed_se(cfg, rec)
         se[f"se_sumse_{rec}_mc"] = mc.stderr
@@ -518,7 +520,7 @@ FIGURES = {
     "fig5_power_eff": FigureDef(
         fig5_power_eff,
         {
-            "m": [int(x) for x in np.unique(np.logspace(1.5, 4, 40).astype(int))],
+            "m": sorted({int(x) for x in np.logspace(1.5, 4, 40).astype(int)}),
             "k": 8,
             "tau": 8,
             "t": 200,

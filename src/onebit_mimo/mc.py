@@ -20,12 +20,15 @@ BLOCK = 256  # trials per block
 # elements n * M * M of one stack of n trials with M antennas; the largest
 # stacked arrays are the two real (n, 2M, M) of the quantizer-noise term, a
 # workspace ergodic_rate_mc allocates once (1 MiB at this budget, M <= 128).
-# ergodic_rate_mc, MRC + ZF, K = tau = 8, 2-vCPU VM, us per trial (best of 5
-# processes) for budgets 8,192 / 16,384 / 32,768 / 65,536:
-#   M = 32:    85 /  77 /   63 /   65 (peak RSS 38.6 -> 43.4 MB)
-#   M = 64:   201 / 123 /  111 /  137
-#   M = 128:  401 / 460 /  370 /  326
-#   M = 256: 1092 / 976 / 1108 / 1170 (one trial per stack throughout)
+# ergodic_rate_mc(cfg, ("mrc", "zf")), both receivers on one pass, K = tau = 8,
+# 2-vCPU VM, us per trial (best of 5 processes) for budgets
+# 8,192 / 16,384 / 32,768 / 65,536:
+#   M = 32:    86 /   78 /   59 /   64 (peak RSS 39.2 -> 41.2 MB)
+#   M = 64:   215 /  189 /  158 /  134
+#   M = 128:  536 /  550 /  374 /  402
+#   M = 256: 1371 / 1255 / 1135 / 1206 (one trial per stack throughout)
+# One call per receiver took 95 / 240 / 657 / 2129 us per trial at 32,768
+# on the same host.
 _STACK_ELEMS = 32_768
 
 

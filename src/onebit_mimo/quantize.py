@@ -127,15 +127,13 @@ def quantizer_noise_quad(
     covariance of y = sqrt(rho) H s + n, i.e. of C_y = rho H H^H + I.
 
     W is K x M and H M x K, or stacks (..., K, M) and (..., M, K); the
-    result has shape (..., K). The normalized parts of C_y come straight
-    from the scaled rows F = diag(sqrt(rho / d)) H, d_i = 1 + rho ||h_i||^2:
-    X = Re(F F^H) and Y = Im(F F^H) off the diagonal, X_ii = 1, Y_ii = 0.
-    The +1 in d bounds |X_ij|, |Y_ij| below 1 (Cauchy-Schwarz), so unlike
-    :func:`quantizer_noise_cov` this needs no range check. With w = a + jb
-    and C_q = (2/pi)(P + jQ), P = arcsin(X) - X symmetric and
-    Q = arcsin(Y) - Y antisymmetric, the form is
+    result has shape (..., K). With w = a + jb and C_q = (2/pi)(P + jQ),
+    P = arcsin(X) - X symmetric and Q = arcsin(Y) - Y antisymmetric for the
+    normalized parts X, Y of C_y, the form is
     (2/pi)(a^T P a + b^T P b + 2 a^T Q b): real products only, and neither
-    C_y nor C_q is formed.
+    C_y nor C_q is formed. It is :func:`_noise_parts`, which builds [P; Q]
+    from H and rho alone, followed by :func:`_noise_form` for W, so several
+    W on one H can share the first step.
 
     ``work`` is a pair of C-contiguous float64 (n_max, 2M, M) arrays, as
     :func:`_noise_workspace` makes them, for H of shape (n, M, K), n <= n_max:
@@ -143,6 +141,19 @@ def quantizer_noise_quad(
     (n, 2M, M) array is allocated. numpy's arcsin runs up to 1.6x faster on
     arrays that start on a 64-byte boundary than at malloc's 16-byte offsets;
     every offset gives the same bits.
+    """
+    return _noise_form(W, _noise_parts(H, rho, work))
+
+
+def _noise_parts(H: np.ndarray, rho: float, work: tuple | None = None) -> np.ndarray:
+    """[P; Q] = arcsin([X; Y]) - [X; Y], shape (..., 2M, M), for C_y = rho H H^H + I.
+
+    X and Y come straight from the scaled rows F = diag(sqrt(rho / d)) H,
+    d_i = 1 + rho ||h_i||^2: X = Re(F F^H) and Y = Im(F F^H) off the
+    diagonal, X_ii = 1, Y_ii = 0. The +1 in d bounds |X_ij|, |Y_ij| below 1
+    (Cauchy-Schwarz), so unlike :func:`quantizer_noise_cov` this needs no
+    range check. ``work`` is that of :func:`quantizer_noise_quad`; the result
+    is then a view of ``work[1]``.
     """
     M, K = H.shape[-2:]
     H = np.ascontiguousarray(H, dtype=complex)
@@ -164,7 +175,13 @@ def quantizer_noise_quad(
     diag = Z.reshape(*Z.shape[:-2], 2, M * M)[..., :: M + 1]
     diag[..., 0, :] = 1.0
     diag[..., 1, :] = 0.0
-    PQ = _arcsin_excess(Z, out=E)
+    return _arcsin_excess(Z, out=E)
+
+
+def _noise_form(W: np.ndarray, PQ: np.ndarray) -> np.ndarray:
+    """(2/pi)(a^T P a + b^T P b + 2 a^T Q b) for every row a + jb of W, [P; Q] from
+    :func:`_noise_parts`; W is (..., K, M) and the result (..., K)."""
+    M, K = PQ.shape[-1], W.shape[-2]
     P, Q = PQ[..., :M, :], PQ[..., M:, :]
     a, b = W.real, W.imag
     ab = np.concatenate([a, b], axis=-2)

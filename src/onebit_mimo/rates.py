@@ -20,9 +20,10 @@ from .mc import training_trials
 from .quantize import (
     UNCORR_NOISE_VAR,
     _alpha_sq,
+    _noise_form,
+    _noise_parts,
     _noise_workspace,
     alpha_d,
-    quantizer_noise_quad,
 )
 
 __all__ = [
@@ -135,10 +136,10 @@ def _sum_se(sinr, tau, T, K):
 
 def ergodic_rate_mc(
     cfg: SystemConfig,
-    receiver: str = "mrc",
+    receiver: str | tuple = "mrc",
     n_trials: int = 2000,
     seed=0,
-) -> RateReport:
+) -> RateReport | tuple:
     """Monte Carlo lower bound on the ergodic per-user rate with one-bit ADCs.
 
     Per trial of :func:`mc.training_trials` (DFT pilots): form the Bussgang
@@ -146,11 +147,21 @@ def ergodic_rate_mc(
     SINR with the hardening gain alpha_d and the exact per-realization
     quantizer-noise covariance. The trial stacks share one quantizer-noise
     workspace, allocated once per call.
+
+    ``receiver`` is 'mrc', 'zf' or a tuple of them, which gives one report per
+    name, in order: each stack is drawn, estimated and given its arcsine
+    excess (:func:`quantize._noise_parts`) once, and only the combiner and the
+    SINR terms run per receiver, so each report equals a one-receiver call
+    with the same seed, bit for bit.
     """
+    names = (receiver,) if isinstance(receiver, str) else tuple(receiver)
     # built per call, so that a module attribute swapped in later is the one used
-    combine = {"mrc": mrc_matrix, "zf": zf_matrix}.get(receiver)
-    if combine is None:
-        raise ValueError(f"unknown receiver {receiver!r} (use 'mrc' or 'zf')")
+    combiners = {"mrc": mrc_matrix, "zf": zf_matrix}
+    if not names:
+        raise ValueError("no receiver given (use 'mrc' or 'zf')")
+    for name in names:
+        if name not in combiners:
+            raise ValueError(f"unknown receiver {name!r} (use 'mrc' or 'zf')")
     Phi = dft_pilots(cfg.tau, cfg.K)
     ad2 = alpha_d(cfg) ** 2
     G1 = _iid_filter(Phi, cfg)[0]  # the i.i.d. filter is G_1 kron I_M
@@ -160,25 +171,32 @@ def ergodic_rate_mc(
         if not work:
             work.extend(_noise_workspace(len(H), cfg.M))
         H_hat = R @ G1.T
-        WT = combine(H_hat)
+        Eps = H - H_hat
+        PQ = _noise_parts(H, cfg.rho_d, work)
+        out = np.empty((len(H), len(names), cfg.K))
+        for j, name in enumerate(names):
+            WT = combiners[name](H_hat)
+            sig = np.abs(WT @ H_hat) ** 2  # n x K x K, [t, k, i] = |w_k^T h_hat_i|^2
+            diag = np.diagonal(sig, axis1=1, axis2=2)
+            desired = cfg.rho_d * ad2 * diag
+            interf = cfg.rho_d * ad2 * (sig.sum(axis=2) - diag)
+            est_err = cfg.rho_d * ad2 * np.sum(np.abs(WT @ Eps) ** 2, axis=2)
+            awgn = ad2 * np.sum(np.abs(WT) ** 2, axis=2)
+            den = interf + est_err + awgn + _noise_form(WT, PQ)
+            sinr = np.divide(desired, den, out=np.zeros_like(den), where=den > 0)
+            out[:, j] = np.log2(1.0 + sinr)
+        return out
 
-        sig = np.abs(WT @ H_hat) ** 2  # n x K x K, [t, k, i] = |w_k^T h_hat_i|^2
-        diag = np.diagonal(sig, axis1=1, axis2=2)
-        desired = cfg.rho_d * ad2 * diag
-        interf = cfg.rho_d * ad2 * (sig.sum(axis=2) - diag)
-        est_err = cfg.rho_d * ad2 * np.sum(np.abs(WT @ (H - H_hat)) ** 2, axis=2)
-        awgn = ad2 * np.sum(np.abs(WT) ** 2, axis=2)
-        quant = quantizer_noise_quad(WT, H, cfg.rho_d, work)
-        den = interf + est_err + awgn + quant
-        sinr = np.divide(desired, den, out=np.zeros_like(den), where=den > 0)
-        return np.log2(1.0 + sinr)
-
-    blocks = training_trials(cfg, Phi, n_trials, seed, rates)
-    per_user = sum(b.sum(axis=0) for b in blocks) / n_trials
-    samples = np.concatenate([b.sum(axis=1) for b in blocks])
-    # the prefactor of the sum SE scales the standard error of the trial sums
-    stderr = sum_se(np.std(samples, ddof=1) / np.sqrt(n_trials), cfg)
-    return RateReport(per_user, sum_se(per_user, cfg), "mc_lower_bound", stderr)
+    blocks = training_trials(cfg, Phi, n_trials, seed, rates)  # (n, receivers, K) each
+    reports = []
+    for j in range(len(names)):
+        rows = [b[:, j] for b in blocks]
+        per_user = sum(r.sum(axis=0) for r in rows) / n_trials
+        samples = np.concatenate([r.sum(axis=1) for r in rows])
+        # the prefactor of the sum SE scales the standard error of the trial sums
+        stderr = sum_se(np.std(samples, ddof=1) / np.sqrt(n_trials), cfg)
+        reports.append(RateReport(per_user, sum_se(per_user, cfg), "mc_lower_bound", stderr))
+    return reports[0] if isinstance(receiver, str) else tuple(reports)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,27 @@ def test_import_leaves_scipy_stats_and_linalg_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_numpy_ma_unloaded():
+    # np.unique imports numpy.ma on its first call, 13-17 ms of an import
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = "import sys, onebit_mimo.cli\nprint('numpy.ma' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_version_is_the_projects():
+    # a literal, so that an import needs no importlib.metadata; read as text,
+    # since tomllib is not in Python 3.10
+    import onebit_mimo
+
+    text = (ROOT / "pyproject.toml").read_text()
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    assert re.search(r'^version = "([^"]+)"$', project, re.M).group(1) == onebit_mimo.__version__
+
+
 def test_scipy_loads_with_the_first_nml_solve():
     # importing the package loads no scipy; the nML estimator imports
     # scipy.special when it first runs

@@ -558,6 +558,34 @@ class TestStackedKernelMatchesPerTrial:
             np.testing.assert_allclose(combine(H), want, rtol=1e-14, atol=1e-15)
 
 
+class TestSharedPass:
+    # a tuple of receivers shares each stack's draw, estimate and arcsine excess
+    M = 24  # with n = 257 the last stack of each block is partial
+
+    @pytest.mark.parametrize("tau", [4, 7])  # tau = K and tau > K
+    @pytest.mark.parametrize("names", [("zf",), ("mrc", "zf"), ("zf", "mrc", "zf")])
+    def test_equals_one_receiver_calls(self, names, tau):
+        cfg = SystemConfig(M=self.M, K=4, tau=tau, T=50, rho_p=0.3, rho_d=0.5)
+        shared = ergodic_rate_mc(cfg, names, 257, (5, tau))
+        assert isinstance(shared, tuple) and len(shared) == len(names)
+        for name, got in zip(names, shared):
+            want = ergodic_rate_mc(cfg, name, 257, (5, tau))
+            assert np.array_equal(got.per_user_rate, want.per_user_rate)
+            assert got.sum_spectral_efficiency == want.sum_spectral_efficiency
+            assert got.stderr == want.stderr
+
+    @pytest.mark.parametrize(
+        "names", [("mmse", "zf"), ("mrc", "mmse"), ("mrc", "zf", "MRC"), ()]
+    )
+    def test_bad_names_are_rejected_before_any_draw(self, monkeypatch, names):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("trials drawn")
+
+        monkeypatch.setattr(rates, "training_trials", no_draw)
+        with pytest.raises(ValueError, match="receiver"):
+            ergodic_rate_mc(SystemConfig(M=4, K=2, tau=2), names, 10)
+
+
 class TestStackSizeInvariance:
     # the stack budget decides how trials are grouped, never the numbers
     @pytest.mark.parametrize("tau", [4, 7])
