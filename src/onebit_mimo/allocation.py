@@ -269,6 +269,7 @@ def antenna_ratio(
     """
     if mode not in ("benchmark", "optimized"):
         raise ValueError("mode must be 'benchmark' or 'optimized'")
+    _check_zf_antennas(M_conv, cfg.K, receiver)
     P, T, K = budget.P, budget.T, cfg.K
     rho = budget.rho
 

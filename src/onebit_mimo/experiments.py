@@ -436,12 +436,9 @@ def fig6_bit_energy(p, n_trials, seed) -> dict:
     for rec in _RECEIVERS:
         se_b = _closed_se(bench_cfg, rec)
         se_o = _optimize_numeric(P, T, m, K, rec, "one-bit")[0]
-        out |= {
-            f"sumse_benchmark_{rec}": se_b,
-            f"zeta_benchmark_{rec}": P / se_b,
-            f"sumse_optimal_{rec}": se_o,
-            f"zeta_optimal_{rec}": P / se_o,
-        }
+        for mode, se in (("benchmark", se_b), ("optimal", se_o)):
+            # as fig9 writes inf for the unreachable: an SE that rounds to 0 costs inf per bit
+            out |= {f"sumse_{mode}_{rec}": se, f"zeta_{mode}_{rec}": P / se if se else np.inf}
     return out
 
 

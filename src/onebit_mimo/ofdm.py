@@ -4,6 +4,8 @@ One-bit quantization destroys subcarrier orthogonality, so the wideband
 channel cannot be split into parallel narrowband problems; estimation is
 carried out directly on the quantized time-domain signal using circulant
 pilot matrices built from the IFFT of the frequency-domain pilots.
+The default tap prior I_M kron I/L is solved per antenna, at M = 1, as flat
+training's i.i.d. prior is; a general tap covariance is solved dense.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ __all__ = [
     "OfdmConfig",
     "td_pilot_matrix",
     "qpsk_pilots",
-    "uniform_tap_covariance",
     "gen_tap_channel",
     "ofdm_training_signal",
     "ofdm_blmmse_filter",
@@ -67,11 +68,6 @@ def qpsk_pilots(N_c: int, K: int, seed) -> np.ndarray:
     return sym
 
 
-def uniform_tap_covariance(M: int, K: int, L: int) -> np.ndarray:
-    """Diagonal tap covariance with a uniform power-delay profile summing to 1."""
-    return np.eye(M * K * L) / L
-
-
 def gen_tap_channel(M: int, K: int, L: int, seed) -> np.ndarray:
     """Draw time-domain taps h[m, k, l] ~ CN(0, 1/L); returns an (M, K, L) array."""
     rng = np.random.default_rng(seed)
@@ -92,9 +88,11 @@ def _pilot_matrix(pilots_fd: np.ndarray, ofdm: OfdmConfig, K: int) -> np.ndarray
     return np.hstack([td_pilot_matrix(pilots_fd[:, k], ofdm.L) for k in range(K)])
 
 
-def _stacked_pilots(pilots_fd: np.ndarray, ofdm: OfdmConfig, cfg: SystemConfig):
-    Phi_L = _pilot_matrix(pilots_fd, ofdm, cfg.K)
-    return np.kron(np.eye(cfg.M), np.sqrt(cfg.rho_p) * Phi_L)  # M*N_c x M*K*L
+def _antenna_filter(pilots_fd, ofdm: OfdmConfig, cfg: SystemConfig, uncorrelated=False):
+    """One antenna's filter G_1 (K*L x N_c) under the tap prior I/L, with its mse."""
+    Phib = np.sqrt(cfg.rho_p) * _pilot_matrix(pilots_fd, ofdm, cfg.K)
+    G1, _, mse = _bussgang_lmmse(Phib, np.eye(Phib.shape[1]) / ofdm.L, uncorrelated)
+    return G1, mse
 
 
 def ofdm_training_signal(
@@ -123,14 +121,16 @@ def ofdm_blmmse_filter(
     """LMMSE filter for the quantized time-domain signal, with its MSE.
 
     Returns (G, mse): the tap estimate is G @ r_td, and mse the normalized
-    MSE it attains (arcsine law). The tap covariance C_h_td defaults to
-    :func:`uniform_tap_covariance`, the prior of :func:`gen_tap_channel`.
+    MSE it attains (arcsine law). Without C_h_td, under the I/L prior of
+    :func:`gen_tap_channel`, G = kron(I_M, G_1) with G_1 solved at M = 1; a
+    C_h_td is solved on the dense kron(I_M, sqrt(rho_p) Phi_L).
     `diagonal_quantizer_noise` solves with the uncorrelated surrogate
     A C_y A^H + (1 - 2/pi) I in place of the arcsine output covariance.
     """
     if C_h_td is None:
-        C_h_td = uniform_tap_covariance(cfg.M, cfg.K, ofdm.L)
-    Phib = _stacked_pilots(pilots_fd, ofdm, cfg)
+        G1, mse = _antenna_filter(pilots_fd, ofdm, cfg, diagonal_quantizer_noise)
+        return np.kron(np.eye(cfg.M), G1), mse
+    Phib = np.kron(np.eye(cfg.M), np.sqrt(cfg.rho_p) * _pilot_matrix(pilots_fd, ofdm, cfg.K))
     G, _, mse = _bussgang_lmmse(Phib, C_h_td, diagonal_quantizer_noise)
     return G, mse
 
@@ -141,9 +141,9 @@ def blmmse_ofdm(
     """Tap-domain Bussgang LMMSE estimate from the quantized time-domain signal.
 
     Returns the stacked M*K*L tap vector (reshape to (M, K, L) to index per
-    antenna/user/tap), under the taps CN(0, 1/L) of :func:`gen_tap_channel`.
-    Other priors and the diagonal quantizer-noise surrogate are applied as
-    ``ofdm_blmmse_filter(...)[0] @ r_td``.
+    antenna/user/tap), under the taps CN(0, 1/L) of :func:`gen_tap_channel`,
+    as R G_1^T on the M x N_c training matrix R. Other priors and the diagonal
+    quantizer-noise surrogate are applied as ``ofdm_blmmse_filter(...)[0] @ r_td``.
     """
-    G, _ = ofdm_blmmse_filter(pilots_fd, ofdm, cfg)
-    return G @ np.asarray(r_td).reshape(-1)
+    G1, _ = _antenna_filter(pilots_fd, ofdm, cfg)
+    return (np.asarray(r_td).reshape(cfg.M, ofdm.N_c) @ G1.T).reshape(-1)

@@ -445,3 +445,13 @@ def test_zf_surface_needs_more_antennas_than_users(fn, M):
     with pytest.raises(ValueError) as surface:
         fn(0.5, 10, PowerBudget(rho=0.1, T=100), cfg, "zf")
     assert str(surface.value) == str(closed.value)
+
+
+@pytest.mark.parametrize("mode", ["benchmark", "optimized"])
+@pytest.mark.parametrize("M_conv", [6, 8])
+def test_antenna_ratio_needs_more_antennas_than_users(mode, M_conv):
+    # the benchmark mode returned kappa = 1.333 at M_conv = 6 and 1.000000000125
+    # at M_conv = 8, from a conventional ZF SE whose M - K factor is <= 0
+    cfg = SystemConfig(M=M_conv, K=8, tau=8, T=200)
+    with pytest.raises(ValueError, match=rf"^ZF closed form needs M > K, got M={M_conv}, K=8$"):
+        antenna_ratio(PowerBudget(rho=0.1, T=200), cfg, "zf", M_conv, mode=mode)

@@ -735,6 +735,21 @@ class TestRunExperiment:
         sweep, columns, want = self.CLOSED_FORM[figure]
         assert self._columns_text(tmp_path, figure, sweep, 2, columns) == want
 
+    def test_bit_energy_of_a_zero_spectral_efficiency_is_inf(self, tmp_path):
+        # fig6 raised ZeroDivisionError once log2(1 + SINR) rounded to 0 (from
+        # about -95 dB at its defaults); like fig9's unreachable kappa, that
+        # zeta is written as inf
+        sweep, _, want = self.CLOSED_FORM["fig6_bit_energy"]
+        low, high = self._columns_text(
+            tmp_path, "fig6_bit_energy", sweep | {"rho_db": [-100, 0]}, 2, None
+        ).splitlines(keepends=True)
+        assert high == want.splitlines(keepends=True)[1]
+        cells = dict(zip(self.COLUMNS["fig6_bit_energy"], low.strip().split(",")))
+        infs = {c for c, v in cells.items() if v == "inf"}
+        assert infs and all(c.startswith("zeta_") for c in infs)
+        assert all(cells[c.replace("zeta_", "sumse_")] == "0" for c in infs)
+        assert all(np.isfinite(float(v)) for c, v in cells.items() if c not in infs)
+
     # Monte Carlo columns at the figbench `estimation` (fig2, fig3) and
     # `rates-small-m` (fig4) configs and seed 0, as CSV text; figbench
     # compares them to 1e-12 only. A refactor of the trial loops, the nML

@@ -122,7 +122,7 @@ def test_training_phase_runs_in_mc_only(module):
 
 def test_arcsine_law_is_evaluated_by_the_estimator_layer_only():
     # estimators._bussgang_lmmse forms C_r, the filter and its MSE for flat and
-    # OFDM training alike; ofdm only builds the stacked pilot model. The
+    # OFDM training alike; ofdm only builds the pilot model. The
     # package namespace re-exports arcsine_covariance, so __init__ is left out.
     users = set()
     for path in sorted((SRC / "onebit_mimo").glob("*.py")):

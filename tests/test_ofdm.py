@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import circulant
@@ -9,13 +11,11 @@ from onebit_mimo.estimators import blmmse_flat
 from onebit_mimo.quantize import arcsine_covariance, bussgang_gain
 from onebit_mimo.ofdm import (
     _pilot_matrix,
-    _stacked_pilots,
     gen_tap_channel,
     ofdm_blmmse_filter,
     ofdm_training_signal,
     qpsk_pilots,
     td_pilot_matrix,
-    uniform_tap_covariance,
 )
 
 
@@ -119,8 +119,11 @@ def test_arcsine_beats_forced_diagonal_quantizer_noise():
     pilots = qpsk_pilots(N_c, K, 7)
     G_full, mse_full = ofdm_blmmse_filter(pilots, ofdm, cfg)
     G_diag, mse_diag = ofdm_blmmse_filter(pilots, ofdm, cfg, diagonal_quantizer_noise=True)
-    C_h = uniform_tap_covariance(M, K, L)
-    assert np.array_equal(G_full, ofdm_blmmse_filter(pilots, ofdm, cfg, C_h)[0])
+    # the default prior solved per antenna is the explicit prior solved dense
+    C_h = np.eye(M * K * L) / L
+    np.testing.assert_allclose(
+        G_full, ofdm_blmmse_filter(pilots, ofdm, cfg, C_h)[0], rtol=0.0, atol=1e-13
+    )
     # exact second-order predictions already order the two filters
     assert mse_full < mse_diag
 
@@ -155,7 +158,7 @@ def test_tap_profile_and_channel_power():
 
 def _default_prior_model(pilots, ofdm, cfg):
     """Phi_bar, C_h = I/L, C_y and the cross-covariance E{h r^H} of the default prior."""
-    Phib = _stacked_pilots(pilots, ofdm, cfg)
+    Phib = np.kron(np.eye(cfg.M), np.sqrt(cfg.rho_p) * _pilot_matrix(pilots, ofdm, cfg.K))
     C_h = np.eye(Phib.shape[1]) / ofdm.L
     C_y = Phib @ C_h @ Phib.conj().T + np.eye(Phib.shape[0])
     return Phib, C_h, C_y, C_h @ Phib.conj().T * bussgang_gain(C_y)
@@ -203,15 +206,86 @@ def test_arcsine_filter_mse_reuses_the_solved_covariance(monkeypatch):
     quad = float(np.real(np.sum((G @ arcsine_covariance(C_y)) * G.conj())))
     assert mse == pytest.approx((trace_prior - 2.0 * cross + quad) / trace_prior, abs=1e-12)
 
-    # one arcsine covariance per filter build, for either quantizer-noise model
-    calls = []
+    # one arcsine covariance per filter build, for either quantizer-noise model;
+    # the default prior is solved on one antenna's N_c x N_c training covariance,
+    # an explicit prior on the dense M*N_c x M*N_c one
+    calls, solves, krons = [], [], []
+    solve, kron = np.linalg.solve, np.kron
 
     def counted(C):
         calls.append(C.shape)
         return arcsine_covariance(C)
 
+    def counted_solve(C, rhs):
+        solves.append(C.shape)
+        return solve(C, rhs)
+
+    def counted_kron(a, b):
+        out = kron(a, b)
+        krons.append(out.shape)
+        return out
+
     monkeypatch.setattr(estimators, "arcsine_covariance", counted)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(np, "kron", counted_kron)
+    one, dense = (N_c, N_c), (M * N_c, M * N_c)
     for diagonal in (False, True):
-        calls.clear()
-        ofdm_blmmse_filter(pilots, ofdm, cfg, diagonal_quantizer_noise=diagonal)
-        assert len(calls) == 1
+        for C_h_td, shape in ((None, one), (np.eye(M * K * L) / L, dense)):
+            calls.clear(), solves.clear()
+            ofdm_blmmse_filter(pilots, ofdm, cfg, C_h_td, diagonal_quantizer_noise=diagonal)
+            assert calls == solves == [shape]
+    # the estimate applies G_1 to the M x N_c training matrix: no kron at all
+    calls.clear(), solves.clear(), krons.clear()
+    r = one_bit_quantize(crandn(np.random.default_rng(6), M * N_c))
+    blmmse_ofdm(r, pilots, ofdm, cfg)
+    assert calls == solves == [one] and krons == []
+
+
+@pytest.mark.parametrize("diagonal", [False, True])
+@pytest.mark.parametrize(
+    "M, K, L, N_c", [(1, 2, 4, 64), (2, 2, 2, 8), (4, 2, 4, 64), (8, 1, 3, 16)]
+)
+def test_default_prior_is_solved_per_antenna(M, K, L, N_c, diagonal):
+    # kron(I_M, G_1) with G_1 solved at M = 1 is the dense build of the
+    # explicit prior I/L up to rounding, and the same computation at M = 1
+    cfg = SystemConfig(M=M, K=K, tau=N_c, rho_p=3.0)
+    ofdm = OfdmConfig(N_c=N_c, N_cp=L - 1, L=L)
+    pilots = qpsk_pilots(N_c, K, 11)
+    G, mse = ofdm_blmmse_filter(pilots, ofdm, cfg, diagonal_quantizer_noise=diagonal)
+    G_d, mse_d = ofdm_blmmse_filter(pilots, ofdm, cfg, np.eye(M * K * L) / L, diagonal)
+    if M == 1:
+        assert np.array_equal(G, G_d) and mse == mse_d
+    np.testing.assert_allclose(G, G_d, rtol=0.0, atol=1e-13)
+    assert abs(mse - mse_d) <= 1e-14
+    if not diagonal:
+        # blmmse_ofdm applies the same filter as R G_1^T
+        r = one_bit_quantize(crandn(np.random.default_rng(12), M * N_c))
+        np.testing.assert_allclose(blmmse_ofdm(r, pilots, ofdm, cfg), G @ r, rtol=0.0, atol=1e-13)
+
+
+def test_massive_array_estimate_attains_its_mse():
+    # at M = 64 the dense training covariance would be 4096 x 4096 (256 MiB)
+    # and the dense filter 512 x 4096 (32 MiB); the per-antenna build needs
+    # neither, and its realized NMSE is the mse it reports
+    M, K, L, N_c, rho = 64, 2, 4, 64, 10.0
+    cfg = SystemConfig(M=M, K=K, tau=N_c, rho_p=rho)
+    ofdm = OfdmConfig(N_c=N_c, N_cp=L - 1, L=L)
+    pilots = qpsk_pilots(N_c, K, 13)
+    r = np.full(M * N_c, (1 + 1j) / np.sqrt(2))
+    tracemalloc.start()
+    blmmse_ofdm(r, pilots, ofdm, cfg)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 2**21, peak
+
+    mse = ofdm_blmmse_filter(pilots, ofdm, cfg)[1]
+    rng = np.random.default_rng(14)
+    n = 500
+    err = np.empty(n)
+    for i in range(n):
+        taps = gen_tap_channel(M, K, L, rng)
+        r = one_bit_quantize(ofdm_training_signal(taps, pilots, ofdm, rho, rng))
+        err[i] = np.sum(np.abs(blmmse_ofdm(r, pilots, ofdm, cfg) - taps.reshape(-1)) ** 2)
+    err /= M * K  # total tap power is M*K (profile sums to 1)
+    se = err.std(ddof=1) / np.sqrt(n)
+    assert abs(err.mean() - mse) <= 4.0 * se, (err.mean(), mse, se)
