@@ -4,7 +4,8 @@ The main estimator linearizes the quantizer with the Bussgang decomposition
 and applies an LMMSE filter whose output covariance comes from the arcsine
 law. Baselines: plain least squares on the quantized output, an LMMSE
 variant that models the quantizer noise as uncorrelated, and a near-ML
-estimator solved by projected gradient ascent.
+estimator solved by damped Newton steps, constrained to a ball, on the
+per-antenna blocks of the log-likelihood's Hessian.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ __all__ = [
 
 _RIDGE = 1e-10
 _LOG_SQRT_2PI = np.log(np.sqrt(2.0 * np.pi))  # standard normal pdf: exp(-z^2/2 - this)
+_TAIL, _TAIL_TERMS = -6.0, 20  # z below which the Hessian weight takes a continued fraction
+_SECULAR_ITERS = 60  # cap on the safeguarded Newton steps for the ball multiplier
+_SECULAR_RTOL = 1e-12  # they stop once | ||x(mu)|| - radius | <= this * radius
 
 
 @dataclass
@@ -239,20 +243,20 @@ def lmmse_uncorrelated_filter(
 
 
 def _nml_objective(R: np.ndarray, Phi: np.ndarray, cfg: SystemConfig):
-    """Log-likelihood of the one-bit training signs and its gradient, per trial.
+    """Log-likelihood of the one-bit training signs and its derivatives, per trial.
 
     R is an (n, M tau) stack of quantized training vectors r_p. Returns
-    objective(h, rows) -> (objectives, grad), which evaluates trial rows[i]
-    at h[i]: sum_j log F(z_j), and grad(keep) gives the gradients of the
-    trials rows[keep] only (those of accepted steps). Here
-    z = sqrt(2) c (Phi_bar_R h), where h = [Re vec(H); Im vec(H)] is the
+    objective(h, rows) -> (objectives, derivs), which evaluates trial rows[i]
+    at h[i]: sum_j log F(z_j), and derivs(keep) gives the gradients and
+    Hessian blocks of the trials rows[keep] only (those of accepted steps).
+    Here z = sqrt(2) c (Phi_bar_R h), where h = [Re vec(H); Im vec(H)] is the
     real embedding of the M x K channel, c the observed signs of
     [Re r_p; Im r_p], F the standard normal CDF and Phi_bar_R the real
     embedding of the training matrix Phi_bar = Phi kron sqrt(rho_p) I_M.
 
     Phi_bar_R is never formed. Since Phi_bar vec(H) = vec(sqrt(rho_p) H Phi^T),
     the forward product is one (2 tau x 2K) @ (2K x M) real matmul per
-    trial: the real embedding of sqrt(rho_p) Phi times h viewed as
+    trial: the real embedding B of sqrt(rho_p) Phi times h viewed as
     [Re H^T; Im H^T]. Its rows, [Re Y^T; Im Y^T] with Y = sqrt(rho_p) H Phi^T,
     are in the order of the stacked signs, and the gradient is the
     transposed matmul, [Re; Im] of sqrt(rho_p) U Phi^* with U = unvec(c lam).
@@ -261,6 +265,13 @@ def _nml_objective(R: np.ndarray, Phi: np.ndarray, cfg: SystemConfig):
     lam = exp(-z^2/2 - log sqrt(2 pi) - log F), stable for large negative z.
     scipy is imported here, on first use, so that importing the package
     does not load it.
+
+    Antenna m's parameters, column m of the 2K x M view of h, see only its
+    own 2 tau signs, so the Hessian is block diagonal: an (n, M, 2K, 2K)
+    stack of blocks -2 B^T diag(w_m) B with w = lam (lam + z), formed as
+    one (M x 2 tau) @ (2 tau x 4K^2) matmul per trial of the weights with
+    the rows' outer products B_i^T B_i. Below z = _TAIL the weights come
+    from :func:`_tail_weight`.
     """
     from scipy.special import log_ndtr
 
@@ -268,6 +279,7 @@ def _nml_objective(R: np.ndarray, Phi: np.ndarray, cfg: SystemConfig):
     M, K, tau = cfg.M, cfg.K, cfg.tau
     P = np.sqrt(cfg.rho_p) * Phi
     B = np.block([[P.real, -P.imag], [P.imag, P.real]])  # 2tau x 2K
+    outer = -2.0 * (B[:, :, None] * B[:, None, :]).reshape(2 * tau, 4 * K * K)  # -2 B_i^T B_i
     R = np.asarray(R)
     # signs as [Re R^T; Im R^T] per trial, the row layout of the forward product
     c = np.sign(np.concatenate([R.real, R.imag], axis=-1)).reshape(-1, 2 * tau, M)
@@ -277,19 +289,106 @@ def _nml_objective(R: np.ndarray, Phi: np.ndarray, cfg: SystemConfig):
         z = sc[rows] * (B @ h.reshape(-1, 2 * K, M))
         logF = log_ndtr(z)
 
-        def grad(keep):  # lam = pdf/cdf, then c lam, in one buffer
+        def derivs(keep):  # lam = pdf/cdf, then w and c lam, in two buffers
             zk = z[keep]
             lam = -0.5 * zk
             lam *= zk
             lam -= _LOG_SQRT_2PI
             lam -= logF[keep]
             np.exp(lam, out=lam)
+            w = lam + zk
+            w *= lam
+            tail = zk < _TAIL
+            if tail.any():
+                w[tail] = _tail_weight(-zk[tail])
+            hess = (np.swapaxes(w, 1, 2) @ outer).reshape(len(zk), M, 2 * K, 2 * K)
             lam *= c[rows[keep]]
-            return np.sqrt(2.0) * (B.T @ lam).reshape(len(zk), 2 * K * M)
+            return np.sqrt(2.0) * (B.T @ lam).reshape(len(zk), 2 * K * M), hess
 
-        return logF.reshape(len(rows), -1).sum(axis=1), grad
+        return logF.reshape(len(rows), -1).sum(axis=1), derivs
 
     return objective
+
+
+def _tail_weight(x: np.ndarray) -> np.ndarray:
+    """Hessian weight lam (lam + z) at z = -x < _TAIL, without cancellation.
+
+    lam = x + q, where q = 1/(x + 2/(x + 3/(x + ...))) is the continued
+    fraction of Mills' ratio; its _TAIL_TERMS terms give q to rounding for
+    x > 6. Computed as lam (lam + z), the weight there would lose about
+    eps x^4 relative (about 2e-13 at x = 6 and 2e-11 at x = 20) to the
+    cancellation in lam + z.
+    """
+    t = np.zeros_like(x)
+    for k in range(_TAIL_TERMS, 1, -1):
+        t = k / (x + t)
+    q = 1.0 / (x + t)
+    return (x + q) * q
+
+
+def _ball_multiplier(d: np.ndarray, b2: np.ndarray, radius: float) -> np.ndarray:
+    """Multiplier mu >= 0 of the ball constraint ||x|| <= radius, per trial.
+
+    x(mu) has the coordinates b / (mu + d) in an orthonormal basis, with
+    d >= 0 and b2 = b^2 given as (k, N) rows. mu = 0 where x(0) lies in the
+    ball. Elsewhere mu is the root of 1/||x(mu)|| - 1/radius, found by
+    Newton's method on that concave, nearly linear function (Moré and
+    Sorensen 1983), safeguarded: the bracket [lo, hi] starts at
+    [0, ||b|| / radius] and narrows with each evaluation, and an iterate
+    that would leave it (the first one, say, where d has a zero) is
+    replaced by the bracket's midpoint.
+    """
+    mu = np.zeros(len(d))
+    idx = np.arange(len(d))
+    lo = m = np.zeros(len(d))
+    hi = np.sqrt(np.sum(b2, axis=1)) / radius  # ||x(hi)|| <= ||b|| / hi = radius
+    for _ in range(_SECULAR_ITERS):
+        if not idx.size:
+            break
+        s = m[:, None] + d
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = np.divide(b2, s * s, out=np.zeros_like(b2), where=b2 > 0)
+            x2 = np.sum(q, axis=1)
+            xn = np.sqrt(x2)
+            newton = m + (xn / radius - 1.0) * x2 / np.sum(q / s, axis=1)
+        outside = xn > radius
+        lo, hi = np.where(outside, m, lo), np.where(outside, hi, m)
+        done = (np.abs(xn - radius) <= _SECULAR_RTOL * radius) | ~outside & (m == 0.0)
+        mu[idx[done]] = m[done]
+        keep = ~done
+        idx, d, b2, lo, hi, m, newton = (a[keep] for a in (idx, d, b2, lo, hi, m, newton))
+        m = np.where((newton > lo) & (newton < hi), newton, 0.5 * (lo + hi))
+    mu[idx] = m
+    return mu
+
+
+def _newton_point(h: np.ndarray, grad: np.ndarray, hess: np.ndarray, radius: float):
+    """Maximizer over the ball of each trial's quadratic model at h.
+
+    The model f(h) + g^T (x - h) + (x - h)^T H (x - h) / 2 has the block
+    diagonal Hessian H of :func:`_nml_objective`, which is negative
+    semidefinite. Its maximizer over ||x|| <= radius is
+    x(mu) = (mu I - H)^{-1} (g - H h), with the multiplier mu of
+    :func:`_ball_multiplier`. One batched eigendecomposition per block,
+    H = -Q diag(d) Q^T, makes ||x(mu)|| a sum over the eigenvalues, so that
+    solving for mu costs no further factorization. Where all blocks are
+    equal, as at h = 0 (each is -(4/pi) B^T B there), one decomposition
+    serves them all.
+    """
+    n, M, k2 = hess.shape[:3]
+    if (hess == hess[:1, :1]).all():
+        hess = hess[:1, :1]
+    e, Q = np.linalg.eigh(hess)
+    d = np.broadcast_to(np.maximum(-e, 0.0), (n, M, k2))
+    # per-antenna columns of h and g, rotated into each block's eigenbasis
+    hg = np.stack([h.reshape(n, k2, M), grad.reshape(n, k2, M)], axis=-1)
+    hq, gq = np.moveaxis(np.swapaxes(Q, 2, 3) @ np.swapaxes(hg, 1, 2), -1, 0)
+    b = gq + d * hq  # Q^T (g - H h)
+    mu = _ball_multiplier(d.reshape(n, -1), (b * b).reshape(n, -1), radius)
+    s = mu[:, None, None] + d
+    y = np.divide(b, s, out=np.zeros_like(b), where=b != 0)
+    x = np.swapaxes((Q @ y[..., None])[..., 0], 1, 2).reshape(n, -1)
+    return x
 
 
 def _nml_solve(
@@ -301,16 +400,20 @@ def _nml_solve(
     max_iters: int = 500,
     traces: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The ascent of :func:`nml_estimate` on an (n, M tau) stack of training vectors.
+    """The damped Newton solve of :func:`nml_estimate` on an (n, M tau) stack of training vectors.
 
-    Each trial keeps its own schedule: the stop test, the doubled step, the
-    halving backtrack down to 1e-15 and the max_iters cap. One round
-    evaluates the objective once per unfinished trial, at its next step or
-    its backtracking candidate; a trial that converges, stalls or reaches
-    the cap leaves the working arrays, so it costs nothing further.
-    Returns the (n, M, K) estimates and, per trial, the accepted steps,
-    the converged flag and the last projected-gradient norm. A list passed
-    as ``traces`` receives each trial's objective trace.
+    Each trial keeps its own schedule. At each new point it takes the stop
+    test (projected-gradient norm below tol) and, unless it stops or has
+    taken max_iters steps, the maximizer x over the ball of its quadratic
+    model (:func:`_newton_point`). It then halves the step along x - h,
+    from the full step down to 1e-15, until the objective does not fall;
+    h and x lie in the ball, so every candidate does. One round evaluates
+    the objective once per unfinished trial; a trial that converges,
+    stalls or reaches the cap leaves the working arrays, so it costs
+    nothing further. Returns the (n, M, K) estimates and, per trial, the
+    accepted steps, the converged flag and the projected-gradient norm at
+    the estimate. A list passed as ``traces`` receives each trial's
+    objective trace.
     """
     objective = _nml_objective(R, Phi, cfg)
     M, K = cfg.M, cfg.K
@@ -330,45 +433,45 @@ def _nml_solve(
     # working arrays of the unfinished trials `rows`
     rows = np.arange(n)
     h = np.zeros((n, 2 * MK))
-    obj, grad_of = objective(h, rows)
-    grad = grad_of(slice(None))
-    step = np.ones(n)
-    started = np.zeros(n, dtype=int)  # outer iterations begun
-    its = np.zeros(n, dtype=int)  # accepted steps
-    gn = np.full(n, np.inf)
+    obj, derivs = objective(h, rows)
     due = np.ones(n, dtype=bool)  # at a new point: due for the stop test
+    grad, hess = derivs(due)  # of the trials due
+    step = np.empty_like(h)  # x - h
+    frac = np.ones(n)  # of the step, halved by backtracking
+    its = np.zeros(n, dtype=int)  # accepted steps
+    gn = np.empty(n)
     if traces is not None:
         traces[:] = [[float(o)] for o in obj]
     while True:
-        capped = due & (started >= max_iters)
-        due &= ~capped
-        conv = np.zeros_like(due)
-        if due.any():
-            d = project(h + grad) - h
-            gn = np.where(due, np.sqrt(np.vecdot(d, d)), gn)
-            conv = due & (gn < tol)
-            go = due & ~conv
-            started += go
-            step = np.where(go, np.minimum(step * 2.0, 1e6), step)
-        done = capped | conv | ~(step > 1e-15)  # the last: stalled
+        hd = h[due]
+        dp = project(hd + grad) - hd
+        gn[due] = np.sqrt(np.vecdot(dp, dp))
+        conv = due & (gn < tol)
+        capped = due & ~conv & (its >= max_iters)
+        go = due & ~conv & ~capped
+        if go.any():
+            sub = go[due]
+            step[go] = project(_newton_point(hd[sub], grad[sub], hess[sub], radius)) - hd[sub]
+            frac[go] = 1.0
+        done = conv | capped | ~(frac > 1e-15)  # the last: stalled
         if done.any():
             fin = rows[done]
             h_out[fin], iterations[fin], grad_norm[fin] = h[done], its[done], gn[done]
             converged[fin] = conv[done]
             keep = ~done
-            rows, h, obj, grad, step, started, its, gn = (
-                a[keep] for a in (rows, h, obj, grad, step, started, its, gn)
+            rows, h, obj, step, frac, its, gn = (
+                a[keep] for a in (rows, h, obj, step, frac, its, gn)
             )
             if not rows.size:
                 break
-        h_new = project(h + step[:, None] * grad)
-        obj_new, grad_of = objective(h_new, rows)
+        h_new = h + frac[:, None] * step
+        obj_new, derivs = objective(h_new, rows)
         due = obj_new >= obj  # accepted
         np.copyto(h, h_new, where=due[:, None])
         np.copyto(obj, obj_new, where=due)
-        grad[due] = grad_of(due)
+        grad, hess = derivs(due)
         its += due
-        step = np.where(due, step, step * 0.5)
+        frac = np.where(due, frac, frac * 0.5)
         if traces is not None:
             for t, o in zip(rows[due], obj_new[due]):
                 traces[t].append(float(o))
@@ -385,20 +488,27 @@ def nml_estimate(
     tol: float = 1e-6,
     max_iters: int = 500,
 ) -> ChannelEstimate:
-    """Near-maximum-likelihood estimate via projected gradient ascent.
+    """Near-maximum-likelihood estimate by damped Newton steps on a ball.
 
     Maximizes sum_i log F(sqrt(2) c_i (Phi_bar_R h)_i) over the real-valued
     channel embedding constrained to ||h||^2 <= radius_sq (default MK, the
     expected squared norm of a unit-variance channel), where F is the
-    standard normal CDF and c_i the observed signs. The problem is concave;
-    ascent uses backtracking line search. Non-convergence is reported in
-    `diagnostics` rather than raised.
+    standard normal CDF and c_i the observed signs. The problem is concave.
+    Each step maximizes the quadratic model at h over the ball, then halves
+    back towards h until the objective does not fall (see
+    :func:`_nml_solve`); max_iters caps the accepted steps. The solve stops
+    when the projected-gradient norm ||P(h + g) - h|| falls below tol.
+    Non-convergence is reported in `diagnostics` rather than raised:
+    ``converged``, ``iterations`` (accepted steps), ``grad_norm`` (the
+    projected-gradient norm at the estimate) and ``objective_trace``.
 
-    The objective applies the training operator in its Kronecker form, as a
-    K -> tau matmul on the M x K channel, and evaluates log F with
-    ``scipy.special.log_ndtr`` (see :func:`_nml_objective`), so an
-    evaluation costs O(M K tau). This is the one-trial case of the stacked
-    solver :func:`_nml_solve`.
+    The log-likelihood separates over the antennas, so its Hessian is M
+    blocks of 2K x 2K, and a Newton step costs one eigendecomposition of
+    each block besides an objective evaluation. The objective applies the
+    training operator in its Kronecker form, as a K -> tau matmul on the
+    M x K channel, and evaluates log F with ``scipy.special.log_ndtr`` (see
+    :func:`_nml_objective`), so an evaluation costs O(M K tau). This is the
+    one-trial case of the stacked solver :func:`_nml_solve`.
     """
     traces = []
     H_hat, iterations, converged, grad_norm = _nml_solve(

@@ -24,6 +24,7 @@ from onebit_mimo.estimators import (
     _nml_solve,
     blmmse_filter,
     lmmse_uncorrelated_filter,
+    nml_estimate,
 )
 from onebit_mimo.experiments import (
     FIGURES,
@@ -34,7 +35,6 @@ from onebit_mimo.experiments import (
     run_experiment,
 )
 from onebit_mimo.mc import block_seeds, run_blocks, trial_stacks
-from test_estimators import _ref_nml_estimate
 
 
 def _write(tmp_path, text, name="cfg.txt"):
@@ -562,7 +562,7 @@ class TestRunExperiment:
     @staticmethod
     def _ref_mse_point(cfg, Phi, filters, nml_opts, n_trials, seed, root, ref_iterations):
         # _mse_point as it ran before trials were stacked: one trial at a time,
-        # nML by the per-trial solver, whose iteration counts are recorded
+        # nML by nml_estimate, whose iteration counts are recorded
         M, K, tau = cfg.M, cfg.K, cfg.tau
         names = list(filters) + ([] if nml_opts is None else ["nml"])
 
@@ -578,9 +578,9 @@ class TestRunExperiment:
                     err = (G @ r).reshape(M, K, order="F") - H
                     acc[name][t] = np.sum(np.abs(err) ** 2) / (M * K)
                 if nml_opts is not None:
-                    H_hat, diag = _ref_nml_estimate(r, Phi, cfg, **nml_opts)
-                    ref_iterations.append(diag["iterations"])
-                    acc["nml"][t] = np.sum(np.abs(H_hat - H) ** 2) / (M * K)
+                    est = nml_estimate(r, Phi, cfg, **nml_opts)
+                    ref_iterations.append(est.diagnostics["iterations"])
+                    acc["nml"][t] = np.sum(np.abs(est.H_hat - H) ** 2) / (M * K)
             return acc
 
         blocks = run_blocks(n_trials, block, seed)
@@ -760,15 +760,15 @@ class TestRunExperiment:
             10,
             None,
             """\
--20,0.915936469719913,5.20281458999653,0.919693740266312,0.915936570639111,0.0603585432329992,0.172117697784953,0.0591635450688811,0.0603585640007201
--15,0.779565800242717,1.58039238458081,0.853957896167046,0.779565601075838,0.0270858783308367,0.0613816156569429,0.0294399443201595,0.0270860356601124
--10,0.457991228074543,0.490383555916971,0.697431912586123,0.457915140924995,0.0169925681220666,0.0124448705892576,0.0346230503731553,0.016939962086413
--5,0.262481240657595,0.295448146755894,0.55431537678096,0.263411323650934,0.0098503056835199,0.01087106447425,0.0193812796752076,0.00992090438931146
-0,0.197966799632859,0.446692531982641,0.610652945485301,0.1990984954602,0.00839815562430142,0.0352567951017283,0.0465255101708603,0.00737999273218328
-5,0.170412336446558,0.656314441355992,0.636687690078978,0.170992072662214,0.00741900401615401,0.0391637815176113,0.0387299182014574,0.00607004536503623
-10,0.157428709364942,0.72646075945511,0.562319283798821,0.163512078831879,0.012891886751472,0.0310659844672942,0.0276907383350416,0.0119508598986264
-15,0.165027056418473,0.896372846280984,0.621058992825164,0.165792385699454,0.0140830247382733,0.039511472736831,0.0337609441181087,0.0130717758450942
-20,0.143074349926515,0.901897608375234,0.576885933986833,0.146778640344426,0.00788624670835204,0.0388843182519674,0.0317834394101492,0.00743901495214392
+-20,0.915936469719913,5.20281458999653,0.919693748184047,0.915936570639111,0.0603585432329992,0.172117697784953,0.0591635474983017,0.0603585640007201
+-15,0.779565800242717,1.58039238458081,0.853957897850453,0.779565601075838,0.0270858783308367,0.0613816156569429,0.0294399443804716,0.0270860356601124
+-10,0.457991228074543,0.490383555916971,0.697431919012376,0.457915140924995,0.0169925681220666,0.0124448705892576,0.0346230507846109,0.016939962086413
+-5,0.262481240657595,0.295448146755894,0.554315374849826,0.263411323650934,0.0098503056835199,0.01087106447425,0.0193812795110455,0.00992090438931146
+0,0.197966799632859,0.446692531982641,0.610652550115407,0.1990984954602,0.00839815562430142,0.0352567951017283,0.046525704793531,0.00737999273218328
+5,0.170412336446558,0.656314441355992,0.636687690702378,0.170992072662214,0.00741900401615401,0.0391637815176113,0.0387299180780112,0.00607004536503623
+10,0.157428709364942,0.72646075945511,0.562319282590617,0.163512078831879,0.012891886751472,0.0310659844672942,0.027690738214787,0.0119508598986264
+15,0.165027056418473,0.896372846280984,0.621058995201083,0.165792385699454,0.0140830247382733,0.039511472736831,0.0337609452373346,0.0130717758450942
+20,0.143074349926515,0.901897608375234,0.576886968090237,0.146778640344426,0.00788624670835204,0.0388843182519674,0.0317832822649799,0.00743901495214392
 """,
         ),
         "fig3_corr_mse": (

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from onebit_mimo import (
     SystemConfig,
@@ -21,6 +21,7 @@ from onebit_mimo import (
 from onebit_mimo.channel import _psd_root, crandn, crandn_trials, laplacian_covariance, unvec, vec
 from onebit_mimo.estimators import (
     _LOG_SQRT_2PI,
+    _ball_multiplier,
     _bussgang_lmmse,
     _iid_filter,
     _ls_pinv,
@@ -420,17 +421,21 @@ class TestNml:
         assert mn < ml
 
     def test_nonconvergence_reported_not_raised(self):
+        # tol = 0 cannot be met, whatever the solver; it stops at the cap
+        # (or stalls) and says so
         cfg = SystemConfig(M=2, K=2, tau=4, rho_p=1.0)
         Phi = dft_pilots(4, 2)
         _, r = _quantized_training(cfg, Phi, 14)
-        est = nml_estimate(r, Phi, cfg, max_iters=2)
+        est = nml_estimate(r, Phi, cfg, tol=0.0, max_iters=2)
         assert est.diagnostics["converged"] is False
+        assert est.diagnostics["iterations"] <= 2
         assert np.isfinite(est.diagnostics["grad_norm"])
 
 
 # --------------------------------------------------------------------------
-# the nML solver one trial at a time, as it ran before trials were stacked:
-# the reference the stacked solver must equal bit for bit
+# projected gradient ascent with a doubled step and halving backtracking,
+# one trial at a time: the nML solver before the Newton solve, kept as the
+# optimality reference the Newton estimates must match or beat
 
 
 def _ref_nml_objective(r_p, Phi, cfg):
@@ -506,23 +511,34 @@ def _training_stack(cfg, Phi, snr_dbs, seed):
     return np.stack(R)
 
 
+def _real_embedding(H_hat):
+    """h = [Re vec(H); Im vec(H)] per trial of an (n, M, K) stack."""
+    v = np.swapaxes(H_hat, 1, 2).reshape(len(H_hat), -1)
+    return np.concatenate([v.real, v.imag], axis=1)
+
+
 class TestStackedNml:
     @pytest.mark.parametrize(
         "M, K, tau, rho, opts, n, seed, kinds_seen",
         [
-            # converged, stalled, capped, on the ball and inside it, in one stack
+            # converged and capped, on the ball and inside it, in one stack
             (
-                4, 2, 4, 10.0, {"radius_sq": 32.0, "tol": 1e-10, "max_iters": 150}, 24, 2,
-                {"converged", "stalled", "capped", "projected", "unprojected"},
+                4, 2, 4, 10.0, {"radius_sq": 32.0, "tol": 1e-10, "max_iters": 14}, 24, 2,
+                {"converged", "capped", "projected", "unprojected"},
             ),
+            # tol = 0 cannot be met: each trial stalls or reaches the cap
             (4, 2, 4, 10.0, {"tol": 0.0, "max_iters": 60}, 12, 3, {"stalled", "capped"}),
-            (16, 4, 20, 1.0, {"radius_sq": 4.0, "max_iters": 200}, 32, 3, set()),  # fig2
-            (16, 4, 20, 100.0, {"radius_sq": 4.0, "max_iters": 40}, 5, 4, set()),
-            (3, 1, 3, 1.0, {}, 1, 5, set()),  # a stack of one, default options
+            (16, 4, 20, 1.0, {"radius_sq": 4.0, "max_iters": 200}, 32, 3, {"converged"}),  # fig2
+            (16, 4, 20, 100.0, {"radius_sq": 4.0, "max_iters": 40}, 5, 4, {"converged"}),
+            (3, 1, 3, 1.0, {}, 1, 5, {"converged"}),  # a stack of one, default options
             (3, 1, 3, 1.0, {"max_iters": 0}, 3, 6, {"capped"}),
         ],
     )
     def test_equals_per_trial_reference(self, M, K, tau, rho, opts, n, seed, kinds_seen):
+        # the stacked solve equals nml_estimate one trial at a time, bit for
+        # bit, and each converged estimate is stationary on the ball: with
+        # the stop test ||P(h + g) - h|| < tol, g = mu h + e with mu >= 0 and
+        # ||e|| < (1 + mu) tol on the ball, and ||g|| < tol inside it
         cfg = SystemConfig(M=M, K=K, tau=tau, rho_p=rho)
         Phi = dft_pilots(tau, K)
         snr_dbs = np.random.default_rng(seed).uniform(-15.0, 30.0, n)
@@ -532,49 +548,172 @@ class TestStackedNml:
             R, Phi, cfg, traces=traces, **opts
         )
         assert H_hat.shape == (n, M, K)
-        kinds = set()
+        tol = opts.get("tol", 1e-6)
         radius_sq = opts.get("radius_sq", float(M * K))
+        h = _real_embedding(H_hat)
+        grads = _nml_objective(R, Phi, cfg)(h, np.arange(n))[1](slice(None))[0]
+        kinds = set()
         for j in range(n):
-            H_ref, diag = _ref_nml_estimate(R[j], Phi, cfg, **opts)
-            assert np.array_equal(H_hat[j], H_ref)
-            assert iterations[j] == diag["iterations"]
-            assert converged[j] == diag["converged"]
-            assert grad_norm[j] == diag["grad_norm"]
-            assert traces[j] == diag["objective_trace"]
             est = nml_estimate(R[j], Phi, cfg, **opts)
-            assert np.array_equal(est.H_hat, H_ref)
-            assert est.diagnostics == diag
-            if diag["converged"]:
+            assert np.array_equal(est.H_hat, H_hat[j])
+            assert est.diagnostics == {
+                "converged": bool(converged[j]),
+                "iterations": int(iterations[j]),
+                "grad_norm": float(grad_norm[j]),
+                "objective_trace": traces[j],
+            }
+            on_ball = h[j] @ h[j] > radius_sq * (1 - 1e-9)
+            kinds.add("projected" if on_ball else "unprojected")
+            if converged[j]:
                 kinds.add("converged")
-            elif diag["iterations"] < opts.get("max_iters", 500):
+                g = grads[j]
+                if on_ball:
+                    mu = g @ h[j] / (h[j] @ h[j])
+                    assert mu > -tol
+                    assert np.linalg.norm(g - mu * h[j]) <= (1.0 + abs(mu)) * tol
+                else:
+                    assert np.linalg.norm(g) < tol
+            elif iterations[j] < opts.get("max_iters", 500):
                 kinds.add("stalled")
             else:
                 kinds.add("capped")
-            on_ball = np.sum(np.abs(H_ref) ** 2) > radius_sq * (1 - 1e-9)
-            kinds.add("projected" if on_ball else "unprojected")
         assert kinds_seen <= kinds
+
+    @pytest.mark.parametrize(
+        "M, K, tau, snr_db, radius_sq, seed",
+        [
+            (16, 4, 20, -10.0, 4.0, 7),  # fig2's shape and radius
+            (16, 4, 20, 10.0, 4.0, 8),
+            (16, 4, 20, 20.0, 4.0, 9),
+            (8, 2, 8, 0.0, None, 10),  # the default radius MK
+        ],
+    )
+    def test_objective_not_below_the_ascents(self, M, K, tau, snr_db, radius_sq, seed):
+        cfg = SystemConfig(M=M, K=K, tau=tau, rho_p=10 ** (snr_db / 10))
+        Phi = dft_pilots(tau, K)
+        R = _training_stack(cfg, Phi, [snr_db] * 2, seed)
+        traces = []
+        converged = _nml_solve(R, Phi, cfg, radius_sq, traces=traces)[2]
+        assert converged.all()
+        for j in range(len(R)):
+            _, diag = _ref_nml_estimate(R[j], Phi, cfg, radius_sq, max_iters=20_000)
+            ref = diag["objective_trace"][-1]
+            assert traces[j][-1] >= ref - 1e-12 * abs(ref)
+
+
+class TestNewtonStep:
+    @staticmethod
+    def _solve(monkeypatch, cfg, snr_dbs, seed, **opts):
+        """_nml_solve on trials drawn at snr_dbs, with the multipliers of each Newton round.
+
+        Each multiplier on the ball is checked to put x(mu) on the sphere.
+        """
+        Phi = dft_pilots(cfg.tau, cfg.K)
+        R = _training_stack(cfg, Phi, snr_dbs, seed)
+        radius = np.sqrt(opts.get("radius_sq", cfg.M * cfg.K))
+        mus = []
+
+        def recorded(d, b2, radius_):
+            mu = _ball_multiplier(d, b2, radius_)
+            on = mu > 0
+            x_norm = np.sqrt(np.sum(b2[on] / (mu[on, None] + d[on]) ** 2, axis=1))
+            assert radius_ == radius and np.all(np.abs(x_norm - radius) <= 1e-12 * radius)
+            mus.append(mu)
+            return mu
+
+        monkeypatch.setattr(estimators, "_ball_multiplier", recorded)
+        return R, Phi, _nml_solve(R, Phi, cfg, **opts), mus
+
+    def test_interior_path(self, monkeypatch):
+        # signs drawn at -20 dB and solved at 0 dB with the default radius
+        # MK: the likelihood peaks well inside the ball, and every Newton
+        # point lies inside it (mu = 0)
+        cfg = SystemConfig(M=16, K=4, tau=20, rho_p=1.0)
+        R, Phi, out, mus = self._solve(monkeypatch, cfg, [-20.0] * 6, 11)
+        H_hat, iterations, converged, _ = out
+        assert converged.all() and iterations.max() <= 8
+        assert not np.concatenate(mus).any()
+        assert np.all(np.sum(np.abs(H_hat) ** 2, axis=(1, 2)) < 0.5 * 64.0)
+
+    def test_boundary_path(self, monkeypatch):
+        # radius^2 = K at 30 dB: the estimates lie on the ball, reached by
+        # Newton points on it (mu > 0)
+        cfg = SystemConfig(M=16, K=4, tau=20, rho_p=1000.0)
+        R, Phi, out, mus = self._solve(monkeypatch, cfg, [30.0] * 6, 12, radius_sq=4.0)
+        H_hat, _, converged, _ = out
+        assert converged.all()
+        assert np.all(mus[-1] > 0)
+        np.testing.assert_allclose(np.sum(np.abs(H_hat) ** 2, axis=(1, 2)), 4.0, rtol=1e-12)
+
+    def test_mixed_stack(self, monkeypatch):
+        # trials drawn at -20 and 30 dB, solved at 0 dB with the default
+        # radius: one multiplier solve holds both paths, and the stack
+        # equals its trials solved one at a time
+        cfg = SystemConfig(M=16, K=4, tau=20, rho_p=1.0)
+        R, Phi, out, mus = self._solve(monkeypatch, cfg, [-20.0, 30.0] * 3, 13)
+        H_hat, iterations, converged, _ = out
+        assert converged.all()
+        assert any((mu == 0).any() and (mu > 0).any() for mu in mus)
+        for j in range(len(R)):
+            est = nml_estimate(R[j], Phi, cfg)
+            assert np.array_equal(est.H_hat, H_hat[j])
+            assert est.diagnostics["iterations"] == iterations[j]
+
+    def test_multiplier_meets_the_radius(self):
+        # rows: interior; on the ball; a zero eigenvalue with b != 0 there,
+        # where the first Newton iterate is undefined and bisection takes
+        # over; a zero eigenvalue with b = 0 there, whose x(0) is inside
+        d = np.array([[1.0, 2.0, 4.0], [1.0, 2.0, 4.0], [0.0, 1.0, 4.0], [0.0, 1.0, 4.0]])
+        b2 = np.array([[0.1, 0.1, 0.1], [4.0, 9.0, 1.0], [1e-6, 1.0, 1.0], [0.0, 0.25, 1.0]])
+        mu = _ball_multiplier(d, b2, 1.0)
+        assert mu[0] == 0.0 and mu[3] == 0.0
+        assert mu[1] > 0.0 and mu[2] > 0.0
+        for j in (1, 2):
+            assert abs(np.sqrt(np.sum(b2[j] / (mu[j] + d[j]) ** 2)) - 1.0) <= 1e-12
+        for j in range(len(d)):  # each row on its own, bit for bit
+            assert _ball_multiplier(d[j : j + 1], b2[j : j + 1], 1.0)[0] == mu[j]
 
 
 # --------------------------------------------------------------------------
-# reference nML objective on the dense real embedding of Phi_bar (2M tau x 2MK),
-# in the stacked form of _nml_objective: objective(h, rows) -> (objs, grad(keep))
+# reference nML objective on the dense real embedding A of Phi_bar (2M tau x 2MK),
+# in the stacked form of _nml_objective: objective(h, rows) -> (objs, derivs(keep)),
+# derivs giving the gradients and the M diagonal 2K x 2K blocks of the dense
+# Hessian -2 A^T diag(lam (lam + z)) A
 
 
-def _dense_objective(R, Phi, cfg):
+def _dense_derivatives(R, Phi, cfg, h, rows):
+    """Objectives, gradients and dense 2MK x 2MK Hessians of trials rows at h."""
     Phib = _pilot_model(Phi, cfg)
     A = np.block([[Phib.real, -Phib.imag], [Phib.imag, Phib.real]])
     R = np.asarray(R).reshape(-1, cfg.M * cfg.tau)
     C = np.sign(np.concatenate([R.real, R.imag], axis=1))
+    objs, grads, hessians = [], [], []
+    for x, c in zip(h, C[rows]):
+        z = np.sqrt(2.0) * c * (A @ x)
+        logF = stats.norm.logcdf(z)
+        lam = np.exp(stats.norm.logpdf(z) - logF)
+        objs.append(logF.sum())
+        grads.append(np.sqrt(2.0) * (A.T @ (c * lam)))
+        # pdf/cdf again, as 1 / Mills' ratio: relative error eps where exp of
+        # logpdf - logcdf has lost eps z^2, so that lam + z keeps eps z^2
+        lam_z = np.sqrt(2.0 / np.pi) / special.erfcx(-z / np.sqrt(2.0))
+        hessians.append(-2.0 * (A.T * (lam_z * (lam_z + z))) @ A)
+    return np.array(objs), np.array(grads), np.array(hessians)
 
+
+def _antenna_blocks(hessians, M, K):
+    """The (n, M, 2K, 2K) diagonal blocks of dense Hessians in h's layout.
+
+    h = [Re vec(H); Im vec(H)] puts antenna m's 2K parameters at j M + m.
+    """
+    return np.einsum("nimjm->nmij", hessians.reshape(-1, 2 * K, M, 2 * K, M))
+
+
+def _dense_objective(R, Phi, cfg):
     def objective(h, rows):
-        objs, grads = [], []
-        for x, c in zip(h, C[rows]):
-            z = np.sqrt(2.0) * c * (A @ x)
-            logF = stats.norm.logcdf(z)
-            lam = np.exp(stats.norm.logpdf(z) - logF)
-            objs.append(logF.sum())
-            grads.append(np.sqrt(2.0) * (A.T @ (c * lam)))
-        return np.array(objs), lambda keep: np.array(grads)[keep]
+        objs, grads, hessians = _dense_derivatives(R, Phi, cfg, h, rows)
+        blocks = _antenna_blocks(hessians, cfg.M, cfg.K)
+        return objs, lambda keep: (grads[keep], blocks[keep])
 
     return objective
 
@@ -604,14 +743,47 @@ class TestNmlStructuredOperator:
         rows = np.array([2, 0])
         h = rng.standard_normal((2, 2 * M * K))
         h *= np.sqrt(norm_frac * M * K) / np.linalg.norm(h, axis=1, keepdims=True)
-        obj_s, grad_s = _nml_objective(R, Phi, cfg)(h, rows)
-        obj_d, grad_d = _dense_objective(R, Phi, cfg)(h, rows)
-        grad_s, grad_d = grad_s(slice(None)), grad_d(slice(None))
+        obj_s, derivs = _nml_objective(R, Phi, cfg)(h, rows)
+        obj_d, grad_d, _ = _dense_derivatives(R, Phi, cfg, h, rows)
+        grad_s = derivs(slice(None))[0]
         assert obj_s.shape == (2,) and grad_s.shape == (2, 2 * M * K)
         for i in range(2):
             assert abs(obj_s[i] - obj_d[i]) <= 1e-12 * abs(obj_d[i])
             err = np.linalg.norm(grad_s[i] - grad_d[i])
             assert err <= 1e-12 * np.linalg.norm(grad_d[i])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        M=st.integers(1, 6),
+        K=st.integers(1, 4),
+        extra_tau=st.integers(0, 4),
+        log_rho=st.floats(-2.0, 2.0),
+        norm_frac=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_hessian_blocks_match_dense(self, M, K, extra_tau, log_rho, norm_frac, seed):
+        # the same draws as the objective check; the dense Hessian has no
+        # entries between antennas, and its diagonal blocks are the
+        # structured ones
+        tau = K + extra_tau
+        cfg = SystemConfig(M=M, K=K, tau=tau, rho_p=10.0**log_rho)
+        rng = np.random.default_rng(seed)
+        Phi = crandn(rng, tau, K)
+        R = np.stack([_quantized_training(cfg, Phi, rng)[1] for _ in range(3)])
+        rows = np.array([2, 0])
+        h = rng.standard_normal((2, 2 * M * K))
+        h *= np.sqrt(norm_frac * M * K) / np.linalg.norm(h, axis=1, keepdims=True)
+        hess_s = _nml_objective(R, Phi, cfg)(h, rows)[1](slice(None))[1]
+        dense = _dense_derivatives(R, Phi, cfg, h, rows)[2]
+        hess_d = _antenna_blocks(dense, M, K)
+        assert hess_s.shape == (2, M, 2 * K, 2 * K)
+        across = dense.reshape(2, 2 * K, M, 2 * K, M).copy()
+        across[:, :, np.arange(M), :, np.arange(M)] = 0.0
+        assert not across.any()
+        for i in range(2):
+            for m in range(M):
+                err = np.linalg.norm(hess_s[i, m] - hess_d[i, m])
+                assert err <= 1e-12 * np.linalg.norm(hess_d[i, m])
 
     @pytest.mark.parametrize(
         "M, K, tau, snr_db, dft, seed",
