@@ -353,7 +353,7 @@ def _ball_multiplier(d: np.ndarray, b2: np.ndarray, radius: float) -> np.ndarray
             newton = m + (xn / radius - 1.0) * x2 / np.sum(q / s, axis=1)
         outside = xn > radius
         lo, hi = np.where(outside, m, lo), np.where(outside, hi, m)
-        done = (np.abs(xn - radius) <= _SECULAR_RTOL * radius) | ~outside & (m == 0.0)
+        done = (np.abs(xn - radius) <= _SECULAR_RTOL * radius) | (~outside & (m == 0.0))
         mu[idx[done]] = m[done]
         keep = ~done
         idx, d, b2, lo, hi, m, newton = (a[keep] for a in (idx, d, b2, lo, hi, m, newton))
@@ -387,8 +387,7 @@ def _newton_point(h: np.ndarray, grad: np.ndarray, hess: np.ndarray, radius: flo
     mu = _ball_multiplier(d.reshape(n, -1), (b * b).reshape(n, -1), radius)
     s = mu[:, None, None] + d
     y = np.divide(b, s, out=np.zeros_like(b), where=b != 0)
-    x = np.swapaxes((Q @ y[..., None])[..., 0], 1, 2).reshape(n, -1)
-    return x
+    return np.swapaxes((Q @ y[..., None])[..., 0], 1, 2).reshape(n, -1)
 
 
 def _nml_solve(
