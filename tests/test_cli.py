@@ -767,7 +767,7 @@ class TestRunExperiment:
 0,0.197966799632859,0.446692531982641,0.610652550115407,0.1990984954602,0.00839815562430142,0.0352567951017283,0.046525704793531,0.00737999273218328
 5,0.170412336446558,0.656314441355992,0.636687690702378,0.170992072662214,0.00741900401615401,0.0391637815176113,0.0387299180780112,0.00607004536503623
 10,0.157428709364942,0.72646075945511,0.562319282590617,0.163512078831879,0.012891886751472,0.0310659844672942,0.027690738214787,0.0119508598986264
-15,0.165027056418473,0.896372846280984,0.621058995201083,0.165792385699454,0.0140830247382733,0.039511472736831,0.0337609452373346,0.0130717758450942
+15,0.165027056418473,0.896372846280984,0.621058995201083,0.165792385699454,0.0140830247382733,0.039511472736831,0.0337609452373345,0.0130717758450942
 20,0.143074349926515,0.901897608375234,0.576886968090237,0.146778640344426,0.00788624670835204,0.0388843182519674,0.0317832822649799,0.00743901495214392
 """,
         ),

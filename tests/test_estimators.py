@@ -363,6 +363,43 @@ class TestLsEstimate:
         assert mse_b < mse_l
 
 
+class TestLogNdtr:
+    # the nML objective's log F against scipy's log_ndtr: 16 ulp, or 1e-300
+    # absolute where scipy's value is subnormal or zero (z above about 37)
+    BRANCHES = np.sqrt(2.0) * np.array([-8.0, -1.0, 1.0, 8.0])  # |t| = 1 and 8
+
+    @staticmethod
+    def _assert_close(z):
+        got, want = estimators._log_ndtr(z), special.log_ndtr(z)
+        assert got.shape == z.shape
+        normal = np.abs(want) > 1e-300
+        assert np.all(np.abs(got - want)[normal] <= 16 * np.spacing(np.abs(want[normal])))
+        assert np.all(np.abs(got - want)[~normal] <= 1e-300)
+        assert np.all(got <= 0.0)
+
+    def test_matches_scipy_on_a_dense_grid(self):
+        z = np.concatenate(
+            [
+                np.linspace(-1e4, 1e3, 1_100_001),
+                np.linspace(-20.0, 40.0, 600_001),
+                (self.BRANCHES[:, None] + 1e-9 * np.arange(-1000, 1001)).ravel(),
+            ]
+        )
+        z.sort()
+        self._assert_close(z)
+        assert np.all(np.diff(estimators._log_ndtr(z)) >= 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-1e4, 1e3), min_size=1, max_size=8))
+    def test_matches_scipy_on_any_floats(self, values):
+        self._assert_close(np.array(values))
+
+    def test_half_at_zero_and_shape_kept(self):
+        got = estimators._log_ndtr(np.zeros((2, 3, 4)))
+        assert got.shape == (2, 3, 4)
+        assert np.all(got == np.log(0.5))
+
+
 class TestNml:
     def test_objective_monotone_nondecreasing(self):
         cfg = SystemConfig(M=2, K=2, tau=4, rho_p=1.0)
