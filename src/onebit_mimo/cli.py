@@ -19,6 +19,7 @@ from .experiments import (
     SpecError,
     _aslist,
     _linear_params,
+    _output_files,
     _span,
     figure_ids,
     run_experiment,
@@ -34,14 +35,12 @@ class ConfigError(ValueError):
 
 
 def _parse_scalar(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
 
 
 def _parse_value(text: str):
@@ -81,8 +80,14 @@ def validate_config(path: str | Path) -> ExperimentSpec:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"{path}: no such config file")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as e:  # a directory, or no read permission
+        raise ConfigError(f"{path}: cannot read the config file: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {e.start}: {e.reason})") from None
     values, lines = {}, {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -161,10 +166,9 @@ def main(argv=None) -> int:
 
     _print_spec(spec)
     table = run_experiment(spec)
-    out = Path(spec.output_path)
+    out, stub, manifest = _output_files(spec.output_path)
     print(f"wrote {out} ({len(table.rows)} rows x {len(table.columns)} cols)")
-    print(f"wrote {out.with_suffix('.gp')}")
-    print(f"wrote {out.with_suffix('.manifest.json')}")
+    print(f"wrote {stub}\nwrote {manifest}")
     return 0
 
 

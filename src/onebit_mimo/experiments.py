@@ -74,7 +74,7 @@ class ExperimentSpec:
             sweep=sweep,
             n_trials=self.n_trials or FIGURES[self.figure_id].default_trials,
             seed=self.seed,
-            output_path=self.output_path or f"{self.figure_id}.csv",
+            output_path=_checked_output(self.output_path or f"{self.figure_id}.csv"),
         )
 
 
@@ -82,17 +82,13 @@ def _checked_sweep(spec: ExperimentSpec) -> dict:
     """The spec's sweep over its figure's defaults, checked against every invariant."""
     fid = spec.figure_id
     if not isinstance(fid, str) or fid not in FIGURES:
-        raise SpecError(
-            f"unknown figure {fid!r}; choose from {', '.join(figure_ids())}", "figure_id"
-        )
+        msg = f"unknown figure {fid!r}; choose from {', '.join(figure_ids())}"
+        raise SpecError(msg, "figure_id")
     fig = FIGURES[fid]
     for key, val in spec.sweep.items():
         if key not in fig.defaults:
-            raise SpecError(
-                f"unknown parameter {key!r} for {fid} "
-                f"(expected one of {sorted(fig.defaults)})",
-                key,
-            )
+            msg = f"unknown parameter {key!r} for {fid} (expected one of {sorted(fig.defaults)})"
+            raise SpecError(msg, key)
         if val == []:
             raise SpecError(f"{key} takes at least one value, got []", key)
         for v in _aslist(val):
@@ -132,15 +128,12 @@ def _checked_sweep(spec: ExperimentSpec) -> dict:
                 raise SpecError(f"{name} must be an integer, got {v!r}{why}", name)
     iters = p.get("nml_max_iters", 1)
     if not isinstance(iters, int) or iters < 1:
-        raise SpecError(
-            f"nml_max_iters must be an integer >= 1, got {iters!r}", "nml_max_iters"
-        )
+        msg = f"nml_max_iters must be an integer >= 1, got {iters!r}"
+        raise SpecError(msg, "nml_max_iters")
     for key, val in spec.sweep.items():
         if isinstance(val, list) and key not in fig.grid:
-            raise SpecError(
-                f"{key} takes one value, got a list; {fid} sweeps only {', '.join(fig.grid)}",
-                key,
-            )
+            msg = f"{key} takes one value, got a list; {fid} sweeps only {', '.join(fig.grid)}"
+            raise SpecError(msg, key)
     # fig3's Laplacian angular spectrum (channel.laplacian_covariance)
     if p.get("spread_deg", 1) <= 0:
         raise SpecError(f"spread_deg must be > 0, got {p['spread_deg']!r}", "spread_deg")
@@ -148,38 +141,47 @@ def _checked_sweep(spec: ExperimentSpec) -> dict:
         msg = f"mean_angle_deg must lie strictly inside (-90, 90), got {p['mean_angle_deg']!r}"
         raise SpecError(msg, "mean_angle_deg")
 
-    ks, taus, ts = (_aslist(p.get(key, [])) for key in ("k", "tau", "t"))
-    for k in ks:
-        if k < 1:
-            raise SpecError("k must be >= 1", "k")
-    for k, tau in itertools.product(ks, taus):
-        if tau < k:
-            raise SpecError(f"tau ({tau}) violates k <= tau (k = {k})", "tau", "k")
-    for tau, t in itertools.product(taus, ts):
-        if t < tau:
-            raise SpecError(f"t ({t}) violates tau <= t (tau = {tau})", "t", "tau")
+    # order rules (key, bound, why): each value of key is >= 1 or >= each value of the
+    # bound key, > it where a why is given; one key's rules are checked value by value
+    rules = [("k", 1, ""), ("tau", "k", ""), ("t", "tau", "")]
     if "tau" not in fig.defaults:  # an allocation figure: it optimizes tau over [K, T]
-        for k, t in itertools.product(ks, ts):
-            if t <= k:
-                raise SpecError(
-                    f"t ({t}) must exceed k ({k}); "
-                    f"{fid} optimizes tau in [K, T], which needs T > K",
-                    "t",
-                    "k",
-                )
+        rules.append(("t", "k", f"{fid} optimizes tau in [K, T], which needs T > K"))
     for name in ("m", "m_conv"):
-        for m in _aslist(p.get(name, [])):
-            if m < 1:
-                raise SpecError(f"{name} must be >= 1", name)
-            for k in ks:
-                if fig.m_exceeds_k and m <= k:
-                    raise SpecError(
-                        f"{name} ({m}) must exceed k ({k}); "
-                        f"{fid} evaluates the ZF closed form, which needs M > K",
-                        name,
-                        "k",
-                    )
+        rules.append((name, 1, ""))
+        if fig.m_exceeds_k:
+            rules.append((name, "k", f"{fid} evaluates the ZF closed form, which needs M > K"))
+    for key, group in itertools.groupby(rules, lambda rule: rule[0]):
+        for a, (_, bound, why) in itertools.product(_aslist(p.get(key, [])), group):
+            for b in [1] if bound == 1 else _aslist(p.get(bound, [])):
+                if a < b or (why and a == b):
+                    if bound == 1:
+                        raise SpecError(f"{key} must be >= 1", key)
+                    rule = f"violates {bound} <= {key} ({bound} = {b})"
+                    rule = f"must exceed {bound} ({b}); {why}" if why else rule
+                    raise SpecError(f"{key} ({a}) {rule}", key, bound)
     return p
+
+
+def _output_files(output_path) -> tuple[Path, Path, Path]:
+    """The CSV, plot stub and manifest that a run with this output path writes."""
+    out = Path(output_path)
+    return out, out.with_suffix(".gp"), out.with_suffix(".manifest.json")
+
+
+def _checked_output(output_path):
+    """The output path, if the run's CSV, plot stub and manifest can be written there."""
+    out = Path(output_path)
+    if out.name in ("", "..") or out.is_dir():  # 'x/..' is one once write_csv makes x
+        problem = "is a directory"
+    elif not (parent := next(p for p in out.parents if p.exists())).is_dir():
+        problem = f"lies under {parent}, which is a file"
+    elif out == _output_files(out)[1]:
+        problem = "is also the name of its plot stub; give it a suffix other than .gp"
+    elif dirs := [str(path) for path in _output_files(out)[1:] if path.is_dir()]:
+        problem = f"would write over the directory {dirs[0]}"
+    else:
+        return output_path
+    raise SpecError(f"output {output_path} {problem}", "output_path")
 
 
 @dataclass
@@ -221,10 +223,6 @@ def _linear_params(params: dict) -> dict:
     }
 
 
-def _float(x) -> str:
-    return f"{x:.15g}"
-
-
 def write_csv(table: ResultTable, path: str | Path) -> None:
     """RFC-4180-style CSV, LF newlines, 15-significant-digit floats."""
     path = Path(path)
@@ -234,13 +232,12 @@ def write_csv(table: ResultTable, path: str | Path) -> None:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(table.columns)
         for row in table.rows:
-            w.writerow(_float(v) for v in row)
+            w.writerow(f"{v:.15g}" for v in row)
 
 
 def write_plot_stub(table: ResultTable, csv_path: str | Path) -> Path:
     """Gnuplot-style description of how to plot the CSV columns."""
-    csv_path = Path(csv_path)
-    stub = csv_path.with_suffix(".gp")
+    csv_path, stub, _ = _output_files(csv_path)
     lines = [
         f"# plot recipe for {csv_path.name}",
         "set datafile separator ','",
@@ -298,9 +295,10 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
         point = fig.point(params, spec.n_trials, (spec.seed, i))
         table.columns = [*fig.grid, *point]
         table.rows.append([*values, *point.values()])
-    write_csv(table, spec.output_path)
-    write_plot_stub(table, spec.output_path)
-    emit_manifest(spec, table, Path(spec.output_path).with_suffix(".manifest.json"))
+    out, _, manifest = _output_files(spec.output_path)
+    write_csv(table, out)
+    write_plot_stub(table, out)
+    emit_manifest(spec, table, manifest)
     return table
 
 
@@ -388,8 +386,7 @@ def fig3_corr_mse(p, n_trials, seed) -> dict:
         "blmmse": blmmse_filter(Phi, cfg, C_h)[0],
         "uncorr": lmmse_uncorrelated_filter(Phi, cfg, C_h)[0],
     }
-    res = _mse_point(cfg, Phi, filters, None, n_trials, seed, root)
-    return _mse_columns(res)
+    return _mse_columns(_mse_point(cfg, Phi, filters, None, n_trials, seed, root))
 
 
 def fig4_se_vs_snr(p, n_trials, seed) -> dict:

@@ -47,9 +47,7 @@ def run_blocks(n_trials: int, fn, seed) -> list:
     fn receives a fresh Generator seeded from :func:`block_seeds` and the
     block's trial count; the last block holds the remainder.
     """
-    sizes = [BLOCK] * (n_trials // BLOCK)
-    if n_trials % BLOCK:
-        sizes.append(n_trials % BLOCK)
+    sizes = [min(BLOCK, n_trials - lo) for lo in range(0, n_trials, BLOCK)]
     seeds = block_seeds(seed, len(sizes))
     return [fn(np.random.default_rng(s), n) for s, n in zip(seeds, sizes)]
 

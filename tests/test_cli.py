@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import runpy
 from pathlib import Path
@@ -261,6 +262,36 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="no such config"):
             validate_config(tmp_path / "absent.txt")
 
+    def test_config_path_that_is_a_directory(self, tmp_path, capsys):
+        # used to end in an IsADirectoryError traceback with exit 1
+        with pytest.raises(ConfigError, match=f"^{tmp_path}: cannot read the config file: "):
+            validate_config(tmp_path)
+        assert main(["validate", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path}: ")
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        # used to end in a UnicodeDecodeError traceback with exit 1
+        p = tmp_path / "cfg.txt"
+        # a Latin-1 degree sign in a comment
+        p.write_bytes("figure = fig3_corr_mse\nspread_deg = 10  # 10\u00b0\n".encode("latin-1"))
+        with pytest.raises(ConfigError, match=r"cfg.txt: not UTF-8 text \(byte 44:"):
+            validate_config(p)
+        assert main(["run", str(p)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {p}: not UTF-8 text")
+
+    @pytest.mark.parametrize(
+        "figure, text, line, name",
+        [
+            ("fig2_mse", "k = 0\ntau = 4", 2, "k"),
+            ("fig2_mse", "tau = 4\nm = 0", 3, "m"),
+            ("fig9_kappa", "rho_db = 0\nt = 50\nm_conv = 0", 4, "m_conv"),
+        ],
+    )
+    def test_sizes_must_be_at_least_one(self, tmp_path, figure, text, line, name):
+        p = _write(tmp_path, f"figure = {figure}\n{text}\n")
+        with pytest.raises(ConfigError, match=rf"^{p}:{line}: {name} must be >= 1$"):
+            validate_config(p)
+
     @pytest.mark.parametrize(
         "figure, text, line, key",
         [
@@ -430,6 +461,45 @@ class TestRunExperiment:
         with pytest.raises(ConfigError) as cli:
             validate_config(p)
         assert str(cli.value) == f"{p}:5: {lib.value}"
+
+    @pytest.mark.parametrize(
+        "output, message",
+        [
+            # the plot stub used to overwrite the CSV, and the run reported success
+            ("res.gp", "is also the name of its plot stub"),
+            # write_csv used to raise IsADirectoryError after every grid point had run
+            ("taken", "is a directory"),
+            # the plot stub's write used to fail after the CSV was written
+            ("busy.csv", "would write over the directory"),
+            # NotADirectoryError after the run
+            ("note.txt/res.csv", "lies under"),
+        ],
+    )
+    def test_unwritable_output_rejected_before_any_work(
+        self, tmp_path, monkeypatch, capsys, output, message
+    ):
+        (tmp_path / "taken").mkdir()
+        (tmp_path / "busy.gp").mkdir()
+        (tmp_path / "note.txt").write_text("a file\n", encoding="utf-8")
+        out = str(tmp_path / output)
+        p = _write(tmp_path, f"figure = fig7_opt_tau\nt = 60\noutput = {out}\n")
+        before = sorted(tmp_path.rglob("*"))
+
+        def no_work(*args):
+            raise AssertionError("a grid point ran")
+
+        fig = FIGURES["fig7_opt_tau"]
+        monkeypatch.setitem(FIGURES, "fig7_opt_tau", dataclasses.replace(fig, point=no_work))
+        with pytest.raises(SpecError, match=f"^output {out} {message}") as lib:
+            run_experiment(ExperimentSpec("fig7_opt_tau", {"t": 60}, output_path=out))
+        assert lib.value.keys == ("output_path",)
+        # validate and run report it at the output line
+        with pytest.raises(ConfigError) as cli:
+            validate_config(p)
+        assert str(cli.value) == f"{p}:3: {lib.value}"
+        assert main(["run", str(p)]) == 2
+        assert capsys.readouterr().err == f"error: {p}:3: {lib.value}\n"
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_negative_seed_rejected_before_any_work(self, tmp_path):
         out = tmp_path / "x.csv"
