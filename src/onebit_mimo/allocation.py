@@ -235,17 +235,19 @@ def power_scaling_limit(case: str, cfg: SystemConfig, E_u: float) -> float:
     return _sum_se(sinr, cfg.tau, cfg.T, cfg.K)
 
 
+def _bit_energy(P: float, se: float) -> float:
+    """Energy per bit P / se of budget P; an se of 0 costs inf per bit."""
+    if not se >= 0.0:
+        raise ValueError(f"spectral efficiency must be >= 0, got {se}")
+    return P / se if se else np.inf
+
+
 def bit_energy(allocation: AllocationSolution, se: float | None = None) -> float:
-    """Energy per transmitted bit, (tau*rho_p + (T-tau)*rho_d) / S_A."""
-    if se is None:
-        se = allocation.se_star
-    if se <= 0.0:
-        raise ValueError("spectral efficiency must be positive")
-    spent = (
-        allocation.tau_star * allocation.rho_p_star
-        + (allocation.T - allocation.tau_star) * allocation.rho_d_star
-    )
-    return spent / se
+    """Energy per transmitted bit, P / S_A, S_A the allocation's own SE by default.
+
+    An S_A of 0 gives inf; a negative or NaN one raises ValueError.
+    """
+    return _bit_energy(allocation.P, allocation.se_star if se is None else se)
 
 
 _M_MAX_FACTOR = 1e5  # antenna_ratio's search gives up beyond this many times M_conv

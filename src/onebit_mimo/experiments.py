@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .allocation import _optimize_numeric, antenna_ratio, power_scaling_limit
+from .allocation import _bit_energy, _optimize_numeric, antenna_ratio, power_scaling_limit
 from .channel import _psd_root, dft_pilots, laplacian_covariance
 from .config import PowerBudget, SystemConfig, db_to_linear
 from .estimators import (
@@ -434,8 +434,7 @@ def fig6_bit_energy(p, n_trials, seed) -> dict:
         se_b = _closed_se(bench_cfg, rec)
         se_o = _optimize_numeric(P, T, m, K, rec, "one-bit")[0]
         for mode, se in (("benchmark", se_b), ("optimal", se_o)):
-            # as fig9 writes inf for the unreachable: an SE that rounds to 0 costs inf per bit
-            out |= {f"sumse_{mode}_{rec}": se, f"zeta_{mode}_{rec}": P / se if se else np.inf}
+            out |= {f"sumse_{mode}_{rec}": se, f"zeta_{mode}_{rec}": _bit_energy(P, se)}
     return out
 
 

@@ -41,24 +41,26 @@ def one_bit_quantize(y: np.ndarray) -> np.ndarray:
     return q.view(complex).reshape(y.shape)
 
 
+def _positive_diagonal(C_y: np.ndarray) -> np.ndarray:
+    """Real diag(C_y) of C_y or of each matrix of a stack (..., M, M); all must be > 0."""
+    d = np.real(np.diagonal(C_y, axis1=-2, axis2=-1))
+    if np.any(d <= 0.0):
+        raise ValueError("C_y must have strictly positive diagonal")
+    return d
+
+
 def bussgang_gain(C_y: np.ndarray) -> np.ndarray:
     """Diagonal of the Bussgang gain, sqrt(2/pi) * diag(C_y)^(-1/2).
 
     Returns a real vector (the gain matrix is diagonal for Gaussian inputs).
     """
-    d = np.real(np.diagonal(np.atleast_2d(C_y)))
-    if np.any(d <= 0.0):
-        raise ValueError("C_y must have strictly positive diagonal")
-    return np.sqrt(2.0 / np.pi) / np.sqrt(d)
+    return np.sqrt(2.0 / np.pi) / np.sqrt(_positive_diagonal(np.atleast_2d(C_y)))
 
 
 def _normalized_parts(C_y: np.ndarray):
     """S Re(C_y) S and S Im(C_y) S, S = diag(C_y)^(-1/2), of C_y or a stack (..., M, M)."""
     C_y = np.atleast_2d(C_y)
-    d = np.real(np.diagonal(C_y, axis1=-2, axis2=-1))
-    if np.any(d <= 0.0):
-        raise ValueError("C_y must have strictly positive diagonal")
-    s = 1.0 / np.sqrt(d)
+    s = 1.0 / np.sqrt(_positive_diagonal(C_y))
     S = s[..., :, None] * s[..., None, :]
     X = np.real(C_y) * S
     Y = np.imag(C_y) * S
@@ -69,7 +71,7 @@ def _normalized_parts(C_y: np.ndarray):
     Y = 0.5 * (Y - np.swapaxes(Y, -1, -2))
     # exact by construction; repairing rounding here matters because arcsin
     # has infinite slope at 1
-    i = np.arange(d.shape[-1])
+    i = np.arange(C_y.shape[-1])
     X[..., i, i] = 1.0
     Y[..., i, i] = 0.0
     over = max(np.abs(X).max(), np.abs(Y).max()) - 1.0
@@ -110,8 +112,8 @@ def _arcsin_excess(Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _noise_workspace(n: int, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``work`` of :func:`quantizer_noise_quad` for stacks of up to n trials: two
-    C-contiguous float64 (n, 2M, M) arrays in one buffer, each on a 64-byte boundary."""
+    """The ``work`` of :func:`_noise_parts` for one ``ergodic_rate_mc`` call, stacks of up
+    to n trials: two C-contiguous float64 (n, 2M, M) arrays in one buffer, 64-byte aligned."""
     nbytes = n * 2 * M * M * 8
     stride = -(-nbytes // 64) * 64
     buf = np.empty(2 * stride + 64, dtype=np.uint8)
@@ -120,9 +122,7 @@ def _noise_workspace(n: int, M: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(v.view(np.float64).reshape(n, 2 * M, M) for v in views)
 
 
-def quantizer_noise_quad(
-    W: np.ndarray, H: np.ndarray, rho: float, work: tuple | None = None
-) -> np.ndarray:
+def quantizer_noise_quad(W: np.ndarray, H: np.ndarray, rho: float) -> np.ndarray:
     """Re(w_k^T C_q w_k^*) for every row w_k of W, C_q the quantizer-noise
     covariance of y = sqrt(rho) H s + n, i.e. of C_y = rho H H^H + I.
 
@@ -134,15 +134,8 @@ def quantizer_noise_quad(
     C_y nor C_q is formed. It is :func:`_noise_parts`, which builds [P; Q]
     from H and rho alone, followed by :func:`_noise_form` for W, so several
     W on one H can share the first step.
-
-    ``work`` is a pair of C-contiguous float64 (n_max, 2M, M) arrays, as
-    :func:`_noise_workspace` makes them, for H of shape (n, M, K), n <= n_max:
-    [X; Y] goes into ``work[0][:n]`` and [P; Q] into ``work[1][:n]``, so no
-    (n, 2M, M) array is allocated. numpy's arcsin runs up to 1.6x faster on
-    arrays that start on a 64-byte boundary than at malloc's 16-byte offsets;
-    every offset gives the same bits.
     """
-    return _noise_form(W, _noise_parts(H, rho, work))
+    return _noise_form(W, _noise_parts(H, rho))
 
 
 def _noise_parts(H: np.ndarray, rho: float, work: tuple | None = None) -> np.ndarray:
@@ -152,8 +145,11 @@ def _noise_parts(H: np.ndarray, rho: float, work: tuple | None = None) -> np.nda
     d_i = 1 + rho ||h_i||^2: X = Re(F F^H) and Y = Im(F F^H) off the
     diagonal, X_ii = 1, Y_ii = 0. The +1 in d bounds |X_ij|, |Y_ij| below 1
     (Cauchy-Schwarz), so unlike :func:`quantizer_noise_cov` this needs no
-    range check. ``work`` is that of :func:`quantizer_noise_quad`; the result
-    is then a view of ``work[1]``.
+    range check. ``work``, as :func:`_noise_workspace` makes it for stacks of
+    up to n_max >= n trials, takes [X; Y] in ``work[0][:n]`` and [P; Q], the
+    result, in ``work[1][:n]``, so no (n, 2M, M) array is allocated. numpy's
+    arcsin runs up to 1.6x faster from a 64-byte boundary than at malloc's
+    16-byte offsets; every offset gives the same bits.
     """
     M, K = H.shape[-2:]
     H = np.ascontiguousarray(H, dtype=complex)

@@ -228,17 +228,19 @@ def rate_lemma1(cfg: SystemConfig, moments: ReceiverMoments) -> float:
     return float(np.log2(1.0 + num / den))
 
 
-def _closed_rate(cfg: SystemConfig, M, receiver: str, system: str) -> float:
+def _closed_sinr(cfg: SystemConfig, M, receiver: str, system: str):
+    """Closed-form SINR at cfg's powers and training with M antennas; ZF needs M > K."""
     _check_zf_antennas(M, cfg.K, receiver)
-    sinr = _sinr(cfg.rho_p, cfg.rho_d, cfg.tau, M, cfg.K, receiver, system)
-    return float(np.log2(1.0 + sinr))
+    return _sinr(cfg.rho_p, cfg.rho_d, cfg.tau, M, cfg.K, receiver, system)
+
+
+def _closed_rate(cfg: SystemConfig, M, receiver: str, system: str) -> float:
+    return float(np.log2(1.0 + _closed_sinr(cfg, M, receiver, system)))
 
 
 def _closed_se(cfg: SystemConfig, receiver: str) -> float:
     """One-bit closed-form low-SNR sum SE at cfg's powers; ZF needs M > K."""
-    _check_zf_antennas(cfg.M, cfg.K, receiver)
-    sinr = _sinr(cfg.rho_p, cfg.rho_d, cfg.tau, cfg.M, cfg.K, receiver, "one-bit")
-    return _sum_se(sinr, cfg.tau, cfg.T, cfg.K)
+    return _sum_se(_closed_sinr(cfg, cfg.M, receiver, "one-bit"), cfg.tau, cfg.T, cfg.K)
 
 
 def rate_mrc_closed(cfg: SystemConfig) -> float:

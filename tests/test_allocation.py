@@ -20,6 +20,8 @@ from onebit_mimo import (
 )
 from onebit_mimo import allocation
 from onebit_mimo.allocation import _golden_max, _optimize_numeric, _se_direct, _sinr
+from onebit_mimo.config import db_to_linear
+from onebit_mimo.experiments import fig6_bit_energy
 
 
 def _random_points(rng, n):
@@ -207,9 +209,25 @@ class TestBitEnergy:
         b = self._alloc(2.0, 1.0)
         assert bit_energy(b, 10.0) == pytest.approx(2 * bit_energy(a, 10.0))
 
-    def test_zero_se_rejected(self):
-        with pytest.raises(ValueError):
-            bit_energy(self._alloc(1.0, 0.5), 0.0)
+    def test_zero_se_costs_inf_and_negative_or_nan_se_raises(self):
+        # fig6 writes inf for an SE of 0 as well
+        assert bit_energy(self._alloc(1.0, 0.5), 0.0) == np.inf
+        assert bit_energy(self._alloc(1.0, 0.5, se=0.0)) == np.inf
+        for se in (-1e-300, -1.0, np.nan):
+            with pytest.raises(ValueError, match="spectral efficiency must be >= 0"):
+                bit_energy(self._alloc(1.0, 0.5), se)
+        with pytest.raises(ValueError, match="spectral efficiency must be >= 0"):
+            bit_energy(self._alloc(1.0, 0.5, se=np.nan))
+
+    @pytest.mark.parametrize("rho_db", [-10, 0])
+    def test_fig6_optimal_zeta_is_bit_energy_of_the_optimum(self, rho_db):
+        # figbench's design config of fig6: one definition of energy per bit
+        row = fig6_bit_energy({"m": 128, "k": 8, "t": 50, "rho_db": rho_db}, 1, 0)
+        budget = PowerBudget(rho=db_to_linear(rho_db), T=50)
+        cfg = SystemConfig(M=128, K=8, tau=8, T=50)
+        for rec in ("mrc", "zf"):
+            zeta = bit_energy(optimize_allocation(budget, cfg, rec))
+            assert row[f"zeta_optimal_{rec}"] == zeta
 
     def test_units(self):
         # tau*rho_p + (T-tau)*rho_d = 8 + 96 = 104 units of energy over 10 bits/s/Hz

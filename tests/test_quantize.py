@@ -18,6 +18,8 @@ from onebit_mimo import (
 from onebit_mimo.channel import _RSQRT2, crandn
 from onebit_mimo.quantize import (
     UNCORR_NOISE_VAR,
+    _noise_form,
+    _noise_parts,
     _noise_workspace,
     _normalized_parts,
     quantizer_noise_quad,
@@ -341,7 +343,7 @@ class TestNoiseWorkspace:
         for n in (data.draw(st.integers(1, n_max)), n_max):
             H, W = crandn(rng, n, M, K), crandn(rng, n, K, M)
             want = quantizer_noise_quad(W, H, rho)
-            assert np.array_equal(quantizer_noise_quad(W, H, rho, work), want)
+            assert np.array_equal(_noise_form(W, _noise_parts(H, rho, work)), want)
 
     @pytest.mark.parametrize("n, M", [(1, 1), (3, 5), (7, 33), (32, 32), (1, 256)])
     def test_helper_gives_aligned_contiguous_arrays(self, n, M):
@@ -366,14 +368,14 @@ class TestNoiseWorkspace:
         H = crandn(rng, *H_shape)
         W = np.swapaxes(H.conj(), -1, -2)
         with pytest.raises(ValueError, match="work needs C-contiguous"):
-            quantizer_noise_quad(W, H, 1.0, _noise_workspace(n_max, M_work))
+            _noise_form(W, _noise_parts(H, 1.0, _noise_workspace(n_max, M_work)))
 
     def test_non_contiguous_workspace_raises(self):
         H = crandn(np.random.default_rng(3), 2, 6, 2)
         W = np.swapaxes(H.conj(), -1, -2)
         Z, E = _noise_workspace(2, 6)
         with pytest.raises(ValueError, match="work needs C-contiguous"):
-            quantizer_noise_quad(W, H, 1.0, (Z, np.asfortranarray(E)))
+            _noise_form(W, _noise_parts(H, 1.0, (Z, np.asfortranarray(E))))
 
     def test_workspace_keeps_stack_sized_arrays_off_the_heap(self):
         # n = 8, M = 64: one (n, 2M, M) float64 array is 512 KiB, and the
@@ -387,7 +389,7 @@ class TestNoiseWorkspace:
         for w in (work, None):
             tracemalloc.start()
             try:
-                quantizer_noise_quad(W, H, 0.5, w)
+                _noise_form(W, _noise_parts(H, 0.5, w))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
