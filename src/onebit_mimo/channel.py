@@ -87,35 +87,41 @@ def laplacian_covariance(
     uncorrelated (identity) case. Oblique mean angles compress the visible
     region and hence yield stronger correlation, as for a physical ULA.
 
-    Integrates with a fixed 1,440-point midpoint rule over [-1, 1].
-    Raises if the numerically integrated matrix fails a PSD check.
+    The integral is exact: C is Hermitian Toeplitz, C[m, n] = c_(m - n), with
+    c_d = (1/Z) int exp(-|u - u0|/s) e^{j pi d u} du over [-1, 1] in closed
+    form, and narrow spreads tend to the rank-1 c_d = e^{j pi d u0}.
+    Raises ValueError unless M is an integer >= 1, 0 < angle_spread < inf
+    and mean_angle lies inside (-90, 90); LinAlgError if C fails a PSD check.
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    if angle_spread <= 0:
-        raise ValueError("angle_spread must be positive")
+    if not isinstance(M, (int, np.integer)) or M < 1:
+        raise ValueError(f"M must be an integer >= 1, got {M!r}")
+    if not 0.0 < angle_spread < math.inf:
+        raise ValueError(f"angle_spread must be positive and finite, got {angle_spread!r}")
     if not -90.0 < mean_angle < 90.0:
         raise ValueError("mean_angle must lie strictly inside (-90, 90) degrees")
 
     u0 = np.sin(np.deg2rad(mean_angle))
-    scale = np.cos(np.deg2rad(mean_angle)) * np.deg2rad(angle_spread) / np.sqrt(2.0)
+    s = np.cos(np.deg2rad(mean_angle)) * np.deg2rad(angle_spread) / np.sqrt(2.0)
 
-    # midpoint rule over the visible region
-    edges = np.linspace(-1.0, 1.0, 1441)
-    u = 0.5 * (edges[:-1] + edges[1:])
-    w = np.exp(-np.abs(u - u0) / scale)
-    w /= w.sum()
+    # Z c_d / s and Z / s: the integral split at u0, with e^{+-j pi d} = (-1)^d;
+    # expm1 keeps Z / s accurate at wide spreads
+    d = np.arange(M)
+    edge_lo, edge_hi = (1.0 + u0) / s, (1.0 - u0) / s
+    at_u0 = np.exp(1j * np.pi * u0 * d)
+    alt = 1.0 - 2.0 * (d % 2)
+    jpds = 1j * np.pi * s * d
+    c = (at_u0 - np.exp(-edge_lo) * alt) / (1.0 + jpds)
+    c += (np.exp(-edge_hi) * alt - at_u0) / (jpds - 1.0)
+    c /= -(np.expm1(-edge_lo) + np.expm1(-edge_hi))
+    c[0] = 1.0
 
-    m = np.arange(M)
-    A = np.exp(1j * np.pi * np.outer(m, u))  # steering matrix, M x 1440
-    C = (A * w) @ A.conj().T
-    C = 0.5 * (C + C.conj().T)
+    lag = np.subtract.outer(d, d)
+    C = c[np.abs(lag)]
+    C = np.where(lag < 0, C.conj(), C)
 
     eigmin = np.linalg.eigvalsh(C)[0]
     if eigmin < -1e-8:
-        raise np.linalg.LinAlgError(
-            f"integrated covariance is not PSD (min eigenvalue {eigmin:.3e})"
-        )
+        raise np.linalg.LinAlgError(f"covariance is not PSD (min eigenvalue {eigmin:.3e})")
     return C
 
 

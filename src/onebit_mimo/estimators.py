@@ -477,6 +477,8 @@ def _nml_solve(
     the estimate. A list passed as ``traces`` receives each trial's
     objective trace.
     """
+    if radius_sq is not None and not radius_sq >= 0:
+        raise ValueError(f"radius_sq must be >= 0, got {radius_sq!r}")
     objective = _nml_objective(R, Phi, cfg)
     M, K = cfg.M, cfg.K
     MK = M * K
@@ -562,7 +564,8 @@ def nml_estimate(
     when the projected-gradient norm ||P(h + g) - h|| falls below tol.
     Non-convergence is reported in `diagnostics` rather than raised:
     ``converged``, ``iterations`` (accepted steps), ``grad_norm`` (the
-    projected-gradient norm at the estimate) and ``objective_trace``.
+    projected-gradient norm at the estimate) and ``objective_trace``. A
+    negative or NaN radius_sq raises ValueError.
 
     The log-likelihood separates over the antennas, so its Hessian is M
     blocks of 2K x 2K, and a Newton step costs one eigendecomposition of

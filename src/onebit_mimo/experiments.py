@@ -10,7 +10,6 @@ metrics always carry a standard-error column (prefix ``se_``).
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
 import json
 import sys
@@ -366,18 +365,8 @@ def fig2_mse(p, n_trials, seed) -> dict:
     return _mse_columns(_mse_point(cfg, Phi, filters, nml_opts, n_trials, seed))
 
 
-@functools.lru_cache(maxsize=1)
-def _laplacian_channel(m, mean_angle_deg, spread_deg):
-    """fig3's spatial covariance and its root, read-only: a sweep over SNR
-    builds them once."""
-    Cm = laplacian_covariance(m, mean_angle_deg, spread_deg)
-    root = _psd_root(Cm)
-    Cm.flags.writeable = root.flags.writeable = False
-    return Cm, root
-
-
 def fig3_corr_mse(p, n_trials, seed) -> dict:
-    Cm, root = _laplacian_channel(p["m"], p["mean_angle_deg"], p["spread_deg"])
+    Cm = laplacian_covariance(p["m"], p["mean_angle_deg"], p["spread_deg"])
     C_h = np.kron(np.eye(p["k"]), Cm)
     rho = db_to_linear(p["snr_db"])
     cfg = SystemConfig(M=p["m"], K=p["k"], tau=p["tau"], T=p["tau"], rho_p=rho)
@@ -386,7 +375,7 @@ def fig3_corr_mse(p, n_trials, seed) -> dict:
         "blmmse": blmmse_filter(Phi, cfg, C_h)[0],
         "uncorr": lmmse_uncorrelated_filter(Phi, cfg, C_h)[0],
     }
-    return _mse_columns(_mse_point(cfg, Phi, filters, None, n_trials, seed, root))
+    return _mse_columns(_mse_point(cfg, Phi, filters, None, n_trials, seed, _psd_root(Cm)))
 
 
 def fig4_se_vs_snr(p, n_trials, seed) -> dict:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onebit_mimo import (
     SystemConfig,
@@ -81,6 +83,67 @@ class TestLaplacianCovariance:
             laplacian_covariance(4, 0.0, -1.0)
         with pytest.raises(ValueError):
             laplacian_covariance(4, 90.0, 10.0)
+
+
+def _midpoint_first_column(M, mean_angle, angle_spread, n_nodes):
+    # c_d = sum_i w_i e^{j pi d u_i} on n_nodes midpoints of [-1, 1], by powers
+    # of e^{j pi u}, so that no M x n_nodes steering matrix is formed
+    u0 = np.sin(np.deg2rad(mean_angle))
+    scale = np.cos(np.deg2rad(mean_angle)) * np.deg2rad(angle_spread) / np.sqrt(2.0)
+    u = -1.0 + (np.arange(n_nodes) + 0.5) * (2.0 / n_nodes)
+    term = np.exp(-np.abs(u - u0) / scale).astype(complex)
+    term /= term.sum()
+    step = np.exp(1j * np.pi * u)
+    c = np.empty(M, dtype=complex)
+    for d in range(M):
+        c[d] = term.sum()
+        term *= step
+    return c
+
+
+class TestLaplacianClosedForm:
+    @pytest.mark.parametrize(
+        "M, mean_angle, angle_spread", [(16, 70.0, 10.0), (64, 70.0, 10.0), (16, 0.0, 1.0)]
+    )
+    def test_matches_a_fine_midpoint_rule(self, M, mean_angle, angle_spread):
+        C = laplacian_covariance(M, mean_angle, angle_spread)
+        ref = _midpoint_first_column(M, mean_angle, angle_spread, 1_440_000)
+        assert np.max(np.abs(C[:, 0] - ref)) < 1e-9
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        M=st.integers(1, 64),
+        angle_spread=st.floats(-12.0, np.log10(180.0)).map(lambda e: 10.0**e),
+        mean_angle=st.floats(-89.9, 89.9),
+    )
+    def test_finite_hermitian_toeplitz_unit_diagonal_psd(self, M, angle_spread, mean_angle):
+        C = laplacian_covariance(M, mean_angle, angle_spread)
+        assert np.all(np.isfinite(C))
+        assert np.array_equal(C, C.conj().T)
+        assert np.array_equal(C[1:, 1:], C[:-1, :-1])
+        assert np.all(np.diag(C) == 1.0)
+        assert np.linalg.eigvalsh(C)[0] >= -1e-12
+
+    def test_vanishing_spread_tends_to_one_steering_vector(self):
+        # every weight of a midpoint rule underflowed here, and C was NaN
+        a = np.exp(1j * np.pi * np.sin(np.deg2rad(70.0)) * np.arange(16))
+        C = laplacian_covariance(16, 70.0, 1e-9)
+        assert np.allclose(C, np.outer(a, a.conj()), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("angle_spread", [np.nan, np.inf, -np.inf, 0.0, -1e-300])
+    def test_spread_must_be_positive_and_finite(self, angle_spread):
+        with pytest.raises(ValueError, match="angle_spread must be positive and finite"):
+            laplacian_covariance(4, 0.0, angle_spread)
+
+    @pytest.mark.parametrize("M", [2.5, 4.0, "4", None])
+    def test_M_must_be_an_integer(self, M):
+        # M = 2.5 gave a 3 x 3 matrix
+        with pytest.raises(ValueError, match="M must be an integer >= 1"):
+            laplacian_covariance(M, 0.0, 10.0)
+
+    def test_numpy_integer_M_accepted(self):
+        C = laplacian_covariance(np.int64(4), 10.0, 5.0)
+        assert np.array_equal(C, laplacian_covariance(4, 10.0, 5.0))
 
 
 class TestCorrelatedChannel:

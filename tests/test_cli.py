@@ -598,21 +598,6 @@ class TestRunExperiment:
         run_experiment(respec)
         assert out.read_bytes() == raw
 
-    def test_fig3_builds_its_covariance_once_per_channel(self, tmp_path, monkeypatch):
-        calls = []
-        build = experiments.laplacian_covariance
-        monkeypatch.setattr(
-            experiments, "laplacian_covariance", lambda *a: calls.append(a) or build(*a)
-        )
-        experiments._laplacian_channel.cache_clear()
-        out = str(tmp_path / "fig3.csv")
-        for spread in (10.0, 10.0, 20.0):
-            sweep = {"m": 4, "k": 1, "tau": 2, "snr_db": [0, 10, 20], "spread_deg": spread}
-            run_experiment(ExperimentSpec("fig3_corr_mse", sweep, 4, 0, out))
-        assert calls == [(4, 70.0, 10.0), (4, 70.0, 20.0)]
-        Cm, root = experiments._laplacian_channel(4, 70.0, 20.0)
-        assert not Cm.flags.writeable and not root.flags.writeable
-
     def test_mse_point_draws_channels_through_root(self):
         # the paired-trial loop of fig3, written out: H = root @ CN(0, I)
         M, K, tau, rho = 4, 1, 2, 10.0
@@ -846,15 +831,15 @@ class TestRunExperiment:
             1024,  # four blocks
             None,
             """\
--10,0.462835749799466,0.462831981015478,0.0100578344136339,0.010057112208933
--5,0.274431638791763,0.274458678904381,0.00555663173900226,0.00555335275264616
-0,0.160423530143685,0.160878596336149,0.00379416081189058,0.00369656294922934
-5,0.139001201868936,0.142984990714257,0.00448991620741591,0.0040032269528046
-10,0.165817846173893,0.175678491442818,0.00585545672000697,0.00486230389117297
-15,0.181226982940486,0.20387731182417,0.00730081416718356,0.00618447480247
-20,0.196333708803931,0.227626718395207,0.00703146657558453,0.00582131159592711
-25,0.192266739263791,0.225735558834914,0.00620484900233449,0.00518288154220685
-30,0.192097589825819,0.229565469572754,0.00672655199545003,0.00577756027674522
+-10,0.462841849544321,0.462838082624073,0.0100577947123832,0.0100570725755214
+-5,0.274497140582936,0.274524932705805,0.00555550615121162,0.0055522251608377
+0,0.160427735787307,0.160882942081946,0.00379415531792463,0.0036965663982571
+5,0.139027024972932,0.143004176418774,0.00449013468595625,0.00400347037552637
+10,0.165814185285456,0.175682926761664,0.00585535921592537,0.00486224002944211
+15,0.18123014558113,0.203880870884457,0.00730068554579817,0.00618438878502005
+20,0.196336831146353,0.227630339176377,0.00703133707978135,0.00582124582619692
+25,0.19226890774976,0.225728922385021,0.00620548514866379,0.00518311970902832
+30,0.192101196296112,0.229569420486096,0.00672646551847068,0.00577752755320834
 """,
         ),
         "fig4_se_vs_snr": (
@@ -892,6 +877,33 @@ class TestRunExperiment:
         assert len(rows) == len(self.ZF_OWN_STREAM)
         for (mean, se), (old, old_se) in zip(rows, self.ZF_OWN_STREAM):
             assert abs(mean - old) <= 4.0 * np.hypot(se, old_se)
+
+    # fig3's rows at the `estimation` config and seed 0 when
+    # laplacian_covariance was a 1,440-node midpoint rule, whose entries were
+    # off by up to 4.0e-5 at M = 16, 70 deg, 10 deg. The closed form moves the
+    # filters and the channel root, not the draws, so each cell moves by far
+    # less than its standard error.
+    FIG3_MIDPOINT_RULE = """\
+-10,0.462835749799466,0.462831981015478,0.0100578344136339,0.010057112208933
+-5,0.274431638791763,0.274458678904381,0.00555663173900226,0.00555335275264616
+0,0.160423530143685,0.160878596336149,0.00379416081189058,0.00369656294922934
+5,0.139001201868936,0.142984990714257,0.00448991620741591,0.0040032269528046
+10,0.165817846173893,0.175678491442818,0.00585545672000697,0.00486230389117297
+15,0.181226982940486,0.20387731182417,0.00730081416718356,0.00618447480247
+20,0.196333708803931,0.227626718395207,0.00703146657558453,0.00582131159592711
+25,0.192266739263791,0.225735558834914,0.00620484900233449,0.00518288154220685
+30,0.192097589825819,0.229565469572754,0.00672655199545003,0.00577756027674522
+"""
+
+    def test_fig3_closed_form_stays_near_the_midpoint_rule(self, tmp_path):
+        sweep, n_trials, _, _ = self.MONTE_CARLO["fig3_corr_mse"]
+        text = self._columns_text(tmp_path, "fig3_corr_mse", sweep, n_trials, None)
+        got, old = (
+            np.array([row.split(",") for row in t.splitlines()], dtype=float)
+            for t in (text, self.FIG3_MIDPOINT_RULE)
+        )
+        assert got.shape == old.shape
+        assert np.all(np.abs(got - old) <= 1e-3 * np.abs(old))
 
     def test_zf_with_singular_gram_matrices_runs_to_a_finite_csv(self, tmp_path):
         # M = 3, K = 2: some one-bit estimates have collinear columns
@@ -1069,6 +1081,19 @@ class TestMain:
         p = _write(tmp_path, "figure = fig2_mse\nk = 8\ntau = 4\n")
         assert main(["validate", str(p)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_fig3_at_a_vanishing_spread_runs_to_a_finite_csv(self, tmp_path):
+        # validate accepted it, then every weight of the midpoint rule
+        # underflowed and the run ended in LinAlgError
+        out = tmp_path / "fig3.csv"
+        p = _write(
+            tmp_path,
+            "figure = fig3_corr_mse\nspread_deg = 1e-9\nsnr_db = 0, 20\nn_trials = 4\n"
+            f"output = {out}\n",
+        )
+        assert main(["run", str(p)]) == 0
+        header, *rows = csv.reader(out.read_text(encoding="utf-8").splitlines())
+        assert len(rows) == 2 and np.all(np.isfinite(np.array(rows, dtype=float)))
 
     def test_run_end_to_end(self, tmp_path, capsys):
         out = tmp_path / "run.csv"

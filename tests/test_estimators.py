@@ -468,6 +468,17 @@ class TestNml:
         assert est.diagnostics["iterations"] <= 2
         assert np.isfinite(est.diagnostics["grad_norm"])
 
+    @pytest.mark.parametrize("radius_sq", [-1.0, float("nan")])
+    def test_negative_or_nan_radius_rejected(self, radius_sq):
+        # NaN gave the zero estimate after 0 steps, -1 only a sqrt warning
+        cfg = SystemConfig(M=2, K=2, tau=4, rho_p=1.0)
+        Phi = dft_pilots(4, 2)
+        _, r = _quantized_training(cfg, Phi, 10)
+        with pytest.raises(ValueError, match="radius_sq"):
+            nml_estimate(r, Phi, cfg, radius_sq=radius_sq)
+        with pytest.raises(ValueError, match="radius_sq"):
+            _nml_solve(r[None], Phi, cfg, radius_sq)
+
 
 # --------------------------------------------------------------------------
 # projected gradient ascent with a doubled step and halving backtracking,
