@@ -2,8 +2,10 @@
 
 The allocation problem splits a total energy budget P = rho*T between
 training (fraction gamma over tau symbols) and data transmission, and is
-solved by an exhaustive scan over integer tau combined with a grid-seeded
-golden-section search over gamma, run for every tau at once on arrays.
+solved by an exhaustive scan over integer tau combined with one
+golden-section search over gamma on (0, 1), run for every tau at once on
+arrays. The sum SE is unimodal in gamma at every tau, for both receivers
+and both systems.
 """
 
 from __future__ import annotations
@@ -124,64 +126,43 @@ def se_surface(
     return _sum_se(a1 * tau / -(a2 * tau**2 + a3 * tau + a4), tau, T, K)
 
 
-def _golden_max(f, lo, hi):
-    """Golden-section maximization of unimodal functions on brackets [lo, hi].
+def _golden_max(f):
+    """Golden-section maximization of unimodal f on the bracket [1e-9, 1 - 1e-9].
 
-    lo and hi may be arrays: f then maps an array of points, one per bracket,
-    to their values, and each bracket takes the steps of the scalar search
-    until its own width is within 1e-6, after which it is frozen. Scalar
-    brackets return floats.
+    f maps a point, or an array of points (one per search), to its values.
+    Every search takes the scalar search's steps until its bracket is within
+    1e-6 wide; all brackets start alike, so they get there on the same step.
+    A scalar f returns floats.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    a, b = 1e-9, 1.0 - 1e-9
+    # each step multiplies the bracket width by invphi
+    steps = math.ceil(math.log(1e-6 / (b - a)) / math.log(invphi))
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (active := b - a > 1e-6).any():
+    a, b, c, d, fc, fd = np.broadcast_arrays(a, b, c, d, f(c), f(d))
+    for _ in range(steps):
         left = fc >= fd  # the maximum lies in [a, d]
         x = np.where(left, d - invphi * (d - a), c + invphi * (b - c))
         fx = f(x)
         # left: (a, b, c, d) <- (a, d, x, c); right: (a, b, c, d) <- (c, b, d, x)
-        moved = np.where(left, (a, d, x, c, fx, fc), (c, b, d, x, fd, fx))
-        a, b, c, d, fc, fd = np.where(active, moved, (a, b, c, d, fc, fd))
+        a, b, c, d, fc, fd = np.where(left, (a, d, x, c, fx, fc), (c, b, d, x, fd, fx))
     x = 0.5 * (a + b)
     fx = f(x)
     return (float(x), float(fx)) if x.ndim == 0 else (x, fx)
 
 
-_GAMMA_GRID = np.linspace(0.0, 1.0, 202)[1:-1]  # the 200 points of the pre-scan
-
-# tau rows per block of the gamma-grid pre-scan, 64 rows of 200 points
-# (100 kB per temporary array): at T = 200-500 this ran about twice as fast
-# as one n_tau x 200 block, and 80-row blocks (128 kB) lost the gain
-_PRESCAN_ROWS = 64
-
-
 def _optimize_numeric(P, T, M, K, receiver: str, system: str):
     """Best (se, gamma, tau) over integer tau in [K, T], gamma in (0, 1).
 
-    Every tau is solved at once: a gamma grid pre-scan, one row per tau,
-    seeds a golden-section refinement on one bracket per tau. Ties go to
-    the smallest tau.
+    One golden-section search steps the gamma of every tau at once; the SE
+    is unimodal in gamma at each tau. Ties go to the smallest tau.
     """
     _check_zf_antennas(M, K, receiver)
     taus = np.arange(int(K), int(T) + 1, dtype=float)
     if taus.size == 0:
         raise ValueError(f"empty training range: T = {T} < K = {K}")
-    grid = _GAMMA_GRID
-    step = grid[1] - grid[0]
-
-    def grid_argmax(rows):
-        vals = _se_direct(grid, rows[:, None], P, T, M, K, receiver, system)
-        return grid[np.argmax(vals, axis=1)]
-
-    n = _PRESCAN_ROWS
-    g0 = np.concatenate([grid_argmax(taus[i : i + n]) for i in range(0, taus.size, n)])
-    lo = np.maximum(g0 - step, 1e-9)
-    hi = np.minimum(g0 + step, 1.0 - 1e-9)
-    g_star, se = _golden_max(
-        lambda g: _se_direct(g, taus, P, T, M, K, receiver, system), lo, hi
-    )
+    g_star, se = _golden_max(lambda g: _se_direct(g, taus, P, T, M, K, receiver, system))
     j = int(np.argmax(se))
     return float(se[j]), float(g_star[j]), int(taus[j])
 
@@ -194,9 +175,9 @@ def optimize_allocation(
 ) -> AllocationSolution:
     """Maximize the sum spectral efficiency over (gamma, tau).
 
-    Scans every integer tau in [K, T]; for each tau, a 200-point gamma grid
-    pre-scan (guards against non-unimodality) seeds a golden-section
-    refinement. Returns the best point found, with the implied powers.
+    Scans every integer tau in [K, T] with a golden-section search over gamma
+    in (0, 1) for each tau, and returns the best point found, with the
+    implied powers.
     """
     T = budget.T
     se_star, gamma_star, tau_star = _optimize_numeric(
@@ -283,9 +264,7 @@ def antenna_ratio(
         target = se_one(M_conv, "conventional")
     else:
         _, target = _golden_max(
-            lambda g: _se_direct(g, K, P, T, M_conv, K, receiver, "conventional"),
-            1e-9,
-            1.0 - 1e-9,
+            lambda g: _se_direct(g, K, P, T, M_conv, K, receiver, "conventional")
         )
 
         def se_one(M):

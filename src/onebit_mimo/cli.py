@@ -27,7 +27,8 @@ from .experiments import (
 
 __all__ = ["ConfigError", "validate_config", "main"]
 
-_FIELDS = {"figure": "figure_id", "output": "output_path"}  # file key: spec field
+# file key: spec field; both values are text, never parsed as numbers or lists
+_FIELDS = {"figure": "figure_id", "output": "output_path"}
 
 
 class ConfigError(ValueError):
@@ -99,7 +100,7 @@ def validate_config(path: str | Path) -> ExperimentSpec:
         if name in lines:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
-            values[name] = _parse_value(val)
+            values[name] = val.strip() if name in _FIELDS.values() else _parse_value(val)
         except ValueError as e:
             raise ConfigError(f"{path}:{lineno}: {e}") from None
         lines[name] = lineno
@@ -110,7 +111,7 @@ def validate_config(path: str | Path) -> ExperimentSpec:
         figure_id=values.pop("figure_id"),
         n_trials=values.pop("n_trials", 0),
         seed=values.pop("seed", 0),
-        output_path=str(values.pop("output_path", "") or ""),
+        output_path=values.pop("output_path", ""),
         sweep=values,
     )
     try:

@@ -330,21 +330,76 @@ def _ref_golden_max(f, lo, hi, tol=1e-6):
     return x, f(x)
 
 
-def _ref_optimize(P, T, M, K, receiver, system):
-    grid = np.linspace(0.0, 1.0, 202)[1:-1]
-    step = grid[1] - grid[0]
+_REF_GRID = np.linspace(0.0, 1.0, 202)[1:-1]
+
+
+def _ref_optimize(P, T, M, K, receiver, system, prescan=False):
+    """Best (se, gamma, tau) by one scalar search per tau; ties keep the first.
+
+    Each search runs on the shared bracket (1e-9, 1 - 1e-9), or, with
+    prescan, on the bracket around the best point of a 200-point gamma grid,
+    as the solver did before the SE was shown unimodal in gamma.
+    """
     best = (-np.inf, 0.5, int(K))
     for tau in range(int(K), int(T) + 1):
-        vals = [_ref_se(g, tau, P, T, M, K, receiver, system) for g in grid]
-        i = int(np.argmax(vals))
-        lo = max(grid[i] - step, 1e-9)
-        hi = min(grid[i] + step, 1.0 - 1e-9)
-        g_star, se = _ref_golden_max(
-            lambda g: _ref_se(g, tau, P, T, M, K, receiver, system), lo, hi
-        )
+
+        def f(g):
+            return _ref_se(g, tau, P, T, M, K, receiver, system)
+
+        lo, hi = 1e-9, 1.0 - 1e-9
+        if prescan:
+            step = _REF_GRID[1] - _REF_GRID[0]
+            g0 = _REF_GRID[int(np.argmax([f(g) for g in _REF_GRID]))]
+            lo, hi = max(g0 - step, lo), min(g0 + step, hi)
+        g_star, se = _ref_golden_max(f, lo, hi)
         if se > best[0]:
             best = (se, g_star, tau)
     return best
+
+
+def _closed_form_se(P, T, M, K, receiver, system):
+    """Best sum SE over tau in [K, T) at the closed-form power split.
+
+    At each tau the SINR is A*g*(1 - g)/D(g) with D(g) = (1 + a*(1 - g))*(1 + b*g)
+    (1 + a*(1 - g) + b*g for conventional ZF), a = K*P/(T - tau) and
+    b = P*(2/pi + (1 - 2/pi)*K/tau) one-bit or P conventional. Either D puts
+    the maximum at g* = sqrt(D(0))/(sqrt(D(0)) + sqrt(D(1))).
+    """
+    taus = np.arange(K, T, dtype=float)
+    a = K * P / (T - taus)
+    b = P * (2.0 / np.pi + (1.0 - 2.0 / np.pi) * K / taus) if system == "one-bit" else P
+    d0, d1 = np.sqrt(1.0 + a), np.sqrt(1.0 + b)
+    return float(np.max(_se_direct(d0 / (d0 + d1), taus, P, T, M, K, receiver, system)))
+
+
+class TestUnimodalInGamma:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        K=st.integers(1, 8),
+        extra_t=st.integers(1, 120),
+        m=st.floats(0.5, 400.0),
+        log_p=st.floats(-2.0, 3.0),
+        receiver=st.sampled_from(["mrc", "zf"]),
+        system=st.sampled_from(["one-bit", "conventional"]),
+    )
+    def test_one_search_per_tau_finds_the_closed_form_optimum(
+        self, K, extra_t, m, log_p, receiver, system
+    ):
+        # why a single golden section on (0, 1) suffices: at every tau the SE
+        # has one local maximum in gamma, and the search reaches the optimum
+        T = K + extra_t
+        M = K + m if receiver == "zf" else m
+        P = 10**log_p
+        taus = np.arange(K, T, dtype=float)
+        grid = np.linspace(0.0, 1.0, 2002)[1:-1]
+        vals = _se_direct(grid, taus[:, None], P, T, M, K, receiver, system)
+        step = np.diff(vals, axis=1)
+        noise = 1e-13 * vals.max(axis=1, keepdims=True)
+        fallen = np.cumsum(step < -noise, axis=1) > 0
+        assert not (fallen & (step > noise)).any()  # no rise after a fall
+        se = _optimize_numeric(P, T, M, K, receiver, system)[0]
+        best = _closed_form_se(P, T, M, K, receiver, system)
+        assert (1.0 - 1e-8) * best <= se <= (1.0 + 1e-13) * best
 
 
 class TestVectorizedScan:
@@ -367,6 +422,9 @@ class TestVectorizedScan:
         assert tau == ref_tau
         assert gamma == pytest.approx(ref_gamma, rel=1e-12, abs=0.0)
         assert se == pytest.approx(ref_se, rel=1e-12, abs=0.0)
+        # the grid-seeded searches reach the same SE up to their tolerance
+        prescan_se = _ref_optimize(*args, prescan=True)[0]
+        assert se == pytest.approx(prescan_se, rel=1e-8, abs=0.0)
 
     def test_array_tau_equals_scalar_calls(self):
         T, K = 40, 4
@@ -392,20 +450,17 @@ class TestVectorizedScan:
             _se_direct([0.5, 1.0], np.arange(4, 6), 10.0, 50, 32, 4, "mrc", "one-bit")
 
     def test_array_brackets_step_like_scalar_search(self):
-        # each bracket must take exactly the scalar search's steps, including
-        # brackets that converge at different iterations
+        # each search must take exactly the scalar search's steps on the
+        # shared bracket, whichever side its peak lies
         rng = np.random.default_rng(5)
-        lo = rng.uniform(0.0, 0.5, size=12)
-        hi = lo + rng.uniform(1e-7, 0.5, size=12)
-        peak = rng.uniform(lo, hi)
-        xs, fs = _golden_max(lambda x: -(x - peak) * (x - peak), lo, hi)
-        for i in range(lo.size):
-            p = peak[i]
-            x, f = _ref_golden_max(lambda x: -(x - p) * (x - p), lo[i], hi[i])
+        peak = rng.uniform(0.0, 1.0, size=12)
+        xs, fs = _golden_max(lambda x: -(x - peak) * (x - peak))
+        for i, p in enumerate(peak):
+            x, f = _ref_golden_max(lambda x: -(x - p) * (x - p), 1e-9, 1.0 - 1e-9)
             assert xs[i] == x and fs[i] == f
 
     def test_scalar_bracket_returns_floats(self):
-        x, f = _golden_max(lambda x: -((x - 0.3) ** 2), 0.0, 1.0)
+        x, f = _golden_max(lambda x: -((x - 0.3) ** 2))
         assert type(x) is float and type(f) is float
         assert x == pytest.approx(0.3, abs=1e-6)
 
@@ -425,7 +480,7 @@ class TestVectorizedScan:
         # with no energy every tau gives SE 0; the scalar loop kept the first
         args = (0.0, 30, 64, 4, "mrc", "one-bit")
         assert _optimize_numeric(*args) == _ref_optimize(*args)
-        assert _optimize_numeric(*args)[2] == 4
+        assert _optimize_numeric(*args)[2] == _ref_optimize(*args, prescan=True)[2] == 4
 
     @pytest.mark.parametrize("M", [4, 8])
     def test_zf_needs_more_antennas_than_users(self, M):

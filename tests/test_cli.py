@@ -1,7 +1,10 @@
 import csv
 import dataclasses
 import json
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -325,6 +328,14 @@ class TestConfigParsing:
             ConfigError, match="cfg.txt:5: seed must be a nonnegative integer, got -3$"
         ):
             validate_config(p)
+
+    @pytest.mark.parametrize("output", ["2026:10:20.csv", "1e3"])
+    def test_output_keeps_its_text(self, tmp_path, monkeypatch, output):
+        # parsed like a sweep value, a colon path failed as a range
+        # ("could not convert string to float") and 1e3 became 1000.0
+        monkeypatch.chdir(tmp_path)
+        spec = validate_config(_write(tmp_path, f"figure = fig7_opt_tau\noutput = {output}\n"))
+        assert spec.output_path == output
 
     def test_figure_and_figure_id_are_one_key(self, tmp_path):
         p = _write(tmp_path, "figure = fig2_mse\nfigure_id = fig5_power_eff\n")
@@ -763,7 +774,7 @@ class TestRunExperiment:
             {"m": 128, "k": 8, "t": 50, "rho_db": [-10, 0]},
             None,
             """\
-128,-10,7.99413306601781,0.625458690605796,9.20707241114549,0.543060788133622,8.09748205508239,0.617475897567658,9.48042041674821,0.527402771206955
+128,-10,7.99413306601781,0.625458690605796,9.20707241114442,0.543060788133686,8.09748205508239,0.617475897567658,9.48042041674788,0.527402771206973
 128,0,17.5686332980044,2.84598119568467,17.8239894748986,2.80520811967571,20.2398039560541,2.47037965923796,20.6739010107778,2.41850824253893
 """,
         ),
@@ -789,6 +800,25 @@ class TestRunExperiment:
     def test_closed_form_columns_keep_their_bytes(self, tmp_path, figure):
         sweep, columns, want = self.CLOSED_FORM[figure]
         assert self._columns_text(tmp_path, figure, sweep, 2, columns) == want
+
+    # fig6's rows at the `design` config when each golden-section search ran
+    # on a bracket around the best point of a 200-point gamma grid. The SE is
+    # unimodal in gamma, and one search over (0, 1) per tau finds the same
+    # optimum up to the search's tolerance.
+    FIG6_GRID_SEEDED = """\
+128,-10,7.99413306601781,0.625458690605796,9.20707241114549,0.543060788133622,8.09748205508239,0.617475897567658,9.48042041674821,0.527402771206955
+128,0,17.5686332980044,2.84598119568467,17.8239894748986,2.80520811967571,20.2398039560541,2.47037965923796,20.6739010107778,2.41850824253893
+"""
+
+    def test_fig6_stays_near_the_grid_seeded_search(self, tmp_path):
+        sweep, _, _ = self.CLOSED_FORM["fig6_bit_energy"]
+        text = self._columns_text(tmp_path, "fig6_bit_energy", sweep, 2, None)
+        got, old = (
+            np.array([row.split(",") for row in t.splitlines()], dtype=float)
+            for t in (text, self.FIG6_GRID_SEEDED)
+        )
+        assert got.shape == old.shape
+        assert np.all(np.abs(got - old) <= 1e-12 * np.abs(old))
 
     def test_bit_energy_of_a_zero_spectral_efficiency_is_inf(self, tmp_path):
         # fig6 raised ZeroDivisionError once log2(1 + SINR) rounded to 0 (from
@@ -1094,6 +1124,38 @@ class TestMain:
         assert main(["run", str(p)]) == 0
         header, *rows = csv.reader(out.read_text(encoding="utf-8").splitlines())
         assert len(rows) == 2 and np.all(np.isfinite(np.array(rows, dtype=float)))
+
+    def test_output_with_a_comma_is_written_as_given(self, tmp_path, monkeypatch):
+        # parsed as a list, it was written to the path "['a', 'b.csv']"
+        monkeypatch.chdir(tmp_path)
+        p = _write(tmp_path, "figure = fig7_opt_tau\nt = 60\nrho_db = -10\noutput = a,b.csv\n")
+        assert main(["run", str(p)]) == 0
+        written = sorted(f.name for f in tmp_path.iterdir())
+        assert written == ["a,b.csv", "a,b.gp", "a,b.manifest.json", "cfg.txt"]
+
+    def test_blas_threads_do_not_change_the_csv(self, tmp_path):
+        # fig4 at M = 128 is where OpenBLAS starts threads; the bytes must not
+        # depend on how many
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        csvs = []
+        for threads in ("1", "2", None):
+            out = tmp_path / f"fig4_{threads}.csv"
+            cfg = _write(
+                tmp_path,
+                "figure = fig4_se_vs_snr\nm = 128\nk = 8\ntau = 8\nsnr_db = -10, 10\n"
+                f"n_trials = 40\noutput = {out}\n",
+            )
+            run_env = env if threads is None else env | {"OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run(
+                [sys.executable, "-m", "onebit_mimo.cli", "run", str(cfg)],
+                env=run_env,
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1] == csvs[2]
 
     def test_run_end_to_end(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
