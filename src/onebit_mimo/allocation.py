@@ -45,14 +45,21 @@ class AllocationSolution:
     P: float
 
 
+def _checked_split(gamma, tau, K, T):
+    """gamma as a float array, once K <= tau <= T and every gamma lies in (0, 1)."""
+    if not (K <= tau <= T):
+        raise ValueError(f"tau must lie in [K, T], got {tau}")
+    gamma = np.asarray(gamma, dtype=float)
+    if not ((gamma > 0.0) & (gamma < 1.0)).all():  # NaN fails both
+        raise ValueError("gamma must lie strictly inside (0, 1)")
+    return gamma
+
+
 def _se_direct(gamma, tau, P, T, M, K, receiver: str, system: str):
     """Sum SE at the (gamma, tau) split; gamma and tau may be broadcasting arrays.
 
-    Zero wherever tau = T (no data symbols).
+    Unchecked: each gamma must lie in (0, 1). Zero wherever tau = T (no data symbols).
     """
-    gamma = np.asarray(gamma, dtype=float)
-    if ((gamma <= 0.0) | (gamma >= 1.0)).any():
-        raise ValueError("gamma must lie strictly inside (0, 1)")
     rho_p = gamma * P / tau
     # at tau = T the (T - tau) factor zeroes the SE; one placeholder data
     # symbol keeps rho_d, and so the SINR, finite there
@@ -71,12 +78,10 @@ def se_at_allocation(
     """Sum spectral efficiency at pilot fraction gamma and training length tau.
 
     Direct substitution of rho_p = gamma*P/tau, rho_d = (1-gamma)*P/(T-tau)
-    into the closed-form rates; gamma may be an array. tau = T returns 0.
-    ZF needs M > K.
+    into the closed-form rates; gamma, each in (0, 1), may be an array.
+    K <= tau <= T, and tau = T returns 0. ZF needs M > K.
     """
-    if not (cfg.K <= tau <= budget.T):
-        raise ValueError(f"tau must lie in [K, T], got {tau}")
-    _check_zf_antennas(cfg.M, cfg.K, receiver)
+    gamma = _checked_split(gamma, tau, cfg.K, budget.T)
     return _se_direct(gamma, tau, budget.P, budget.T, cfg.M, cfg.K, receiver, system)
 
 
@@ -93,16 +98,11 @@ def se_surface(
     agrees with :func:`se_at_allocation` to machine precision. ZF needs M > K.
     """
     P, T, M, K = budget.P, budget.T, cfg.M, cfg.K
-    if not (K <= tau <= T):
-        raise ValueError(f"tau must lie in [K, T], got {tau}")
+    g = _checked_split(gamma, tau, K, T)
     _check_zf_antennas(M, K, receiver)
-    gamma = np.asarray(gamma, dtype=float)
-    if np.any((gamma <= 0.0) | (gamma >= 1.0)):
-        raise ValueError("gamma must lie strictly inside (0, 1)")
     if tau == T:
-        return np.zeros_like(gamma) if gamma.ndim else 0.0
+        return np.zeros_like(g) if g.ndim else 0.0
     pi = np.pi
-    g = gamma
     a2 = pi**2 + 2.0 * pi * P * g
     a4 = pi * (K**2 * P**2 * (pi - 2.0) * (g - 1.0) * g - K * P * (pi - 2.0) * g * T)
     if receiver == "mrc":
@@ -158,7 +158,6 @@ def _optimize_numeric(P, T, M, K, receiver: str, system: str):
     One golden-section search steps the gamma of every tau at once; the SE
     is unimodal in gamma at each tau. Ties go to the smallest tau.
     """
-    _check_zf_antennas(M, K, receiver)
     taus = np.arange(int(K), int(T) + 1, dtype=float)
     if taus.size == 0:
         raise ValueError(f"empty training range: T = {T} < K = {K}")
@@ -252,7 +251,6 @@ def antenna_ratio(
     """
     if mode not in ("benchmark", "optimized"):
         raise ValueError("mode must be 'benchmark' or 'optimized'")
-    _check_zf_antennas(M_conv, cfg.K, receiver)
     P, T, K = budget.P, budget.T, cfg.K
     rho = budget.rho
 

@@ -1,15 +1,16 @@
 """Command-line harness: run figure experiments from flat key=value configs.
 
 Subcommands: ``run <config>``, ``validate <config>``, ``list-figures``.
-Config files are UTF-8, one ``key = value`` per line, ``#`` comments. SNR
-and power values are given in dB (keys ending in ``_db``) and converted at
-this boundary; the run manifest records both forms.
+Config files are UTF-8, one ``key = value`` per line; a ``#`` that starts a
+line or follows whitespace starts a comment. SNR and power values are in dB
+(keys ending in ``_db``), converted at this boundary; the manifest has both.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -89,7 +90,7 @@ def validate_config(path: str | Path) -> ExperimentSpec:
         raise ConfigError(f"{path}: not UTF-8 text (byte {e.start}: {e.reason})") from None
     values, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

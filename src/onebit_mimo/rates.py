@@ -103,7 +103,11 @@ def sum_se(per_user_rates: np.ndarray, cfg: SystemConfig) -> float:
 
 
 def _sinr(rho_p, rho_d, tau, M, K, receiver: str, system: str):
-    """Post-combining SINR of the closed-form rate expressions (M may be real)."""
+    """Post-combining SINR of the closed-form rate expressions (M may be real).
+
+    Home of the rule that ZF needs M > K (its SINR has an M - K factor).
+    """
+    _check_zf_antennas(M, K, receiver)
     if system == "conventional":
         if receiver == "mrc":
             return rho_d * tau * rho_p * M / ((1.0 + K * rho_d) * (1.0 + tau * rho_p))
@@ -228,19 +232,15 @@ def rate_lemma1(cfg: SystemConfig, moments: ReceiverMoments) -> float:
     return float(np.log2(1.0 + num / den))
 
 
-def _closed_sinr(cfg: SystemConfig, M, receiver: str, system: str):
-    """Closed-form SINR at cfg's powers and training with M antennas; ZF needs M > K."""
-    _check_zf_antennas(M, cfg.K, receiver)
-    return _sinr(cfg.rho_p, cfg.rho_d, cfg.tau, M, cfg.K, receiver, system)
-
-
 def _closed_rate(cfg: SystemConfig, M, receiver: str, system: str) -> float:
-    return float(np.log2(1.0 + _closed_sinr(cfg, M, receiver, system)))
+    sinr = _sinr(cfg.rho_p, cfg.rho_d, cfg.tau, M, cfg.K, receiver, system)
+    return float(np.log2(1.0 + sinr))
 
 
 def _closed_se(cfg: SystemConfig, receiver: str) -> float:
     """One-bit closed-form low-SNR sum SE at cfg's powers; ZF needs M > K."""
-    return _sum_se(_closed_sinr(cfg, cfg.M, receiver, "one-bit"), cfg.tau, cfg.T, cfg.K)
+    sinr = _sinr(cfg.rho_p, cfg.rho_d, cfg.tau, cfg.M, cfg.K, receiver, "one-bit")
+    return _sum_se(sinr, cfg.tau, cfg.T, cfg.K)
 
 
 def rate_mrc_closed(cfg: SystemConfig) -> float:

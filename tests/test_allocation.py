@@ -445,10 +445,6 @@ class TestVectorizedScan:
                 assert not np.signbit(grid[-1]).any() and not np.signbit(paired[-1])
                 assert np.all(grid[:-1] > 0.0)
 
-    def test_array_tau_keeps_gamma_check(self):
-        with pytest.raises(ValueError, match="gamma"):
-            _se_direct([0.5, 1.0], np.arange(4, 6), 10.0, 50, 32, 4, "mrc", "one-bit")
-
     def test_array_brackets_step_like_scalar_search(self):
         # each search must take exactly the scalar search's steps on the
         # shared bracket, whichever side its peak lies
@@ -528,3 +524,77 @@ def test_antenna_ratio_needs_more_antennas_than_users(mode, M_conv):
     cfg = SystemConfig(M=M_conv, K=8, tau=8, T=200)
     with pytest.raises(ValueError, match=rf"^ZF closed form needs M > K, got M={M_conv}, K=8$"):
         antenna_ratio(PowerBudget(rho=0.1, T=200), cfg, "zf", M_conv, mode=mode)
+
+
+# every gamma rule edge: NaN, +-inf, 0, 1, subnormals and the floats next to 0 and 1
+_GAMMA = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, 5e-324, 1.0 - 2**-53]),
+    st.floats(1e-6, 1.0 - 1e-6),
+)
+
+
+def _argument_error(gamma, tau, M, K, T, receiver):
+    """The message of the first argument rule that is broken, or None."""
+    if not K <= tau <= T:
+        return f"tau must lie in [K, T], got {tau}"
+    if not all(0.0 < g < 1.0 for g in np.ravel(gamma)):
+        return "gamma must lie strictly inside (0, 1)"
+    if receiver == "zf" and M <= K:
+        return f"ZF closed form needs M > K, got M={M}, K={K}"
+    return None
+
+
+class TestArgumentPolicy:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        K=st.integers(1, 16),
+        extra_t=st.integers(0, 60),
+        data=st.data(),
+        gamma=st.one_of(_GAMMA, st.lists(_GAMMA, min_size=1, max_size=3)),
+        log_rho=st.floats(-3.0, 2.0),
+        receiver=st.sampled_from(["mrc", "zf"]),
+    )
+    def test_entry_points_share_one_argument_policy(
+        self, K, extra_t, data, gamma, log_rho, receiver
+    ):
+        # se_at_allocation and se_surface check tau, then gamma, then M > K
+        # for ZF, and raise the same message for the first rule broken;
+        # otherwise the two forms agree
+        T = K + extra_t
+        tau = data.draw(
+            st.one_of(st.sampled_from([K - 1, K, T, T + 1]), st.integers(K - 2, T + 2)),
+            label="tau",
+        )
+        M = data.draw(st.one_of(st.integers(max(1, K - 2), K + 2), st.integers(1, 400)), label="M")
+        budget = PowerBudget(rho=10**log_rho, T=T)
+        cfg = SystemConfig(M=M, K=K, tau=K, T=T)
+        want = _argument_error(gamma, tau, M, K, T, receiver)
+        if want is not None:
+            for fn in (se_at_allocation, se_surface):
+                with pytest.raises(ValueError) as err:
+                    fn(gamma, tau, budget, cfg, receiver)
+                assert str(err.value) == want
+            return
+        direct = se_at_allocation(gamma, tau, budget, cfg, receiver)
+        surface = se_surface(gamma, tau, budget, cfg, receiver)
+        assert np.all(np.isfinite(direct)) and np.all(np.isfinite(surface))
+        g = np.asarray(gamma)
+        if np.all((g >= 1e-6) & (g <= 1.0 - 1e-6)):
+            assert np.allclose(surface, direct, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("fn", [se_at_allocation, se_surface])
+    @pytest.mark.parametrize("gamma", [math.nan, [0.5, math.nan]])
+    def test_nan_gamma_raises(self, fn, gamma):
+        # (gamma <= 0) | (gamma >= 1) is False for NaN, so NaN used to pass the
+        # check and give a NaN sum SE
+        budget = PowerBudget(rho=0.1, T=100)
+        cfg = SystemConfig(M=32, K=4, tau=10, T=100)
+        with pytest.raises(ValueError, match=r"^gamma must lie strictly inside \(0, 1\)$"):
+            fn(gamma, 10, budget, cfg)
+
+    @pytest.mark.parametrize("fn", [se_at_allocation, se_surface])
+    def test_gamma_rule_reported_before_the_zf_rule(self, fn):
+        cfg = SystemConfig(M=6, K=8, tau=8, T=100)
+        with pytest.raises(ValueError, match=r"^gamma must lie"):
+            fn(1.0, 10, PowerBudget(rho=0.1, T=100), cfg, "zf")

@@ -1,7 +1,9 @@
 import csv
 import dataclasses
 import json
+import math
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -69,6 +71,16 @@ class TestConfigParsing:
     def test_comments_and_blank_lines(self, tmp_path):
         p = _write(tmp_path, "# a comment\n\nfigure = fig5_power_eff  # trailing\n")
         assert validate_config(p).figure_id == "fig5_power_eff"
+
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        # the line was cut at its first '#', so the run wrote run, run.gp and
+        # run.manifest.json; a '#' starts a comment only after whitespace
+        out = tmp_path / "run#1.csv"
+        p = _write(tmp_path, f"figure = fig5_power_eff\nm = 16, 32\noutput = {out}\t# here\n")
+        assert main(["run", str(p)]) == 0
+        names = {"cfg.txt", "run#1.csv", "run#1.gp", "run#1.manifest.json"}
+        assert {f.name for f in tmp_path.iterdir()} == names
+        assert json.loads((tmp_path / "run#1.manifest.json").read_text())["output"] == str(out)
 
     def test_tau_constraint_names_violation(self, tmp_path):
         p = _write(tmp_path, "figure = fig2_mse\nk = 8\ntau = 4\n")
@@ -410,6 +422,49 @@ def _configs(draw):
         if val is not None:
             lines.append(f"{key} = {_value_text(val)}")
     return "\n".join(lines) + "\n"
+
+
+# the closed-form figures (fig5-fig9), and the columns where a value that
+# cannot be reached is written as inf (fig6's bit energy, fig9's antenna ratio)
+_CLOSED_FORM = sorted(fid for fid, fig in FIGURES.items() if fig.default_trials == 1)
+_INF_COLUMNS = ("zeta_", "kappa_", "m_one_")
+
+
+@st.composite
+def _closed_form_configs(draw):
+    figure = draw(st.sampled_from(_CLOSED_FORM))
+    k = draw(st.sampled_from([1, 2, 8, 16]))
+    m = draw(st.sampled_from([k + 1, k + 2, 64, 10**6]))
+    lines = [f"figure = {figure}", f"k = {k}", f"t = {k + draw(st.integers(0, 3))}"]
+    lines.append(f"m_conv = {m}" if figure == "fig9_kappa" else f"m = {m}")
+    if figure == "fig5_power_eff":
+        lines.append(f"tau = {k}")
+    db = st.one_of(st.sampled_from([-300, 300]), st.floats(-300.0, 300.0))
+    lines += [f"{key} = {draw(db)!r}" for key in FIGURES[figure].defaults if key.endswith("_db")]
+    return "\n".join(lines) + "\n"
+
+
+class TestClosedFormConfigSpace:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(text=_closed_form_configs())
+    def test_rejected_at_a_line_or_finite_but_for_documented_inf(self, tmp_path_factory, text):
+        # small and huge M, T just above K and SNRs at +-300 dB: a config is
+        # either refused with a file:line message or gives a finite CSV,
+        # except for the inf that marks a value that cannot be reached
+        tmp = tmp_path_factory.mktemp("cf")
+        p = _write(tmp, text + f"output = {tmp / 'out.csv'}\n")
+        try:
+            spec = validate_config(p)
+        except ConfigError as e:
+            assert re.match(rf"{re.escape(str(p))}:\d+: ", str(e)), str(e)
+            return
+        run_experiment(spec)
+        header, *rows = csv.reader((tmp / "out.csv").read_text(encoding="utf-8").splitlines())
+        assert rows
+        for row in rows:
+            for name, cell in zip(header, row):
+                if not math.isfinite(float(cell)):
+                    assert cell == "inf" and name.startswith(_INF_COLUMNS), (name, cell)
 
 
 class TestConfigRoundTrip:
