@@ -26,7 +26,7 @@ from .channel import (
     unvec,
     vec,
 )
-from .config import PowerBudget, SystemConfig, db_to_linear, linear_to_db
+from .config import SystemConfig, db_to_linear, linear_to_db
 from .estimators import (
     ChannelEstimate,
     blmmse_fast,

@@ -1,11 +1,13 @@
 """Power scaling, pilot/power allocation, bit energy, and antenna-ratio solvers.
 
-The allocation problem splits a total energy budget P = rho*T between
-training (fraction gamma over tau symbols) and data transmission, and is
-solved by an exhaustive scan over integer tau combined with one
-golden-section search over gamma on (0, 1), run for every tau at once on
-arrays. The sum SE is unimodal in gamma at every tau, for both receivers
-and both systems.
+The allocation problem splits the energy P = rho*T of one coherence
+interval (rho the average power) between training (fraction gamma over tau
+symbols) and data transmission, and is solved by an exhaustive scan over
+integer tau combined with one golden-section search over gamma on (0, 1),
+run for every tau at once on arrays. The sum SE is unimodal in gamma at
+every tau, for both receivers and both systems. The entry points read M, K
+and T from their SystemConfig; its tau, rho_p and rho_d are the allocation
+being replaced, and no solver reads them.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PowerBudget, SystemConfig
+from .config import SystemConfig
 from .estimators import estimate_variance
 from .rates import _check_zf_antennas, _sinr, _sum_se
 
@@ -45,10 +47,17 @@ class AllocationSolution:
     P: float
 
 
+def _checked_power(rho, cfg: SystemConfig) -> float:
+    """The energy P = rho*T of cfg's coherence interval, once 0 < rho < inf."""
+    if not 0.0 < rho < math.inf:  # NaN fails
+        raise ValueError(f"rho must be finite and > 0, got {rho}")
+    return rho * cfg.T
+
+
 def _checked_split(gamma, tau, K, T):
-    """gamma as a float array, once K <= tau <= T and every gamma lies in (0, 1)."""
-    if not (K <= tau <= T):
-        raise ValueError(f"tau must lie in [K, T], got {tau}")
+    """gamma as a float array, once tau is an integer in [K, T] and every gamma lies in (0, 1)."""
+    if isinstance(tau, bool) or not isinstance(tau, (int, np.integer)) or not K <= tau <= T:
+        raise ValueError(f"tau must be an integer in [K, T], got {tau}")
     gamma = np.asarray(gamma, dtype=float)
     if not ((gamma > 0.0) & (gamma < 1.0)).all():  # NaN fails both
         raise ValueError("gamma must lie strictly inside (0, 1)")
@@ -70,24 +79,23 @@ def _se_direct(gamma, tau, P, T, M, K, receiver: str, system: str):
 def se_at_allocation(
     gamma,
     tau: int,
-    budget: PowerBudget,
+    rho: float,
     cfg: SystemConfig,
     receiver: str = "mrc",
     system: str = "one-bit",
 ):
     """Sum spectral efficiency at pilot fraction gamma and training length tau.
 
-    Direct substitution of rho_p = gamma*P/tau, rho_d = (1-gamma)*P/(T-tau)
-    into the closed-form rates; gamma, each in (0, 1), may be an array.
-    K <= tau <= T, and tau = T returns 0. ZF needs M > K.
+    Direct substitution of rho_p = gamma*P/tau, rho_d = (1-gamma)*P/(T-tau),
+    P = rho*T, into the closed-form rates; gamma, each in (0, 1), may be an
+    array. tau is an integer in [K, T], and tau = T returns 0. ZF needs M > K.
     """
-    gamma = _checked_split(gamma, tau, cfg.K, budget.T)
-    return _se_direct(gamma, tau, budget.P, budget.T, cfg.M, cfg.K, receiver, system)
+    P = _checked_power(rho, cfg)
+    gamma = _checked_split(gamma, tau, cfg.K, cfg.T)
+    return _se_direct(gamma, tau, P, cfg.T, cfg.M, cfg.K, receiver, system)
 
 
-def se_surface(
-    gamma, tau: int, budget: PowerBudget, cfg: SystemConfig, receiver: str = "mrc"
-):
+def se_surface(gamma, tau: int, rho: float, cfg: SystemConfig, receiver: str = "mrc"):
     """One-bit sum spectral efficiency via the rational-coefficient form.
 
     Evaluates (T-tau)/T * K * log2(1 + a1*tau / D(tau)) where D is a
@@ -97,7 +105,7 @@ def se_surface(
     the closed-form rates; the denominator is negated here so the surface
     agrees with :func:`se_at_allocation` to machine precision. ZF needs M > K.
     """
-    P, T, M, K = budget.P, budget.T, cfg.M, cfg.K
+    P, T, M, K = _checked_power(rho, cfg), cfg.T, cfg.M, cfg.K
     g = _checked_split(gamma, tau, K, T)
     _check_zf_antennas(M, K, receiver)
     if tau == T:
@@ -167,23 +175,21 @@ def _optimize_numeric(P, T, M, K, receiver: str, system: str):
 
 
 def optimize_allocation(
-    budget: PowerBudget,
+    rho: float,
     cfg: SystemConfig,
     receiver: str = "mrc",
     system: str = "one-bit",
 ) -> AllocationSolution:
-    """Maximize the sum spectral efficiency over (gamma, tau).
+    """Maximize the sum spectral efficiency over (gamma, tau) at P = rho*T.
 
     Scans every integer tau in [K, T] with a golden-section search over gamma
     in (0, 1) for each tau, and returns the best point found, with the
-    implied powers.
+    implied powers. cfg.tau, cfg.rho_p and cfg.rho_d are not read.
     """
-    T = budget.T
-    se_star, gamma_star, tau_star = _optimize_numeric(
-        budget.P, T, cfg.M, cfg.K, receiver, system
-    )
-    rho_p = gamma_star * budget.P / tau_star
-    rho_d = (1.0 - gamma_star) * budget.P / (T - tau_star) if tau_star < T else 0.0
+    P, T = _checked_power(rho, cfg), cfg.T
+    se_star, gamma_star, tau_star = _optimize_numeric(P, T, cfg.M, cfg.K, receiver, system)
+    rho_p = gamma_star * P / tau_star
+    rho_d = (1.0 - gamma_star) * P / (T - tau_star) if tau_star < T else 0.0
     return AllocationSolution(
         gamma_star=gamma_star,
         tau_star=tau_star,
@@ -193,7 +199,7 @@ def optimize_allocation(
         receiver=receiver,
         system=system,
         T=T,
-        P=budget.P,
+        P=P,
     )
 
 
@@ -233,17 +239,12 @@ def bit_energy(allocation: AllocationSolution, se: float | None = None) -> float
 _M_MAX_FACTOR = 1e5  # antenna_ratio's search gives up beyond this many times M_conv
 
 
-def antenna_ratio(
-    budget: PowerBudget,
-    cfg: SystemConfig,
-    receiver: str,
-    M_conv: int,
-    mode: str = "optimized",
-) -> float:
+def antenna_ratio(rho: float, cfg: SystemConfig, receiver: str, mode: str = "optimized") -> float:
     """Antenna ratio kappa = M_one / M_conv for equal sum spectral efficiency.
 
-    mode='benchmark' compares both systems at tau = K, rho_p = rho_d = rho;
-    mode='optimized' gives each system its best resource allocation (the
+    The conventional array has M_conv = cfg.M antennas. mode='benchmark'
+    compares both systems at tau = K, rho_p = rho_d = rho; mode='optimized'
+    gives each system its best resource allocation of P = rho*T (the
     conventional side optimizes the power split with tau fixed at K). M_one
     is treated as continuous and found by bisection to an SE tolerance of
     1e-4 bits/s/Hz; returns inf when even _M_MAX_FACTOR * M_conv antennas
@@ -251,8 +252,7 @@ def antenna_ratio(
     """
     if mode not in ("benchmark", "optimized"):
         raise ValueError("mode must be 'benchmark' or 'optimized'")
-    P, T, K = budget.P, budget.T, cfg.K
-    rho = budget.rho
+    P, T, K, M_conv = _checked_power(rho, cfg), cfg.T, cfg.K, cfg.M
 
     if mode == "benchmark":
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 
@@ -22,6 +23,7 @@ class SystemConfig:
 
     M antennas, K single-antenna users, tau training symbols out of a
     T-symbol coherence interval, and the pilot/data SNRs in linear scale.
+    M is real (the closed forms take any M >= 1); K, tau and T are integers.
     """
 
     M: int
@@ -32,8 +34,12 @@ class SystemConfig:
     rho_d: float = 1.0
 
     def __post_init__(self):
-        if self.M < 1:
-            raise ValueError(f"M must be >= 1, got {self.M}")
+        if not 1 <= self.M < math.inf:  # NaN fails
+            raise ValueError(f"M must be finite and >= 1, got {self.M}")
+        for name in ("K", "tau", "T"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if not (1 <= self.K <= self.tau <= self.T):
             raise ValueError(
                 f"need 1 <= K <= tau <= T, got K={self.K}, tau={self.tau}, T={self.T}"
@@ -45,22 +51,3 @@ class SystemConfig:
         """Copy with rho_p = rho_d = rho (the common simulation sweep)."""
         return replace(self, rho_p=rho, rho_d=rho)
 
-
-@dataclass(frozen=True)
-class PowerBudget:
-    """Total transmit-energy budget over one coherence interval.
-
-    rho is the average per-symbol power; P = rho * T is what the
-    allocation optimizer splits between training and data.
-    """
-
-    rho: float
-    T: int = 200
-
-    def __post_init__(self):
-        if not 0 < self.rho < math.inf or self.T < 1:
-            raise ValueError(f"need finite rho > 0 and T >= 1, got rho={self.rho}, T={self.T}")
-
-    @property
-    def P(self) -> float:
-        return self.rho * self.T

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .allocation import _bit_energy, _optimize_numeric, antenna_ratio, power_scaling_limit
 from .channel import _psd_root, dft_pilots, laplacian_covariance
-from .config import PowerBudget, SystemConfig, db_to_linear
+from .config import SystemConfig, db_to_linear
 from .estimators import (
     _iid_filter,
     _ls_pinv,
@@ -119,8 +119,8 @@ def _checked_sweep(spec: ExperimentSpec) -> dict:
             "n_trials",
         )
     p = {**fig.defaults, **spec.sweep}
-    # k and tau count users and pilots; Monte Carlo figures draw m antennas too
-    for name in ("m", "k", "tau") if monte_carlo else ("k", "tau"):
+    # k, tau and t count users, pilots and symbols; Monte Carlo figures draw m antennas too
+    for name in ("m", "k", "tau", "t") if monte_carlo else ("k", "tau", "t"):
         why = f"; {fid} is a Monte Carlo figure" if name == "m" else ""
         for v in _aslist(p.get(name, [])):
             if not isinstance(v, int):
@@ -449,11 +449,11 @@ def fig8_se_vs_m(p, n_trials, seed) -> dict:
 def fig9_kappa(p, n_trials, seed) -> dict:
     m_conv = p["m_conv"]
     cfg = SystemConfig(M=m_conv, K=p["k"], tau=p["k"], T=p["t"])
-    budget = PowerBudget(rho=db_to_linear(p["rho_db"]), T=p["t"])
+    rho = db_to_linear(p["rho_db"])
     out = {}
     for rec in _RECEIVERS:
         for mode in ("benchmark", "optimized"):
-            kappa = antenna_ratio(budget, cfg, rec, m_conv, mode=mode)
+            kappa = antenna_ratio(rho, cfg, rec, mode=mode)
             out[f"kappa_{mode}_{rec}"] = kappa
             m_one = np.ceil(kappa * m_conv) if np.isfinite(kappa) else np.inf
             out[f"m_one_{mode}_{rec}"] = m_one

@@ -232,8 +232,8 @@ def rate_lemma1(cfg: SystemConfig, moments: ReceiverMoments) -> float:
     return float(np.log2(1.0 + num / den))
 
 
-def _closed_rate(cfg: SystemConfig, M, receiver: str, system: str) -> float:
-    sinr = _sinr(cfg.rho_p, cfg.rho_d, cfg.tau, M, cfg.K, receiver, system)
+def _closed_rate(cfg: SystemConfig, receiver: str, system: str) -> float:
+    sinr = _sinr(cfg.rho_p, cfg.rho_d, cfg.tau, cfg.M, cfg.K, receiver, system)
     return float(np.log2(1.0 + sinr))
 
 
@@ -245,12 +245,12 @@ def _closed_se(cfg: SystemConfig, receiver: str) -> float:
 
 def rate_mrc_closed(cfg: SystemConfig) -> float:
     """Closed-form low-SNR MRC rate, log2(1 + rho_d a_d^2 M sigma^2)."""
-    return _closed_rate(cfg, cfg.M, "mrc", "one-bit")
+    return _closed_rate(cfg, "mrc", "one-bit")
 
 
 def rate_zf_closed(cfg: SystemConfig) -> float:
     """Closed-form low-SNR ZF rate; requires M > K."""
-    return _closed_rate(cfg, cfg.M, "zf", "one-bit")
+    return _closed_rate(cfg, "zf", "one-bit")
 
 
 def mrc_moments(cfg: SystemConfig) -> ReceiverMoments:
@@ -281,10 +281,8 @@ def zf_moments(cfg: SystemConfig) -> ReceiverMoments:
     )
 
 
-def conventional_rates(
-    cfg: SystemConfig, M_conv: int, receiver: str = "mrc"
-) -> RateReport:
-    """Infinite-resolution reference rates with LMMSE-trained CSI."""
-    rate = _closed_rate(cfg, M_conv, receiver, "conventional")
+def conventional_rates(cfg: SystemConfig, receiver: str = "mrc") -> RateReport:
+    """Infinite-resolution reference rates of a cfg.M-antenna array with LMMSE-trained CSI."""
+    rate = _closed_rate(cfg, receiver, "conventional")
     per_user = np.full(cfg.K, rate)
     return RateReport(per_user, sum_se(per_user, cfg), f"conventional_{receiver}")

@@ -9,7 +9,6 @@ import pytest
 
 from onebit_mimo import (
     OfdmConfig,
-    PowerBudget,
     SystemConfig,
     antenna_ratio,
     arcsine_covariance,
@@ -190,11 +189,11 @@ def test_criterion_6_se_surface_identity():
         tau = int(rng.integers(K, T))
         P = float(10 ** rng.uniform(-1, 3))
         gamma = float(rng.uniform(0.01, 0.99))
-        budget = PowerBudget(rho=P / T, T=T)
+        rho = P / T
         cfg = SystemConfig(M=M, K=K, tau=tau, T=T)
         for rec in ("mrc", "zf"):
-            direct = se_at_allocation(gamma, tau, budget, cfg, rec, "one-bit")
-            coeff = se_surface(gamma, tau, budget, cfg, rec)
+            direct = se_at_allocation(gamma, tau, rho, cfg, rec, "one-bit")
+            coeff = se_surface(gamma, tau, rho, cfg, rec)
             if direct > 0:
                 worst = max(worst, abs(coeff - direct) / direct)
     _report(
@@ -236,11 +235,11 @@ def test_criterion_7_power_scaling():
 
 def test_criterion_8_optimal_training_length():
     cfg = SystemConfig(M=128, K=8, tau=8, T=200)
-    budget = PowerBudget(rho=10 ** (-15 / 10), T=200)
+    rho = 10 ** (-15 / 10)
     taus = {}
     for system in ("one-bit", "conventional"):
         for rec in ("mrc", "zf"):
-            taus[(system, rec)] = optimize_allocation(budget, cfg, rec, system).tau_star
+            taus[(system, rec)] = optimize_allocation(rho, cfg, rec, system).tau_star
     ok = (
         taus[("one-bit", "mrc")] > 8
         and taus[("one-bit", "zf")] > 8
@@ -258,13 +257,9 @@ def test_criterion_8_optimal_training_length():
 def test_criterion_9_antenna_ratio():
     K = 8
     cfg = SystemConfig(M=128, K=K, tau=K, T=200)
-    kb = antenna_ratio(
-        PowerBudget(rho=10 ** (-20 / 10), T=200), cfg, "mrc", 128, mode="benchmark"
-    )
-    ko = antenna_ratio(
-        PowerBudget(rho=10 ** (-10 / 10), T=200), cfg, "mrc", 128, mode="optimized"
-    )
-    kz = antenna_ratio(PowerBudget(rho=10.0, T=200), cfg, "zf", 128, mode="optimized")
+    kb = antenna_ratio(10 ** (-20 / 10), cfg, "mrc", mode="benchmark")
+    ko = antenna_ratio(10 ** (-10 / 10), cfg, "mrc", mode="optimized")
+    kz = antenna_ratio(10.0, cfg, "zf", mode="optimized")
     ok = 2.4 <= kb <= 2.55 and 2.0 <= ko <= 2.45 and (kz > 4 or np.isinf(kz))
     _report(
         "9 (antenna ratio)",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from onebit_mimo import (
     AllocationSolution,
-    PowerBudget,
     SystemConfig,
     antenna_ratio,
     bit_energy,
@@ -39,11 +39,11 @@ class TestSeSurface:
     def test_equals_direct_substitution(self):
         rng = np.random.default_rng(0)
         for M, K, T, tau, P, gamma in _random_points(rng, 50):
-            budget = PowerBudget(rho=P / T, T=T)
+            rho = P / T
             cfg = SystemConfig(M=M, K=K, tau=tau, T=T)
             for rec in ("mrc", "zf"):
-                direct = se_at_allocation(gamma, tau, budget, cfg, rec, "one-bit")
-                coeff = se_surface(gamma, tau, budget, cfg, rec)
+                direct = se_at_allocation(gamma, tau, rho, cfg, rec, "one-bit")
+                coeff = se_surface(gamma, tau, rho, cfg, rec)
                 assert coeff == pytest.approx(direct, rel=1e-9, abs=1e-12)
 
     @settings(max_examples=150, deadline=None)
@@ -61,36 +61,36 @@ class TestSeSurface:
         # K < tau < T and M > K, where both forms are defined for MRC and ZF
         T = data.draw(st.integers(K + 2, 500), label="T")
         tau = data.draw(st.integers(K + 1, T - 1), label="tau")
-        budget = PowerBudget(rho=10**log_p / T, T=T)
+        rho = 10**log_p / T
         cfg = SystemConfig(M=K + extra_m, K=K, tau=tau, T=T)
-        direct = se_at_allocation(gamma, tau, budget, cfg, receiver, "one-bit")
-        coeff = se_surface(gamma, tau, budget, cfg, receiver)
+        direct = se_at_allocation(gamma, tau, rho, cfg, receiver, "one-bit")
+        coeff = se_surface(gamma, tau, rho, cfg, receiver)
         assert coeff == pytest.approx(direct, rel=1e-9, abs=1e-12)
 
     def test_boundary_gamma(self):
-        budget = PowerBudget(rho=0.1, T=100)
+        rho = 0.1
         cfg = SystemConfig(M=32, K=4, tau=10, T=100)
-        assert se_surface(1e-9, 10, budget, cfg, "mrc") < 1e-6
-        assert se_surface(1 - 1e-9, 10, budget, cfg, "mrc") < 1e-6
+        assert se_surface(1e-9, 10, rho, cfg, "mrc") < 1e-6
+        assert se_surface(1 - 1e-9, 10, rho, cfg, "mrc") < 1e-6
         with pytest.raises(ValueError):
-            se_surface(0.0, 10, budget, cfg, "mrc")
+            se_surface(0.0, 10, rho, cfg, "mrc")
 
     def test_full_training(self):
-        budget = PowerBudget(rho=0.1, T=100)
+        rho = 0.1
         cfg = SystemConfig(M=32, K=4, tau=4, T=100)
-        assert se_surface(0.5, 100, budget, cfg, "mrc") == 0.0
+        assert se_surface(0.5, 100, rho, cfg, "mrc") == 0.0
 
     def test_tau_domain(self):
-        budget = PowerBudget(rho=0.1, T=100)
+        rho = 0.1
         cfg = SystemConfig(M=32, K=4, tau=4, T=100)
         with pytest.raises(ValueError):
-            se_surface(0.5, 2, budget, cfg, "mrc")
+            se_surface(0.5, 2, rho, cfg, "mrc")
 
     def test_vectorized_gamma(self):
-        budget = PowerBudget(rho=0.1, T=100)
+        rho = 0.1
         cfg = SystemConfig(M=32, K=4, tau=10, T=100)
         g = np.linspace(0.05, 0.95, 11)
-        vals = se_surface(g, 10, budget, cfg, "zf")
+        vals = se_surface(g, 10, rho, cfg, "zf")
         assert vals.shape == (11,)
         assert np.all(vals > 0)
 
@@ -99,55 +99,49 @@ class TestOptimizeAllocation:
     def test_conventional_training_length_is_k(self):
         cfg = SystemConfig(M=128, K=8, tau=8, T=200)
         for rho_db in (-15.0, -6.0, 0.0):
-            budget = PowerBudget(rho=10 ** (rho_db / 10), T=200)
+            rho = 10 ** (rho_db / 10)
             for rec in ("mrc", "zf"):
-                sol = optimize_allocation(budget, cfg, rec, system="conventional")
+                sol = optimize_allocation(rho, cfg, rec, system="conventional")
                 assert sol.tau_star == 8
 
     def test_one_bit_training_longer_than_k(self):
         cfg = SystemConfig(M=128, K=8, tau=8, T=200)
-        budget = PowerBudget(rho=10 ** (-15 / 10), T=200)
-        sol = optimize_allocation(budget, cfg, "mrc")
+        rho = 10 ** (-15 / 10)
+        sol = optimize_allocation(rho, cfg, "mrc")
         assert sol.tau_star > 8
 
     def test_budget_equality(self):
         cfg = SystemConfig(M=64, K=4, tau=4, T=120)
-        budget = PowerBudget(rho=0.05, T=120)
-        sol = optimize_allocation(budget, cfg, "zf")
+        rho = 0.05
+        sol = optimize_allocation(rho, cfg, "zf")
         spent = sol.tau_star * sol.rho_p_star + (sol.T - sol.tau_star) * sol.rho_d_star
-        assert spent == pytest.approx(budget.P, rel=1e-9)
+        assert spent == pytest.approx(0.05 * 120, rel=1e-9)
 
     def test_dominates_benchmark_point(self):
         cfg = SystemConfig(M=128, K=8, tau=8, T=200)
         for rho in (0.01, 0.1, 1.0):
-            budget = PowerBudget(rho=rho, T=200)
-            sol = optimize_allocation(budget, cfg, "mrc")
-            bench = se_at_allocation(8 / 200, 8, budget, cfg, "mrc")
+            sol = optimize_allocation(rho, cfg, "mrc")
+            bench = se_at_allocation(8 / 200, 8, rho, cfg, "mrc")
             assert sol.se_star >= bench - 1e-12
 
     def test_dominates_random_feasible_points(self):
         cfg = SystemConfig(M=64, K=4, tau=4, T=100)
-        budget = PowerBudget(rho=0.1, T=100)
-        sol = optimize_allocation(budget, cfg, "mrc")
+        rho = 0.1
+        sol = optimize_allocation(rho, cfg, "mrc")
         rng = np.random.default_rng(1)
         taus = rng.integers(4, 101, size=200)
         for tau in np.unique(taus):
             gammas = rng.uniform(1e-6, 1 - 1e-6, size=50)
-            vals = se_at_allocation(gammas, int(tau), budget, cfg, "mrc")
+            vals = se_at_allocation(gammas, int(tau), rho, cfg, "mrc")
             assert np.all(vals <= sol.se_star + 1e-9)
 
     def test_monotone_in_budget_and_antennas(self):
         cfg = SystemConfig(M=64, K=4, tau=4, T=100)
-        ses_p = [
-            optimize_allocation(PowerBudget(rho=r, T=100), cfg, "mrc").se_star
-            for r in (0.01, 0.1, 1.0)
-        ]
+        ses_p = [optimize_allocation(r, cfg, "mrc").se_star for r in (0.01, 0.1, 1.0)]
         assert ses_p[0] < ses_p[1] < ses_p[2]
-        budget = PowerBudget(rho=0.1, T=100)
+        rho = 0.1
         ses_m = [
-            optimize_allocation(
-                budget, SystemConfig(M=m, K=4, tau=4, T=100), "mrc"
-            ).se_star
+            optimize_allocation(rho, SystemConfig(M=m, K=4, tau=4, T=100), "mrc").se_star
             for m in (16, 64, 256)
         ]
         assert ses_m[0] < ses_m[1] < ses_m[2]
@@ -223,10 +217,10 @@ class TestBitEnergy:
     def test_fig6_optimal_zeta_is_bit_energy_of_the_optimum(self, rho_db):
         # figbench's design config of fig6: one definition of energy per bit
         row = fig6_bit_energy({"m": 128, "k": 8, "t": 50, "rho_db": rho_db}, 1, 0)
-        budget = PowerBudget(rho=db_to_linear(rho_db), T=50)
+        rho = db_to_linear(rho_db)
         cfg = SystemConfig(M=128, K=8, tau=8, T=50)
         for rec in ("mrc", "zf"):
-            zeta = bit_energy(optimize_allocation(budget, cfg, rec))
+            zeta = bit_energy(optimize_allocation(rho, cfg, rec))
             assert row[f"zeta_optimal_{rec}"] == zeta
 
     def test_units(self):
@@ -244,7 +238,7 @@ class TestBitEnergy:
             return 0.96 * 8 * rate_mrc_closed(c)
 
         def opt_se(rho):
-            return optimize_allocation(PowerBudget(rho=rho, T=200), cfg, "mrc").se_star
+            return optimize_allocation(rho, cfg, "mrc").se_star
 
         def solve(f):
             lo, hi = 1e-4, 10.0
@@ -269,34 +263,34 @@ class TestAntennaRatio:
         # at tau = K, rho_p = rho_d the MRC ratio is pi^2/4 at every SNR
         cfg = SystemConfig(M=128, K=8, tau=8, T=200)
         for rho_db in (-20.0, -5.0):
-            budget = PowerBudget(rho=10 ** (rho_db / 10), T=200)
-            kappa = antenna_ratio(budget, cfg, "mrc", 128, mode="benchmark")
+            rho = 10 ** (rho_db / 10)
+            kappa = antenna_ratio(rho, cfg, "mrc", mode="benchmark")
             assert kappa == pytest.approx(np.pi**2 / 4, abs=0.01)
 
     def test_zf_high_snr_ratio_large(self):
         cfg = SystemConfig(M=128, K=8, tau=8, T=200)
-        budget = PowerBudget(rho=10.0, T=200)
-        kappa = antenna_ratio(budget, cfg, "zf", 128, mode="benchmark")
+        rho = 10.0
+        kappa = antenna_ratio(rho, cfg, "zf", mode="benchmark")
         assert kappa > 4 or np.isinf(kappa)
 
     def test_unreachable_target_reports_inf(self, monkeypatch):
         monkeypatch.setattr(allocation, "_M_MAX_FACTOR", 2.0)
         cfg = SystemConfig(M=128, K=8, tau=8, T=200)
-        budget = PowerBudget(rho=10.0, T=200)
-        kappa = antenna_ratio(budget, cfg, "zf", 128, mode="benchmark")
+        rho = 10.0
+        kappa = antenna_ratio(rho, cfg, "zf", mode="benchmark")
         assert np.isinf(kappa)
 
     def test_bad_mode(self):
         cfg = SystemConfig(M=16, K=2, tau=2, T=50)
         with pytest.raises(ValueError):
-            antenna_ratio(PowerBudget(rho=1.0, T=50), cfg, "mrc", 16, mode="exact")
+            antenna_ratio(1.0, cfg, "mrc", mode="exact")
 
 
 def test_optimize_numeric_matches_public_wrapper():
-    budget = PowerBudget(rho=0.05, T=150)
+    rho = 0.05
     cfg = SystemConfig(M=96, K=6, tau=6, T=150)
-    sol = optimize_allocation(budget, cfg, "zf")
-    se, gamma, tau = _optimize_numeric(budget.P, 150, 96, 6, "zf", "one-bit")
+    sol = optimize_allocation(rho, cfg, "zf")
+    se, gamma, tau = _optimize_numeric(rho * 150, 150, 96, 6, "zf", "one-bit")
     assert sol.se_star == se and sol.tau_star == tau and sol.gamma_star == gamma
 
 
@@ -508,22 +502,22 @@ def test_zf_surface_needs_more_antennas_than_users(fn, M):
     # se_at_allocation returned -0.667 for M = 4: the ZF SINR has an M - K factor
     cfg = SystemConfig(M=M, K=8, tau=8, T=100)
     with pytest.raises(ValueError, match=rf"^ZF closed form needs M > K, got M={M}, K=8$"):
-        fn(0.5, 10, PowerBudget(rho=0.1, T=100), cfg, "zf")
+        fn(0.5, 10, 0.1, cfg, "zf")
     with pytest.raises(ValueError) as closed:
         rate_zf_closed(cfg)
     with pytest.raises(ValueError) as surface:
-        fn(0.5, 10, PowerBudget(rho=0.1, T=100), cfg, "zf")
+        fn(0.5, 10, 0.1, cfg, "zf")
     assert str(surface.value) == str(closed.value)
 
 
 @pytest.mark.parametrize("mode", ["benchmark", "optimized"])
-@pytest.mark.parametrize("M_conv", [6, 8])
-def test_antenna_ratio_needs_more_antennas_than_users(mode, M_conv):
-    # the benchmark mode returned kappa = 1.333 at M_conv = 6 and 1.000000000125
-    # at M_conv = 8, from a conventional ZF SE whose M - K factor is <= 0
-    cfg = SystemConfig(M=M_conv, K=8, tau=8, T=200)
-    with pytest.raises(ValueError, match=rf"^ZF closed form needs M > K, got M={M_conv}, K=8$"):
-        antenna_ratio(PowerBudget(rho=0.1, T=200), cfg, "zf", M_conv, mode=mode)
+@pytest.mark.parametrize("M", [6, 8])
+def test_antenna_ratio_needs_more_antennas_than_users(mode, M):
+    # the benchmark mode returned kappa = 1.333 at M = 6 and 1.000000000125
+    # at M = 8, from a conventional ZF SE whose M - K factor is <= 0
+    cfg = SystemConfig(M=M, K=8, tau=8, T=200)
+    with pytest.raises(ValueError, match=rf"^ZF closed form needs M > K, got M={M}, K=8$"):
+        antenna_ratio(0.1, cfg, "zf", mode=mode)
 
 
 # every gamma rule edge: NaN, +-inf, 0, 1, subnormals and the floats next to 0 and 1
@@ -537,7 +531,7 @@ _GAMMA = st.one_of(
 def _argument_error(gamma, tau, M, K, T, receiver):
     """The message of the first argument rule that is broken, or None."""
     if not K <= tau <= T:
-        return f"tau must lie in [K, T], got {tau}"
+        return f"tau must be an integer in [K, T], got {tau}"
     if not all(0.0 < g < 1.0 for g in np.ravel(gamma)):
         return "gamma must lie strictly inside (0, 1)"
     if receiver == "zf" and M <= K:
@@ -567,17 +561,17 @@ class TestArgumentPolicy:
             label="tau",
         )
         M = data.draw(st.one_of(st.integers(max(1, K - 2), K + 2), st.integers(1, 400)), label="M")
-        budget = PowerBudget(rho=10**log_rho, T=T)
+        rho = 10**log_rho
         cfg = SystemConfig(M=M, K=K, tau=K, T=T)
         want = _argument_error(gamma, tau, M, K, T, receiver)
         if want is not None:
             for fn in (se_at_allocation, se_surface):
                 with pytest.raises(ValueError) as err:
-                    fn(gamma, tau, budget, cfg, receiver)
+                    fn(gamma, tau, rho, cfg, receiver)
                 assert str(err.value) == want
             return
-        direct = se_at_allocation(gamma, tau, budget, cfg, receiver)
-        surface = se_surface(gamma, tau, budget, cfg, receiver)
+        direct = se_at_allocation(gamma, tau, rho, cfg, receiver)
+        surface = se_surface(gamma, tau, rho, cfg, receiver)
         assert np.all(np.isfinite(direct)) and np.all(np.isfinite(surface))
         g = np.asarray(gamma)
         if np.all((g >= 1e-6) & (g <= 1.0 - 1e-6)):
@@ -588,13 +582,98 @@ class TestArgumentPolicy:
     def test_nan_gamma_raises(self, fn, gamma):
         # (gamma <= 0) | (gamma >= 1) is False for NaN, so NaN used to pass the
         # check and give a NaN sum SE
-        budget = PowerBudget(rho=0.1, T=100)
+        rho = 0.1
         cfg = SystemConfig(M=32, K=4, tau=10, T=100)
         with pytest.raises(ValueError, match=r"^gamma must lie strictly inside \(0, 1\)$"):
-            fn(gamma, 10, budget, cfg)
+            fn(gamma, 10, rho, cfg)
 
     @pytest.mark.parametrize("fn", [se_at_allocation, se_surface])
     def test_gamma_rule_reported_before_the_zf_rule(self, fn):
         cfg = SystemConfig(M=6, K=8, tau=8, T=100)
         with pytest.raises(ValueError, match=r"^gamma must lie"):
-            fn(1.0, 10, PowerBudget(rho=0.1, T=100), cfg, "zf")
+            fn(1.0, 10, 0.1, cfg, "zf")
+
+
+class TestPowerArgument:
+    # the allocation layer takes the average power rho and reads M, K and T
+    # from its SystemConfig; a PowerBudget(rho, T) beside the config used to
+    # hold a second T, and optimize_allocation solved for that T unchecked
+    CFG = SystemConfig(M=32, K=4, tau=10, T=100)
+
+    def test_nonpositive_or_nonfinite_rho_raises(self):
+        cfg = self.CFG
+        for rho in (0.0, -0.0, -1e-300, -1.0, math.inf, -math.inf, math.nan):
+            calls = [
+                lambda: se_at_allocation(0.5, 10, rho, cfg),
+                lambda: se_surface(0.5, 10, rho, cfg),
+                lambda: optimize_allocation(rho, cfg),
+                lambda: antenna_ratio(rho, cfg, "mrc", mode="benchmark"),
+                lambda: antenna_ratio(rho, cfg, "mrc", mode="optimized"),
+            ]
+            for call in calls:
+                with pytest.raises(ValueError, match=r"^rho must be finite and > 0, got "):
+                    call()
+
+    def test_energy_is_rho_times_t(self):
+        for T in (100, 200):
+            cfg = dataclasses.replace(self.CFG, T=T)
+            sol = optimize_allocation(0.1, cfg)
+            assert sol.T == T and sol.P == 0.1 * T
+            assert sol.se_star == _optimize_numeric(0.1 * T, T, 32, 4, "mrc", "one-bit")[0]
+            spent = sol.tau_star * sol.rho_p_star + (T - sol.tau_star) * sol.rho_d_star
+            assert spent == pytest.approx(sol.P, rel=1e-12)
+
+    def test_solvers_ignore_the_configs_allocation(self):
+        # cfg.tau, cfg.rho_p and cfg.rho_d are the allocation being replaced
+        other = dataclasses.replace(self.CFG, tau=50, rho_p=7.0, rho_d=0.0)
+        assert optimize_allocation(0.1, other) == optimize_allocation(0.1, self.CFG)
+        assert se_at_allocation(0.3, 12, 0.1, other) == se_at_allocation(0.3, 12, 0.1, self.CFG)
+        assert se_surface(0.3, 12, 0.1, other) == se_surface(0.3, 12, 0.1, self.CFG)
+        for mode in ("benchmark", "optimized"):
+            a, b = (antenna_ratio(0.1, c, "mrc", mode=mode) for c in (other, self.CFG))
+            assert a == b
+
+
+class TestIntegralTau:
+    @pytest.mark.parametrize("fn", [se_at_allocation, se_surface])
+    @pytest.mark.parametrize(
+        "tau",
+        [10.5, 10.0, np.float64(10.0), True, np.array(10), np.array([10, 11]), [10]],
+        ids=["half", "float", "np-float", "bool", "0-d-array", "array", "list"],
+    )
+    def test_non_integral_tau_raises_the_tau_message(self, fn, tau):
+        # tau = 10.5 returned an SE (2.4512), and an array tau failed inside the
+        # chained comparison with numpy's "truth value of an array" message
+        cfg = SystemConfig(M=32, K=1, tau=10, T=100)
+        with pytest.raises(ValueError, match=r"^tau must be an integer in \[K, T\], got "):
+            fn(0.5, tau, 0.1, cfg)
+
+    @pytest.mark.parametrize("fn", [se_at_allocation, se_surface])
+    def test_numpy_integer_tau_equals_int_tau(self, fn):
+        cfg = SystemConfig(M=32, K=4, tau=10, T=100)
+        for tau in (np.int64(10), np.int32(10), np.uint16(10)):
+            assert fn(0.5, tau, 0.1, cfg) == fn(0.5, 10, 0.1, cfg)
+
+
+class TestAntennaRatioDomain:
+    @pytest.mark.parametrize("M", [0, -3, math.nan, math.inf])
+    def test_conventional_array_is_a_valid_config(self, M):
+        # a separate M_conv gave ZeroDivisionError at 0, kappa = -0.33 at -3 and
+        # nan at NaN; cfg.M is now the conventional array, checked by SystemConfig
+        with pytest.raises(ValueError, match=r"^M must be finite and >= 1, got "):
+            antenna_ratio(0.1, SystemConfig(M=M, K=8, tau=8, T=200), "mrc")
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        K=st.sampled_from([1, 2, 8]),
+        m=st.one_of(st.sampled_from([1, 2, 64, 10**6]), st.floats(0.5, 1e4)),
+        extra_t=st.integers(1, 12),
+        rho_db=st.one_of(st.sampled_from([-300.0, 300.0]), st.floats(-300.0, 300.0)),
+        receiver=st.sampled_from(["mrc", "zf"]),
+        mode=st.sampled_from(["benchmark", "optimized"]),
+    )
+    def test_kappa_is_positive_or_inf(self, K, m, extra_t, rho_db, receiver, mode):
+        M = K + m if receiver == "zf" else max(m, 1)
+        cfg = SystemConfig(M=M, K=K, tau=K, T=K + extra_t)
+        kappa = antenna_ratio(db_to_linear(rho_db), cfg, receiver, mode=mode)
+        assert kappa > 0.0  # inf passes, nan fails

@@ -7,6 +7,7 @@ import re
 import runpy
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -162,8 +163,22 @@ class TestConfigParsing:
     def test_closed_form_figures_keep_real_sizes(self, tmp_path):
         p = _write(tmp_path, "figure = fig5_power_eff\nm = 100.5, 200\n")
         assert validate_config(p).sweep["m"] == [100.5, 200]
-        p = _write(tmp_path, "figure = fig7_opt_tau\nt = 50.5\n")
-        assert validate_config(p).sweep["t"] == 50.5
+
+    @pytest.mark.parametrize(
+        "figure, text",
+        [
+            ("fig7_opt_tau", "t = 100.5"),
+            ("fig7_opt_tau", "t = 50, 100.5"),  # every list element
+            ("fig9_kappa", "t = 100.5"),
+            ("fig5_power_eff", "t = 200.0"),
+            ("fig4_se_vs_snr", "t = 200.0"),
+        ],
+    )
+    def test_coherence_interval_must_be_an_integer(self, tmp_path, figure, text):
+        # t counts symbols: t = 100.5 used to run fig7 and fig9 to a CSV
+        p = _write(tmp_path, f"figure = {figure}\nseed = 1\n{text}\n")
+        with pytest.raises(ConfigError, match=r"cfg.txt:3: t must be an integer, got "):
+            validate_config(p)
 
     @pytest.mark.parametrize("value", ["-3", "0", "2.5", "1, 2"])
     def test_nml_max_iters_must_be_a_positive_integer(self, tmp_path, value):
@@ -465,6 +480,64 @@ class TestClosedFormConfigSpace:
             for name, cell in zip(header, row):
                 if not math.isfinite(float(cell)):
                     assert cell == "inf" and name.startswith(_INF_COLUMNS), (name, cell)
+
+
+# fig2-fig4 at small sizes and extreme values; the one warning a run may give
+# is the training filter's documented ridge fallback (estimators._hermitian_solve)
+_MONTE_CARLO = sorted(fid for fid, fig in FIGURES.items() if fig.default_trials > 1)
+_RIDGE_WARNING = "quantized-output covariance is numerically singular"
+
+
+@st.composite
+def _monte_carlo_configs(draw, figure):
+    # the last entries of tau, m, n_trials and fig4's t offset break a rule
+    k = draw(st.sampled_from([1, 2, 4]))
+    tau = draw(st.sampled_from([k, k + 1, 2 * k + 3, k - 1]))
+    m = draw(st.sampled_from([16, k + 1, 1, k]))
+    db = st.one_of(st.sampled_from([-300, 0, 300]), st.floats(-300.0, 300.0))
+    lines = [
+        f"figure = {figure}",
+        f"m = {m}",
+        f"k = {k}",
+        f"tau = {tau}",
+        f"n_trials = {draw(st.sampled_from([2, 3, 4, 1]))}",
+        f"snr_db = {draw(db)!r}, {draw(db)!r}",
+    ]
+    if figure == "fig2_mse":
+        lines.append(f"nml_max_iters = {draw(st.sampled_from([1, 2, 200]))}")
+    if figure == "fig3_corr_mse":
+        spread = st.one_of(st.sampled_from([1e-12, 1e-9, 180.0]), st.floats(1e-12, 180.0))
+        angle = st.one_of(st.sampled_from([-89.9999, 89.9999]), st.floats(-89.9999, 89.9999))
+        lines += [f"spread_deg = {draw(spread)!r}", f"mean_angle_deg = {draw(angle)!r}"]
+    if figure == "fig4_se_vs_snr":
+        lines.append(f"t = {tau + draw(st.sampled_from([1, 60, 0, -1]))}")
+    return "\n".join(lines) + "\n"
+
+
+class TestMonteCarloConfigSpace:
+    @pytest.mark.parametrize("figure", _MONTE_CARLO)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_rejected_at_a_line_or_finite(self, tmp_path_factory, figure, data):
+        # M and K down to 1, tau = K, T = tau, two to four trials, SNRs at
+        # +-300 dB, spreads down to 1e-12 degrees and angles next to +-90:
+        # a config is either refused with a file:line message or gives a CSV
+        # whose every cell is finite
+        text = data.draw(_monte_carlo_configs(figure), label="config")
+        tmp = tmp_path_factory.mktemp("mc")
+        p = _write(tmp, text + f"output = {tmp / 'out.csv'}\n")
+        try:
+            spec = validate_config(p)
+        except ConfigError as e:
+            assert re.match(rf"{re.escape(str(p))}:\d+: ", str(e)), str(e)
+            return
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_experiment(spec)
+        for w in caught:
+            assert w.category is RuntimeWarning and _RIDGE_WARNING in str(w.message), w
+        rows = list(csv.reader((tmp / "out.csv").read_text(encoding="utf-8").splitlines()))[1:]
+        assert len(rows) == 2 and np.all(np.isfinite(np.array(rows, dtype=float)))
 
 
 class TestConfigRoundTrip:

@@ -1,6 +1,9 @@
+import math
+
+import numpy as np
 import pytest
 
-from onebit_mimo import PowerBudget, SystemConfig, db_to_linear, linear_to_db
+from onebit_mimo import SystemConfig, db_to_linear, linear_to_db
 
 
 class TestSystemConfig:
@@ -22,30 +25,31 @@ class TestSystemConfig:
             dict(M=4, K=2, tau=2, T=10, rho_d=float("nan")),
             dict(M=4, K=2, tau=2, T=10, rho_p=float("inf")),
             dict(M=4, K=2, tau=2, T=10, rho_d=float("inf")),
+            # nan < 1 and inf < 1 are False: M = nan and M = inf used to pass
+            dict(M=math.nan, K=2, tau=2, T=10),
+            dict(M=math.inf, K=2, tau=2, T=10),
+            dict(M=-math.inf, K=2, tau=2, T=10),
+            # K, tau and T count users and symbols: K = 1.5 and T = inf used to pass
+            dict(M=4, K=1.5, tau=2, T=10),
+            dict(M=4, K=2.0, tau=2, T=10),
+            dict(M=4, K=True, tau=2, T=10),
+            dict(M=4, K=2, tau=2.5, T=10),
+            dict(M=4, K=2, tau=2, T=10.0),
+            dict(M=4, K=2, tau=2, T=math.inf),
+            dict(M=4, K=2, tau=2, T=np.float64(10.0)),
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             SystemConfig(**kwargs)
 
+    def test_real_antenna_count_and_numpy_integer_counts_are_accepted(self):
+        cfg = SystemConfig(M=100.5, K=np.int64(2), tau=np.int32(3), T=np.uint8(10))
+        assert (cfg.M, cfg.K, cfg.tau, cfg.T) == (100.5, 2, 3, 10)
+
     def test_with_snr(self):
         cfg = SystemConfig(M=4, K=2, tau=2).with_snr(0.25)
         assert cfg.rho_p == cfg.rho_d == 0.25
-
-
-class TestPowerBudget:
-    def test_total(self):
-        b = PowerBudget(rho=0.1, T=200)
-        assert b.P == pytest.approx(20.0)
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            PowerBudget(rho=0.0, T=10)
-        with pytest.raises(ValueError):
-            PowerBudget(rho=1.0, T=0)
-        for rho in (float("nan"), float("inf")):
-            with pytest.raises(ValueError):
-                PowerBudget(rho=rho, T=10)
 
 
 def test_db_round_trip():

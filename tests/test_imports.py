@@ -167,6 +167,8 @@ def test_numpy_floor_has_vecdot():
         ("allocation", "optimize_allocation", "tau_max"),
         ("allocation", "antenna_ratio", "se_tol"),
         ("allocation", "antenna_ratio", "M_max_factor"),
+        ("allocation", "antenna_ratio", "M_conv"),
+        ("rates", "conventional_rates", "M_conv"),
         ("channel", "laplacian_covariance", "n_points"),
         ("ofdm", "gen_tap_channel", "profile"),
         ("estimators", "blmmse_flat", "C_h"),

@@ -283,12 +283,12 @@ def _ref_rate_zf_closed(cfg):
     return float(np.log2(1.0 + num / den))
 
 
-def _ref_conventional_rate(cfg, M_conv, receiver):
-    rp, rd, K, tau = cfg.rho_p, cfg.rho_d, cfg.K, cfg.tau
+def _ref_conventional_rate(cfg, receiver):
+    rp, rd, M, K, tau = cfg.rho_p, cfg.rho_d, cfg.M, cfg.K, cfg.tau
     if receiver == "mrc":
-        sinr = rd * tau * rp * M_conv / ((1.0 + K * rd) * (1.0 + tau * rp))
+        sinr = rd * tau * rp * M / ((1.0 + K * rd) * (1.0 + tau * rp))
     else:
-        sinr = rd * tau * rp * (M_conv - K) / (K * rd + tau * rp + 1.0)
+        sinr = rd * tau * rp * (M - K) / (K * rd + tau * rp + 1.0)
     return float(np.log2(1.0 + sinr))
 
 
@@ -317,8 +317,8 @@ class TestClosedFormsMatchReference:
             (rate_zf_closed(cfg), _ref_rate_zf_closed(cfg)),
         ]
         for rec in ("mrc", "zf"):
-            rep = conventional_rates(cfg, cfg.M, rec)
-            pairs.append((rep.per_user_rate[0], _ref_conventional_rate(cfg, cfg.M, rec)))
+            rep = conventional_rates(cfg, rec)
+            pairs.append((rep.per_user_rate[0], _ref_conventional_rate(cfg, rec)))
         for got, want in pairs:
             assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
@@ -645,27 +645,24 @@ class TestClosedFormTracksMonteCarlo:
 
 class TestConventionalRates:
     def test_zero_power(self):
-        cfg = SystemConfig(M=4, K=2, tau=2, rho_p=1.0, rho_d=0.0)
-        assert conventional_rates(cfg, 64, "mrc").sum_spectral_efficiency == 0.0
+        cfg = SystemConfig(M=64, K=2, tau=2, rho_p=1.0, rho_d=0.0)
+        assert conventional_rates(cfg, "mrc").sum_spectral_efficiency == 0.0
 
     def test_prefactor(self):
-        cfg = SystemConfig(M=4, K=8, tau=8, T=200, rho_p=1.0, rho_d=1.0)
-        rep = conventional_rates(cfg, 64, "mrc")
+        cfg = SystemConfig(M=64, K=8, tau=8, T=200, rho_p=1.0, rho_d=1.0)
+        rep = conventional_rates(cfg, "mrc")
         assert rep.sum_spectral_efficiency == pytest.approx(
             0.96 * 8 * rep.per_user_rate[0]
         )
 
     def test_low_snr_sinr_ratio_approaches_pi2_over_4(self):
         rho = 1e-4
-        K = 8
-        cfg = SystemConfig(M=1, K=K, tau=K, rho_p=rho, rho_d=rho)
-        M = 64
-        sinr_conv = 2 ** conventional_rates(cfg, M, "mrc").per_user_rate[0] - 1
-        cfg_m = SystemConfig(M=M, K=K, tau=K, rho_p=rho, rho_d=rho)
-        sinr_one = 2 ** rate_mrc_closed(cfg_m) - 1
+        cfg = SystemConfig(M=64, K=8, tau=8, rho_p=rho, rho_d=rho)
+        sinr_conv = 2 ** conventional_rates(cfg, "mrc").per_user_rate[0] - 1
+        sinr_one = 2 ** rate_mrc_closed(cfg) - 1
         assert sinr_conv / sinr_one == pytest.approx(np.pi**2 / 4, abs=0.01)
 
     def test_zf_needs_margin(self):
-        cfg = SystemConfig(M=4, K=8, tau=8)
-        with pytest.raises(ValueError):
-            conventional_rates(cfg, 8, "zf")
+        cfg = SystemConfig(M=8, K=8, tau=8)
+        with pytest.raises(ValueError, match=r"^ZF closed form needs M > K, got M=8, K=8$"):
+            conventional_rates(cfg, "zf")
