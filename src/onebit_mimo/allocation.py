@@ -248,11 +248,17 @@ def antenna_ratio(rho: float, cfg: SystemConfig, receiver: str, mode: str = "opt
     conventional side optimizes the power split with tau fixed at K). M_one
     is treated as continuous and found by bisection to an SE tolerance of
     1e-4 bits/s/Hz; returns inf when even _M_MAX_FACTOR * M_conv antennas
-    cannot reach the conventional SE (ZF at high SNR).
+    cannot reach the conventional SE (ZF at high SNR). An M_conv whose
+    _M_MAX_FACTOR multiple is not finite raises ValueError.
     """
     if mode not in ("benchmark", "optimized"):
         raise ValueError("mode must be 'benchmark' or 'optimized'")
     P, T, K, M_conv = _checked_power(rho, cfg), cfg.T, cfg.K, cfg.M
+    if not math.isfinite(_M_MAX_FACTOR * M_conv):
+        raise ValueError(
+            f"the search for M_one runs up to {_M_MAX_FACTOR:g} * M_conv, "
+            f"which is not finite at M_conv = {M_conv!r}"
+        )
 
     if mode == "benchmark":
 

@@ -3,7 +3,9 @@
 Subcommands: ``run <config>``, ``validate <config>``, ``list-figures``.
 Config files are UTF-8, one ``key = value`` per line; a ``#`` that starts a
 line or follows whitespace starts a comment. SNR and power values are in dB
-(keys ending in ``_db``), converted at this boundary; the manifest has both.
+(keys ending in ``_db``) and stay in dB through validation: each figure's
+point function in :mod:`experiments` converts its own to linear scale, and
+the manifest records both.
 """
 
 from __future__ import annotations

@@ -43,6 +43,12 @@ __all__ = [
 ]
 
 
+# the largest |_db| value, closed-form M and allocation T that validate accepts
+_DB_LIMIT = 300
+_M_LIMIT = 10**12
+_T_LIMIT = 10**4
+
+
 class SpecError(ValueError):
     """An ExperimentSpec that breaks an invariant of its figure.
 
@@ -95,15 +101,9 @@ def _checked_sweep(spec: ExperimentSpec) -> dict:
             if not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
                 msg = f"{key} must be a finite number in float range, got {v!r}"
                 raise SpecError(msg, key)
-            if key.endswith("_db"):
-                try:
-                    positive = db_to_linear(v) > 0.0
-                except OverflowError:
-                    msg = f"{key} must be finite in linear scale, got {v!r} dB"
-                    raise SpecError(msg, key) from None
-                if not positive:
-                    msg = f"{key} must be positive in linear scale, got {v!r} dB"
-                    raise SpecError(msg, key)
+            if key.endswith("_db") and not -_DB_LIMIT <= v <= _DB_LIMIT:
+                msg = f"{key} must be between -{_DB_LIMIT} and {_DB_LIMIT} dB, got {v!r}"
+                raise SpecError(msg, key)
     if not isinstance(spec.seed, int):
         raise SpecError(f"seed must be an integer, got {spec.seed!r}", "seed")
     if spec.seed < 0:  # numpy's SeedSequence takes nonnegative entropy only
@@ -158,6 +158,15 @@ def _checked_sweep(spec: ExperimentSpec) -> dict:
                     rule = f"violates {bound} <= {key} ({bound} = {b})"
                     rule = f"must exceed {bound} ({b}); {why}" if why else rule
                     raise SpecError(f"{key} ({a}) {rule}", key, bound)
+    # upper bounds (key, limit, why): the closed forms overflow as M nears the float
+    # maximum, and an allocation figure's run time grows with the tau it scans
+    limits = [] if monte_carlo else [(name, _M_LIMIT, "") for name in ("m", "m_conv")]
+    if "tau" not in fig.defaults:
+        limits.append(("t", _T_LIMIT, f"; {fid} scans every tau in [K, T]"))
+    for key, limit, why in limits:
+        for v in _aslist(p.get(key, [])):
+            if v > limit:
+                raise SpecError(f"{key} must be at most {limit:,}, got {v!r}{why}", key)
     return p
 
 

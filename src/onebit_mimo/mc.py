@@ -21,8 +21,9 @@ BLOCK = 256  # trials per block
 # stacked arrays are the two real (n, 2M, M) of the quantizer-noise term, a
 # workspace ergodic_rate_mc allocates once (1 MiB at this budget, M <= 128).
 # ergodic_rate_mc(cfg, ("mrc", "zf")), both receivers on one pass, K = tau = 8,
-# 2-vCPU VM, us per trial (best of 5 processes) for budgets
-# 8,192 / 16,384 / 32,768 / 65,536:
+# 2-vCPU VM, us per trial (best of 5 processes, measured with a workspace on
+# a 64-byte boundary, which plain np.empty matched on figbench rates-small-m)
+# for budgets 8,192 / 16,384 / 32,768 / 65,536:
 #   M = 32:    86 /   78 /   59 /   64 (peak RSS 39.2 -> 41.2 MB)
 #   M = 64:   215 /  189 /  158 /  134
 #   M = 128:  536 /  550 /  374 /  402

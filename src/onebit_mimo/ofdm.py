@@ -10,6 +10,7 @@ training's i.i.d. prior is; a general tap covariance is solved dense.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,10 @@ class OfdmConfig:
     L: int
 
     def __post_init__(self):
+        for name in ("N_c", "N_cp", "L"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if not (self.L - 1 <= self.N_cp <= self.N_c):
             raise ValueError(
                 f"need L-1 <= N_cp <= N_c, got L={self.L}, N_cp={self.N_cp}, N_c={self.N_c}"

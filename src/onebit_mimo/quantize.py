@@ -18,7 +18,6 @@ __all__ = [
     "bussgang_gain",
     "arcsine_covariance",
     "quantizer_noise_cov",
-    "quantizer_noise_quad",
     "alpha_p",
     "alpha_d",
 ]
@@ -112,30 +111,9 @@ def _arcsin_excess(Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _noise_workspace(n: int, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``work`` of :func:`_noise_parts` for one ``ergodic_rate_mc`` call, stacks of up
-    to n trials: two C-contiguous float64 (n, 2M, M) arrays in one buffer, 64-byte aligned."""
-    nbytes = n * 2 * M * M * 8
-    stride = -(-nbytes // 64) * 64
-    buf = np.empty(2 * stride + 64, dtype=np.uint8)
-    lo = -buf.ctypes.data % 64
-    views = (buf[i : i + nbytes] for i in (lo, lo + stride))
-    return tuple(v.view(np.float64).reshape(n, 2 * M, M) for v in views)
-
-
-def quantizer_noise_quad(W: np.ndarray, H: np.ndarray, rho: float) -> np.ndarray:
-    """Re(w_k^T C_q w_k^*) for every row w_k of W, C_q the quantizer-noise
-    covariance of y = sqrt(rho) H s + n, i.e. of C_y = rho H H^H + I.
-
-    W is K x M and H M x K, or stacks (..., K, M) and (..., M, K); the
-    result has shape (..., K). With w = a + jb and C_q = (2/pi)(P + jQ),
-    P = arcsin(X) - X symmetric and Q = arcsin(Y) - Y antisymmetric for the
-    normalized parts X, Y of C_y, the form is
-    (2/pi)(a^T P a + b^T P b + 2 a^T Q b): real products only, and neither
-    C_y nor C_q is formed. It is :func:`_noise_parts`, which builds [P; Q]
-    from H and rho alone, followed by :func:`_noise_form` for W, so several
-    W on one H can share the first step.
-    """
-    return _noise_form(W, _noise_parts(H, rho))
+    """The ``work`` of :func:`_noise_parts` for stacks of up to n trials: two float64
+    (n, 2M, M) arrays, the halves of one allocation."""
+    return tuple(np.empty((2, n, 2 * M, M)))
 
 
 def _noise_parts(H: np.ndarray, rho: float, work: tuple | None = None) -> np.ndarray:
@@ -145,11 +123,11 @@ def _noise_parts(H: np.ndarray, rho: float, work: tuple | None = None) -> np.nda
     d_i = 1 + rho ||h_i||^2: X = Re(F F^H) and Y = Im(F F^H) off the
     diagonal, X_ii = 1, Y_ii = 0. The +1 in d bounds |X_ij|, |Y_ij| below 1
     (Cauchy-Schwarz), so unlike :func:`quantizer_noise_cov` this needs no
-    range check. ``work``, as :func:`_noise_workspace` makes it for stacks of
+    range check. The quadratic form of C_q with a combiner W is
+    ``_noise_form(W, _noise_parts(H, rho))``, so several W on one H share
+    this step. ``work``, as :func:`_noise_workspace` makes it for stacks of
     up to n_max >= n trials, takes [X; Y] in ``work[0][:n]`` and [P; Q], the
-    result, in ``work[1][:n]``, so no (n, 2M, M) array is allocated. numpy's
-    arcsin runs up to 1.6x faster from a 64-byte boundary than at malloc's
-    16-byte offsets; every offset gives the same bits.
+    result, in ``work[1][:n]``, so no (n, 2M, M) array is allocated.
     """
     M, K = H.shape[-2:]
     H = np.ascontiguousarray(H, dtype=complex)
@@ -159,18 +137,13 @@ def _noise_parts(H: np.ndarray, rho: float, work: tuple | None = None) -> np.nda
     np.multiply(np.multiply(H, scale, out=FJ[..., :M, :]), -1j, out=FJ[..., M:, :])
     GJ = FJ.view(np.float64)  # [G; J]: G = [Re, Im] pairs of F, J = (Im, -Re) pairs
     G = GJ[..., :M, :]
-    Z = E = None
-    if work is not None:
-        Z, E = (w[: H.shape[0]] for w in work)
-        shape = (*H.shape[:-2], 2 * M, M)
-        if any(w.shape != shape or not w.flags.c_contiguous for w in (Z, E)):
-            raise ValueError(f"work needs C-contiguous {shape} arrays, got {Z.shape}, {E.shape}")
+    Z, E = (None, None) if work is None else (w[: len(H)] for w in work)
     # G G^T = Re(F F^H) = X and J G^T = Im(F F^H) = Y in one matmul
     Z = np.matmul(GJ, np.swapaxes(G, -1, -2), out=Z)
-    # the diagonal of F F^H lacks the +1 of C_y: set X_ii = 1 and Y_ii = 0
-    diag = Z.reshape(*Z.shape[:-2], 2, M * M)[..., :: M + 1]
-    diag[..., 0, :] = 1.0
-    diag[..., 1, :] = 0.0
+    # the diagonal of F F^H lacks the +1 of C_y: set X_ii = 1 and Y_ii = 0, through
+    # einsum's writeable diagonal views, which hold for any layout of Z
+    np.einsum("...ii->...i", Z[..., :M, :])[...] = 1.0
+    np.einsum("...ii->...i", Z[..., M:, :])[...] = 0.0
     return _arcsin_excess(Z, out=E)
 
 

@@ -663,6 +663,14 @@ class TestAntennaRatioDomain:
         with pytest.raises(ValueError, match=r"^M must be finite and >= 1, got "):
             antenna_ratio(0.1, SystemConfig(M=M, K=8, tau=8, T=200), "mrc")
 
+    @pytest.mark.parametrize("mode", ["benchmark", "optimized"])
+    def test_search_bound_must_be_finite(self, mode):
+        # the doubling search compared M_one against an inf bound and wrote kappa = inf
+        cfg = SystemConfig(M=1.7e308, K=8, tau=8, T=50)
+        message = r"^the search for M_one runs up to 100000 \* M_conv, which is not finite"
+        with pytest.raises(ValueError, match=message):
+            antenna_ratio(0.1, cfg, "mrc", mode=mode)
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         K=st.sampled_from([1, 2, 8]),

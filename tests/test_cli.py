@@ -34,6 +34,8 @@ from onebit_mimo.estimators import (
     nml_estimate,
 )
 from onebit_mimo.experiments import (
+    _M_LIMIT,
+    _T_LIMIT,
     FIGURES,
     ExperimentSpec,
     SpecError,
@@ -120,11 +122,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="cfg.txt:1"):
             validate_config(p)
 
-    # 4000 dB overflows db_to_linear: validate used to die in an OverflowError
+    # 4000 dB overflows db_to_linear: validate used to die in an OverflowError,
+    # and it now lies past the dB range
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "-10, nan", "0:1:inf", "0, 4000"])
     def test_nonfinite_value_rejected(self, tmp_path, text):
         p = _write(tmp_path, f"figure = fig2_mse\nsnr_db = {text}\n")
-        with pytest.raises(ConfigError, match="cfg.txt:2: .*finite"):
+        rule = "must be between -300 and 300 dB" if text == "0, 4000" else "finite"
+        with pytest.raises(ConfigError, match=f"cfg.txt:2: .*{rule}"):
             validate_config(p)
 
     @pytest.mark.parametrize("text", [",", " , ,"])
@@ -193,8 +197,8 @@ class TestConfigParsing:
         "figure, text, message",
         [
             # linear 0.0: passed validate, then PowerBudget failed at run
-            ("fig9_kappa", "rho_db = -4000", "rho_db must be positive in linear scale"),
-            ("fig2_mse", "snr_db = 0, -4000", "snr_db must be positive in linear scale"),
+            ("fig9_kappa", "rho_db = -4000", "rho_db must be between -300 and 300 dB, got -4000"),
+            ("fig2_mse", "snr_db = 0, -4000", "snr_db must be between -300 and 300 dB, got -4000"),
             # an int beyond the float range: an OverflowError traceback
             ("fig2_mse", "m = 1" + "0" * 400, "m must be a finite number in float range"),
             # passed validate, then laplacian_covariance failed at run
@@ -203,6 +207,18 @@ class TestConfigParsing:
             ("fig3_corr_mse", "mean_angle_deg = 90", "mean_angle_deg must lie strictly inside"),
             ("fig3_corr_mse", "mean_angle_deg = -90.0", "mean_angle_deg must lie strictly inside"),
             ("fig3_corr_mse", "mean_angle_deg = 120", "mean_angle_deg must lie strictly inside"),
+            # 3000 dB is finite in linear scale; each ran into overflow warnings, then:
+            # an OverflowError in power_scaling_limit
+            ("fig5_power_eff", "e_u_db = 3000", "e_u_db must be between -300 and 300 dB"),
+            ("fig8_se_vs_m", "rho_db = 3000", "rho_db must be between -300 and 300 dB"),  # nan SE
+            ("fig7_opt_tau", "rho_db = 3000", "rho_db must be between -300 and 300 dB"),  # tau = T
+            ("fig9_kappa", "rho_db = 3000", "rho_db must be between -300 and 300 dB"),  # ZF kappa inf
+            ("fig2_mse", "snr_db = 3000", "snr_db must be between -300 and 300 dB"),  # nML overflow
+            # inf SE cells from rates._sinr, an overflowing antenna_ratio search, and
+            # 'config OK' then a ValueError from np.arange at run
+            ("fig8_se_vs_m", "m = 1.7e308", "m must be at most 1,000,000,000,000, got 1.7e"),
+            ("fig9_kappa", "m_conv = 1.7e308", "m_conv must be at most 1,000,000,000,000, got"),
+            ("fig7_opt_tau", "t = 1" + "0" * 30, "t must be at most 10,000, got 1" + "0" * 30),
         ],
     )
     def test_value_that_failed_at_run_is_rejected_at_its_line(
@@ -445,27 +461,54 @@ _CLOSED_FORM = sorted(fid for fid, fig in FIGURES.items() if fig.default_trials 
 _INF_COLUMNS = ("zeta_", "kappa_", "m_one_")
 
 
+_DB_KEYS = {
+    fid: [key for key in fig.defaults if key.endswith("_db")] for fid, fig in FIGURES.items()
+}
+
+
 @st.composite
 def _closed_form_configs(draw):
+    """A fig5-fig9 config, and whether a value of it lies past a bound of rules 5, 16, 17."""
     figure = draw(st.sampled_from(_CLOSED_FORM))
     k = draw(st.sampled_from([1, 2, 8, 16]))
-    m = draw(st.sampled_from([k + 1, k + 2, 64, 10**6]))
-    lines = [f"figure = {figure}", f"k = {k}", f"t = {k + draw(st.integers(0, 3))}"]
-    lines.append(f"m_conv = {m}" if figure == "fig9_kappa" else f"m = {m}")
+    # the last two entries of m, of t and of the dB values lie past a bound; fig5
+    # scans no tau, so its t has no bound
+    m = draw(st.sampled_from([k + 1, k + 2, 64, 10**6, _M_LIMIT, _M_LIMIT + 1, 1.7e308]))
+    t = st.integers(k, k + 3)
+    if figure != "fig5_power_eff":
+        t = st.one_of(t, st.sampled_from([_T_LIMIT + 1, 10**30]))
+    t = draw(t)
+    lines = [f"figure = {figure}", f"k = {k}", f"t = {t}"]
+    lines.append(f"m_conv = {m!r}" if figure == "fig9_kappa" else f"m = {m!r}")
     if figure == "fig5_power_eff":
         lines.append(f"tau = {k}")
-    db = st.one_of(st.sampled_from([-300, 300]), st.floats(-300.0, 300.0))
-    lines += [f"{key} = {draw(db)!r}" for key in FIGURES[figure].defaults if key.endswith("_db")]
-    return "\n".join(lines) + "\n"
+    db = st.one_of(st.sampled_from([-300, 300, 300.5, -3000]), st.floats(-300.0, 300.0))
+    dbs = {key: draw(db) for key in _DB_KEYS[figure]}
+    lines += [f"{key} = {v!r}" for key, v in dbs.items()]
+    past = m > _M_LIMIT or t > _T_LIMIT or any(abs(v) > 300 for v in dbs.values())
+    return "\n".join(lines) + "\n", past
+
+
+def _finite_but_for_documented_inf(path):
+    """Assert that the CSV has rows and that each cell is finite, or inf in a column
+    where inf marks a value that cannot be reached."""
+    header, *rows = csv.reader(path.read_text(encoding="utf-8").splitlines())
+    assert rows
+    for row in rows:
+        for name, cell in zip(header, row):
+            if not math.isfinite(float(cell)):
+                assert cell == "inf" and name.startswith(_INF_COLUMNS), (name, cell)
 
 
 class TestClosedFormConfigSpace:
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(text=_closed_form_configs())
-    def test_rejected_at_a_line_or_finite_but_for_documented_inf(self, tmp_path_factory, text):
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(drawn=_closed_form_configs())
+    def test_rejected_at_a_line_or_finite_but_for_documented_inf(self, tmp_path_factory, drawn):
         # small and huge M, T just above K and SNRs at +-300 dB: a config is
-        # either refused with a file:line message or gives a finite CSV,
-        # except for the inf that marks a value that cannot be reached
+        # either refused with a file:line message or gives a finite CSV without
+        # a warning, except for the inf that marks a value that cannot be
+        # reached; a value past a bound is always refused
+        text, past = drawn
         tmp = tmp_path_factory.mktemp("cf")
         p = _write(tmp, text + f"output = {tmp / 'out.csv'}\n")
         try:
@@ -473,13 +516,28 @@ class TestClosedFormConfigSpace:
         except ConfigError as e:
             assert re.match(rf"{re.escape(str(p))}:\d+: ", str(e)), str(e)
             return
-        run_experiment(spec)
-        header, *rows = csv.reader((tmp / "out.csv").read_text(encoding="utf-8").splitlines())
-        assert rows
-        for row in rows:
-            for name, cell in zip(header, row):
-                if not math.isfinite(float(cell)):
-                    assert cell == "inf" and name.startswith(_INF_COLUMNS), (name, cell)
+        assert not past, text
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_experiment(spec)
+        assert not caught, [str(w.message) for w in caught]
+        _finite_but_for_documented_inf(tmp / "out.csv")
+
+    @pytest.mark.parametrize("db", [-300, 300])
+    @pytest.mark.parametrize("figure", _CLOSED_FORM)
+    def test_finite_at_every_bound(self, tmp_path, figure, db):
+        # the largest M and T and the dB ends that validate accepts, together;
+        # T sits at its bound here, as the draws above keep it small
+        m = "m_conv" if figure == "fig9_kappa" else "m"
+        sweep = {m: _M_LIMIT, "k": 8, "t": _T_LIMIT, **dict.fromkeys(_DB_KEYS[figure], db)}
+        if figure == "fig5_power_eff":
+            sweep["tau"] = 8
+        spec = ExperimentSpec(figure, sweep, output_path=str(tmp_path / "out.csv"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_experiment(spec)
+        assert not caught, [str(w.message) for w in caught]
+        _finite_but_for_documented_inf(tmp_path / "out.csv")
 
 
 # fig2-fig4 at small sizes and extreme values; the one warning a run may give
@@ -490,11 +548,11 @@ _RIDGE_WARNING = "quantized-output covariance is numerically singular"
 
 @st.composite
 def _monte_carlo_configs(draw, figure):
-    # the last entries of tau, m, n_trials and fig4's t offset break a rule
+    # the last entries of tau, m, n_trials, fig4's t offset and the SNRs break a rule
     k = draw(st.sampled_from([1, 2, 4]))
     tau = draw(st.sampled_from([k, k + 1, 2 * k + 3, k - 1]))
     m = draw(st.sampled_from([16, k + 1, 1, k]))
-    db = st.one_of(st.sampled_from([-300, 0, 300]), st.floats(-300.0, 300.0))
+    db = st.one_of(st.sampled_from([-300, 0, 300, 300.5, -3000]), st.floats(-300.0, 300.0))
     lines = [
         f"figure = {figure}",
         f"m = {m}",
@@ -522,7 +580,7 @@ class TestMonteCarloConfigSpace:
         # M and K down to 1, tau = K, T = tau, two to four trials, SNRs at
         # +-300 dB, spreads down to 1e-12 degrees and angles next to +-90:
         # a config is either refused with a file:line message or gives a CSV
-        # whose every cell is finite
+        # whose every cell is finite; an SNR past +-300 dB is always refused
         text = data.draw(_monte_carlo_configs(figure), label="config")
         tmp = tmp_path_factory.mktemp("mc")
         p = _write(tmp, text + f"output = {tmp / 'out.csv'}\n")
@@ -531,6 +589,7 @@ class TestMonteCarloConfigSpace:
         except ConfigError as e:
             assert re.match(rf"{re.escape(str(p))}:\d+: ", str(e)), str(e)
             return
+        assert all(abs(v) <= 300 for v in spec.sweep["snr_db"]), text
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             run_experiment(spec)
@@ -577,15 +636,17 @@ class TestRunExperiment:
             # failed only after the first grid point's MRC Monte Carlo
             ("fig4_se_vs_snr", {"m": 8}, "m (8) must exceed k (8)"),
             # OverflowError after the earlier grid points had run
-            ("fig2_mse", {"snr_db": [0, 4000]}, "snr_db must be finite in linear scale"),
+            ("fig2_mse", {"snr_db": [0, 4000]}, "snr_db must be between -300 and 300 dB, got 4000"),
             # ValueError from PowerBudget, OverflowError, laplacian_covariance
-            ("fig9_kappa", {"rho_db": -4000}, "rho_db must be positive in linear scale"),
+            ("fig9_kappa", {"rho_db": -4000}, "rho_db must be between -300 and 300 dB, got -4000"),
             ("fig2_mse", {"m": 10**400}, "m must be a finite number in float range"),
             ("fig3_corr_mse", {"spread_deg": 0.0}, "spread_deg must be > 0, got 0.0"),
             # closed-form figures ran with these: fig7 at k = 8.5 reported tau = 8 < K
             ("fig7_opt_tau", {"k": 8.5}, "k must be an integer, got 8.5"),
             ("fig5_power_eff", {"k": 2.5}, "k must be an integer, got 2.5"),
             ("fig5_power_eff", {"tau": 8.5}, "tau must be an integer, got 8.5"),
+            ("fig5_power_eff", {"m": 10**12 + 1}, "m must be at most 1,000,000,000,000"),
+            ("fig6_bit_energy", {"t": 10**4 + 1}, "t must be at most 10,000, got 10001; fig6"),
         ],
     )
     def test_library_path_applies_the_config_checks(self, tmp_path, figure, sweep, message):

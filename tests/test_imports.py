@@ -174,7 +174,6 @@ def test_numpy_floor_has_vecdot():
         ("estimators", "blmmse_flat", "C_h"),
         ("ofdm", "blmmse_ofdm", "C_h_td"),
         ("ofdm", "blmmse_ofdm", "diagonal_quantizer_noise"),
-        ("quantize", "quantizer_noise_quad", "work"),
     ],
 )
 def test_fixed_setting_has_no_keyword(module, function, keyword):

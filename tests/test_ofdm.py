@@ -29,6 +29,17 @@ def test_ofdm_config_invariants():
         OfdmConfig(N_c=8, N_cp=4, L=0)
 
 
+@pytest.mark.parametrize(
+    "sizes", [(8.5, 3, 2), (8, 3.0, 2), (8, 3, 2.0), (True, 0, 1), (8, 3, np.float64(2))]
+)
+def test_ofdm_config_takes_integers(sizes):
+    # N_c = 8.5 was accepted; the sizes are checked as SystemConfig checks K, tau and T
+    N_c, N_cp, L = sizes
+    with pytest.raises(ValueError, match=r"^(N_c|N_cp|L) must be an integer, got "):
+        OfdmConfig(N_c=N_c, N_cp=N_cp, L=L)
+    OfdmConfig(N_c=np.int64(8), N_cp=3, L=2)
+
+
 def test_circulant_first_column_is_ifft():
     x = qpsk_pilots(16, 1, 0)[:, 0]
     P = td_pilot_matrix(x)
