@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .allocation import _bit_energy, _optimize_numeric, antenna_ratio, power_scaling_limit
+from .allocation import antenna_ratio, bit_energy, optimize_allocation, power_scaling_limit
 from .channel import _psd_root, dft_pilots, laplacian_covariance
 from .config import SystemConfig, db_to_linear
 from .estimators import (
@@ -425,34 +425,33 @@ def fig5_power_eff(p, n_trials, seed) -> dict:
 def fig6_bit_energy(p, n_trials, seed) -> dict:
     m, K, T = p["m"], p["k"], p["t"]
     rho = db_to_linear(p["rho_db"])
-    P = rho * T
     bench_cfg = SystemConfig(M=m, K=K, tau=K, T=T, rho_p=rho, rho_d=rho)
     out = {}
     for rec in _RECEIVERS:
+        sol = optimize_allocation(rho, bench_cfg, rec)
         se_b = _closed_se(bench_cfg, rec)
-        se_o = _optimize_numeric(P, T, m, K, rec, "one-bit")[0]
-        for mode, se in (("benchmark", se_b), ("optimal", se_o)):
-            out |= {f"sumse_{mode}_{rec}": se, f"zeta_{mode}_{rec}": _bit_energy(P, se)}
+        out |= {f"sumse_benchmark_{rec}": se_b, f"zeta_benchmark_{rec}": bit_energy(sol, se_b)}
+        out |= {f"sumse_optimal_{rec}": sol.se_star, f"zeta_optimal_{rec}": bit_energy(sol)}
     return out
 
 
-def _optimal(p, column: str, field: int) -> dict:
+def _optimal(p, column: str, field: str) -> dict:
     """One field of the optimal allocation per system and receiver (fig7, fig8)."""
     m, K, T = p["m"], p["k"], p["t"]
-    P = db_to_linear(p["rho_db"]) * T
+    rho, cfg = db_to_linear(p["rho_db"]), SystemConfig(M=m, K=K, tau=K, T=T)
     return {
-        f"{column}_{name}_{rec}": _optimize_numeric(P, T, m, K, rec, system)[field]
+        f"{column}_{name}_{rec}": getattr(optimize_allocation(rho, cfg, rec, system), field)
         for name, system in _SYSTEMS.items()
         for rec in _RECEIVERS
     }
 
 
 def fig7_opt_tau(p, n_trials, seed) -> dict:
-    return _optimal(p, "tau", 2)
+    return _optimal(p, "tau", "tau_star")
 
 
 def fig8_se_vs_m(p, n_trials, seed) -> dict:
-    return _optimal(p, "sumse", 0)
+    return _optimal(p, "sumse", "se_star")
 
 
 def fig9_kappa(p, n_trials, seed) -> dict:
@@ -464,8 +463,7 @@ def fig9_kappa(p, n_trials, seed) -> dict:
         for mode in ("benchmark", "optimized"):
             kappa = antenna_ratio(rho, cfg, rec, mode=mode)
             out[f"kappa_{mode}_{rec}"] = kappa
-            m_one = np.ceil(kappa * m_conv) if np.isfinite(kappa) else np.inf
-            out[f"m_one_{mode}_{rec}"] = m_one
+            out[f"m_one_{mode}_{rec}"] = np.ceil(kappa * m_conv)
     return out
 
 

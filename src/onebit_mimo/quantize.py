@@ -129,6 +129,8 @@ def _noise_parts(H: np.ndarray, rho: float, work: tuple | None = None) -> np.nda
     up to n_max >= n trials, takes [X; Y] in ``work[0][:n]`` and [P; Q], the
     result, in ``work[1][:n]``, so no (n, 2M, M) array is allocated.
     """
+    if work is not None and H.ndim != 3:
+        raise ValueError(f"a workspace takes a stack H of shape (n, M, K), got {H.shape}")
     M, K = H.shape[-2:]
     H = np.ascontiguousarray(H, dtype=complex)
     h = H.view(np.float64)  # rows (Re h_1, Im h_1, Re h_2, ...), (..., M, 2K)

@@ -215,13 +215,17 @@ class TestBitEnergy:
 
     @pytest.mark.parametrize("rho_db", [-10, 0])
     def test_fig6_optimal_zeta_is_bit_energy_of_the_optimum(self, rho_db):
-        # figbench's design config of fig6: one definition of energy per bit
+        # figbench's design config of fig6: one definition of energy per bit,
+        # and both zeta cells divide the budget of the same solution
         row = fig6_bit_energy({"m": 128, "k": 8, "t": 50, "rho_db": rho_db}, 1, 0)
         rho = db_to_linear(rho_db)
         cfg = SystemConfig(M=128, K=8, tau=8, T=50)
         for rec in ("mrc", "zf"):
-            zeta = bit_energy(optimize_allocation(rho, cfg, rec))
-            assert row[f"zeta_optimal_{rec}"] == zeta
+            sol = optimize_allocation(rho, cfg, rec)
+            assert row[f"sumse_optimal_{rec}"] == sol.se_star
+            assert row[f"zeta_optimal_{rec}"] == bit_energy(sol)
+            se_b = row[f"sumse_benchmark_{rec}"]
+            assert row[f"zeta_benchmark_{rec}"] == bit_energy(sol, se_b)
 
     def test_units(self):
         # tau*rho_p + (T-tau)*rho_d = 8 + 96 = 104 units of energy over 10 bits/s/Hz

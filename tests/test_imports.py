@@ -122,6 +122,19 @@ def test_rates_imports_nothing_from_allocation():
     assert not any("allocation" in name.split(".") for name in names)
 
 
+def test_experiments_reach_allocation_through_its_public_names():
+    # fig6-fig8 call optimize_allocation and bit_energy; the energy budget
+    # P = rho*T, the solver's result and the energy per bit live in allocation
+    tree = ast.parse((SRC / "onebit_mimo" / "experiments.py").read_text())
+    names = {
+        a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "allocation"
+        for a in node.names
+    }
+    assert names and not any(name.startswith("_") for name in names)
+
+
 @pytest.mark.parametrize("module", ["rates", "experiments"])
 def test_training_phase_runs_in_mc_only(module):
     # mc.training_trials is the one loop that draws, trains and quantizes the

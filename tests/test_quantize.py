@@ -374,6 +374,14 @@ class TestNoiseWorkspace:
         with pytest.raises(ValueError):
             _noise_form(W, _noise_parts(H, 1.0, _noise_workspace(n_max, M_work)))
 
+    def test_workspace_for_a_single_channel_raises(self):
+        # a 2-D H of M rows took work[i][:M], and the result was an
+        # (M, 2M, M) stack of copies of the (2M, M) answer
+        H = crandn(np.random.default_rng(3), 6, 6)
+        assert _noise_parts(H, 1.0).shape == (12, 6)
+        with pytest.raises(ValueError, match=r"stack H of shape \(n, M, K\), got \(6, 6\)"):
+            _noise_parts(H, 1.0, _noise_workspace(6, 6))
+
     def test_any_workspace_layout_gives_the_same_bits(self):
         # the unit diagonal is set through views of Z itself, not of a
         # reshaped copy, so Fortran order or strided views take it as a
