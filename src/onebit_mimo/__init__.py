@@ -17,16 +17,14 @@ from .allocation import (
     se_surface,
 )
 from .channel import (
-    data_signal,
     dft_pilots,
-    gen_correlated_channel,
     gen_iid_channel,
     laplacian_covariance,
     training_signal,
     unvec,
     vec,
 )
-from .config import SystemConfig, db_to_linear, linear_to_db
+from .config import SystemConfig, db_to_linear
 from .estimators import (
     ChannelEstimate,
     blmmse_fast,

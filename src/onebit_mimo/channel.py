@@ -1,4 +1,4 @@
-"""Channel, pilot, and received-signal generation for training and data phases."""
+"""Channel, pilot, and training-signal generation."""
 
 from __future__ import annotations
 
@@ -13,10 +13,8 @@ __all__ = [
     "unvec",
     "gen_iid_channel",
     "laplacian_covariance",
-    "gen_correlated_channel",
     "dft_pilots",
     "training_signal",
-    "data_signal",
     "crandn",
     "crandn_trials",
 ]
@@ -125,20 +123,6 @@ def laplacian_covariance(
     return C
 
 
-def gen_correlated_channel(cov: np.ndarray, K: int, seed) -> np.ndarray:
-    """Draw K independent user columns, each ~ CN(0, cov).
-
-    cov must be M x M Hermitian PSD; a square-root factor is taken via an
-    eigendecomposition so numerically semidefinite inputs are accepted.
-    """
-    cov = np.asarray(cov)
-    M = cov.shape[0]
-    if cov.shape != (M, M):
-        raise ValueError("cov must be square")
-    rng = np.random.default_rng(seed)
-    return _psd_root(cov) @ crandn(rng, M, K)
-
-
 def _psd_root(cov: np.ndarray) -> np.ndarray:
     """Square-root factor R, R R^H = cov, of a Hermitian PSD matrix via eigh.
 
@@ -177,13 +161,3 @@ def training_signal(
     rng = np.random.default_rng(noise_seed)
     Y = np.sqrt(rho_p) * H @ Phi.T + crandn(rng, M, tau)
     return vec(Y)
-
-
-def data_signal(H: np.ndarray, s: np.ndarray, rho_d: float, noise_seed) -> np.ndarray:
-    """One data-phase receive vector y = sqrt(rho_d) H s + n of length M."""
-    M, K = H.shape
-    s = np.asarray(s).reshape(-1)
-    if s.shape[0] != K:
-        raise ValueError(f"H has {K} users but s has {s.shape[0]} symbols")
-    rng = np.random.default_rng(noise_seed)
-    return np.sqrt(rho_d) * H @ s + crandn(rng, M)

@@ -77,9 +77,9 @@ def _parse_value(text: str):
 def validate_config(path: str | Path) -> ExperimentSpec:
     """Parse and validate a config file into a resolved ExperimentSpec.
 
-    Applies the figure's defaults (T = 200 and rho_p = rho_d per sweep unless
-    overridden). A spec that breaks a figure invariant is reported at the
-    line of the first of the SpecError's keys that the file sets.
+    Each key the file leaves out takes its figure's default in FIGURES. A
+    spec that breaks a figure invariant is reported at the line of the first
+    of the SpecError's keys that the file sets.
     """
     path = Path(path)
     if not path.exists():
@@ -104,7 +104,7 @@ def validate_config(path: str | Path) -> ExperimentSpec:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
             values[name] = val.strip() if name in _FIELDS.values() else _parse_value(val)
-        except ValueError as e:
+        except (ValueError, OverflowError) as e:  # an int range bound past float
             raise ConfigError(f"{path}:{lineno}: {e}") from None
         lines[name] = lineno
 

@@ -4,17 +4,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 def db_to_linear(x_db: float) -> float:
     """Convert a power quantity from dB to linear scale."""
     return 10.0 ** (x_db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    """Convert a linear power quantity to dB."""
-    return 10.0 * math.log10(x)
 
 
 @dataclass(frozen=True)
@@ -34,6 +29,10 @@ class SystemConfig:
     rho_d: float = 1.0
 
     def __post_init__(self):
+        for name in ("M", "rho_p", "rho_d"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {v!r}")
         if not 1 <= self.M < math.inf:  # NaN fails
             raise ValueError(f"M must be finite and >= 1, got {self.M}")
         for name in ("K", "tau", "T"):
@@ -46,8 +45,3 @@ class SystemConfig:
             )
         if not (0 <= self.rho_p < math.inf and 0 <= self.rho_d < math.inf):
             raise ValueError(f"SNRs must be finite and >= 0, got {self.rho_p}, {self.rho_d}")
-
-    def with_snr(self, rho: float) -> "SystemConfig":
-        """Copy with rho_p = rho_d = rho (the common simulation sweep)."""
-        return replace(self, rho_p=rho, rho_d=rho)
-

@@ -63,8 +63,10 @@ class ChannelEstimate:
 def mse_closed_form(cfg: SystemConfig) -> float:
     """Normalized MSE of the Bussgang LMMSE estimate, 1 - 2K*rho_p/(pi(K*rho_p+1)).
 
-    Exact for tau = K with DFT pilots and an i.i.d. channel.
+    Exact for tau = K with DFT pilots and an i.i.d. channel; ValueError otherwise.
     """
+    if cfg.tau != cfg.K:
+        raise ValueError(f"the closed form requires tau == K, got tau={cfg.tau}, K={cfg.K}")
     kr = cfg.K * cfg.rho_p
     return 1.0 - 2.0 * kr / (np.pi * (kr + 1.0))
 
@@ -203,11 +205,9 @@ def blmmse_fast(r_p: np.ndarray, Phi: np.ndarray, cfg: SystemConfig) -> ChannelE
     O(M K tau); coincides with :func:`blmmse_flat` in this regime because
     the quantized-output covariance is the identity.
     """
-    if cfg.tau != cfg.K:
-        raise ValueError(f"fast path requires tau == K, got tau={cfg.tau}, K={cfg.K}")
+    mse = mse_closed_form(cfg)
     _check_pilots(Phi, cfg)
     R_p = unvec(np.asarray(r_p).reshape(-1), cfg.M, cfg.tau)
-    mse = mse_closed_form(cfg)
     H_hat = alpha_p(cfg) * np.sqrt(cfg.rho_p) * (R_p @ Phi.conj())
     return ChannelEstimate(H_hat, sigma_sq=1.0 - mse, mse=mse)
 

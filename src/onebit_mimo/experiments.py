@@ -43,10 +43,11 @@ __all__ = [
 ]
 
 
-# the largest |_db| value, closed-form M and allocation T that validate accepts
+# the largest |_db| value, closed-form M, allocation T and range length that validate accepts
 _DB_LIMIT = 300
 _M_LIMIT = 10**12
 _T_LIMIT = 10**4
+_RANGE_MAX = 10**5
 
 
 class SpecError(ValueError):
@@ -469,8 +470,15 @@ def fig9_kappa(p, n_trials, seed) -> dict:
 
 def _span(a, b, step):
     # floor, so that no value passes b; 1e-9 keeps b when (b - a) / step rounds
-    # just below an integer, as 0.3 / 0.1 = 2.9999999999999996 does
-    return [round(a + i * step, 10) for i in range(int((b - a) / step + 1e-9) + 1)]
+    # just below an integer, as 0.3 / 0.1 = 2.9999999999999996 does. The count
+    # (inf if the quotient overflows) is checked before any value is built
+    last = (b - a) / step + 1e-9
+    if last >= _RANGE_MAX:
+        raise ValueError(f"range would hold more than {_RANGE_MAX} values")
+    values = [round(a + i * step, 10) for i in range(int(last) + 1)]
+    if any(y <= x for x, y in zip(values, values[1:])):
+        raise ValueError("range values must be strictly increasing after rounding to 10 decimals")
+    return values
 
 
 FIGURES = {

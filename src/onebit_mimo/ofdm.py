@@ -51,19 +51,18 @@ class OfdmConfig:
             raise ValueError("L must be >= 1")
 
 
-def td_pilot_matrix(x_fd: np.ndarray, L: int | None = None) -> np.ndarray:
+def td_pilot_matrix(x_fd: np.ndarray, L: int) -> np.ndarray:
     """Circulant time-domain pilot matrix of one user, truncated to L columns.
 
     Its first column is the unitary IFFT of the frequency-domain symbol
-    vector x_fd. L, if given, must lie in [1, len(x_fd)].
+    vector x_fd. L must lie in [1, len(x_fd)].
     """
     x_fd = np.asarray(x_fd).reshape(-1)
-    if L is not None and not 1 <= L <= x_fd.size:
+    if not 1 <= L <= x_fd.size:
         raise ValueError(f"need 1 <= L <= {x_fd.size}, got L={L}")
     phi_td = np.fft.ifft(x_fd) * np.sqrt(x_fd.size)
     i = np.arange(phi_td.size)
-    C = phi_td[(i[:, None] - i) % phi_td.size]  # C[i, j] = phi_td[(i - j) mod N]
-    return C if L is None else C[:, :L]
+    return phi_td[(i[:, None] - i[:L]) % phi_td.size]  # [i, j] is phi_td[(i - j) mod N]
 
 
 def qpsk_pilots(N_c: int, K: int, seed) -> np.ndarray:

@@ -5,16 +5,14 @@ from hypothesis import strategies as st
 
 from onebit_mimo import (
     SystemConfig,
-    data_signal,
     dft_pilots,
-    gen_correlated_channel,
     gen_iid_channel,
     laplacian_covariance,
     training_signal,
     unvec,
     vec,
 )
-from onebit_mimo.channel import crandn, crandn_trials
+from onebit_mimo.channel import _psd_root, crandn, crandn_trials
 
 
 def test_vec_unvec_roundtrip():
@@ -147,28 +145,18 @@ class TestLaplacianClosedForm:
 
 
 class TestCorrelatedChannel:
-    def test_identity_cov_matches_iid_stats(self):
-        H = gen_correlated_channel(np.eye(8), 2000, seed=5)
-        assert abs(np.mean(np.abs(H) ** 2) - 1.0) < 0.03
-        assert np.max(np.abs(H.mean(axis=1))) < 0.05
-
+    # fig3 draws its correlated channels as _psd_root(C) @ crandn(rng, M, K)
     def test_empirical_covariance(self):
         M = 8
         C = laplacian_covariance(M, 20.0, 15.0)
-        H = gen_correlated_channel(C, 10_000, seed=6)
+        H = _psd_root(C) @ crandn(np.random.default_rng(6), M, 10_000)
         emp = H @ H.conj().T / H.shape[1]
         assert np.linalg.norm(emp - C) < 0.05 * M
-
-    def test_deterministic(self):
-        C = laplacian_covariance(4, 0.0, 30.0)
-        assert np.array_equal(
-            gen_correlated_channel(C, 3, seed=7), gen_correlated_channel(C, 3, seed=7)
-        )
 
     def test_non_psd_rejected(self):
         bad = np.diag([1.0, -0.5])
         with pytest.raises(np.linalg.LinAlgError):
-            gen_correlated_channel(bad, 2, seed=0)
+            _psd_root(bad)
 
 
 class TestSignals:
@@ -198,36 +186,11 @@ class TestSignals:
         d = np.mean(np.abs(ys) ** 2, axis=0)
         assert np.max(np.abs(d / (K * rho + 1.0) - 1.0)) < 0.03
 
-    def test_data_zero_symbols_is_noise(self):
-        H = np.ones((8, 2), dtype=complex)
-        y = data_signal(H, np.zeros(2), 5.0, 11)
-        n = crandn(np.random.default_rng(11), 8)
-        assert np.array_equal(y, n)
-
-    def test_data_direct_substitution(self):
-        H = np.array([[1.0 + 0j]])
-        y = data_signal(H, np.array([1.0]), 4.0, 13)
-        n = crandn(np.random.default_rng(13), 1)
-        assert np.allclose(y - n, [2.0])
-
-    def test_data_covariance(self):
-        rng = np.random.default_rng(4)
-        H = crandn(rng, 3, 2)
-        rho = 0.8
-        ys = np.stack(
-            [data_signal(H, crandn(rng, 2), rho, rng) for _ in range(20_000)]
-        )
-        emp = ys.T @ ys.conj() / ys.shape[0]
-        target = rho * H @ H.conj().T + np.eye(3)
-        assert np.max(np.abs(emp - target)) < 0.1
-
 
 def test_signal_dimension_mismatch():
     H = np.ones((4, 2), dtype=complex)
     with pytest.raises(ValueError):
         training_signal(H, dft_pilots(4, 3), 1.0, 0)
-    with pytest.raises(ValueError):
-        data_signal(H, np.ones(3), 1.0, 0)
 
 
 @pytest.mark.parametrize("n", [1, 4])

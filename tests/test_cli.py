@@ -303,6 +303,27 @@ class TestConfigParsing:
         assert _parse_value("0:4:6") == [0, 4]
         assert _parse_value("0:0.6:1") == [0.0, 0.6]
         assert _parse_value("0:0.1:0.3") == [0.0, 0.1, 0.2, 0.3]
+        assert len(_parse_value("0:1:99999")) == experiments._RANGE_MAX
+
+    # 0:1e-12:1 used to build its 10^12 values before any check, and
+    # 0:1e-11:1e-10 gave 0.0 six times and 1e-10 five times
+    @pytest.mark.parametrize(
+        "text, rule",
+        [
+            ("0:1e-12:1", "more than 100000 values"),
+            ("0:1e-7:1", "more than 100000 values"),
+            ("0:1:100000", "more than 100000 values"),
+            ("0:5e-324:1", "more than 100000 values"),
+            ("-1e308:1:1e308", "more than 100000 values"),
+            ("0:1e-11:1e-10", "strictly increasing"),
+            ("1e16:1:1.0000000000000008e16", "strictly increasing"),
+            pytest.param("0:1:1" + "0" * 400, "too large", id="int-stop-past-float"),
+        ],
+    )
+    def test_range_refused_at_its_line(self, tmp_path, text, rule):
+        p = _write(tmp_path, f"figure = fig4_se_vs_snr\nn_trials = 2\nsnr_db = {text}\n")
+        with pytest.raises(ConfigError, match=f"cfg.txt:3: .*{rule}"):
+            validate_config(p)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="no such config"):

@@ -115,6 +115,13 @@ class TestClosedFormMse:
         cfg = SystemConfig(M=4, K=4, tau=4, rho_p=10.0)
         assert mse_closed_form(cfg) == pytest.approx(0.37891, abs=5e-6)
 
+    def test_tau_above_k_raises(self):
+        # the tau = K value, 0.3789, was returned although the filter reaches 0.1613
+        cfg = SystemConfig(M=16, K=4, tau=20, rho_p=10.0)
+        assert _iid_filter(dft_pilots(20, 4), cfg)[2] == pytest.approx(0.1613, abs=5e-5)
+        with pytest.raises(ValueError, match="tau == K"):
+            mse_closed_form(cfg)
+
     def test_monotone_decreasing_bounded_by_floor(self):
         rhos = np.logspace(-3, 5, 30)
         vals = [

@@ -42,7 +42,7 @@ def test_ofdm_config_takes_integers(sizes):
 
 def test_circulant_first_column_is_ifft():
     x = qpsk_pilots(16, 1, 0)[:, 0]
-    P = td_pilot_matrix(x)
+    P = td_pilot_matrix(x, 16)
     e1 = np.zeros(16)
     e1[0] = 1.0
     assert np.allclose(P @ e1, np.fft.ifft(x) * 4.0, atol=1e-14)
@@ -62,7 +62,7 @@ def test_pilot_matrix_rejects_a_tap_count_outside_the_symbol(L):
 @pytest.mark.parametrize("n", [1, 2, 7, 16])
 def test_circulant_index_build_matches_scipy(n):
     x = qpsk_pilots(n, 1, n)[:, 0]
-    assert np.array_equal(td_pilot_matrix(x), circulant(np.fft.ifft(x) * np.sqrt(n)))
+    assert np.array_equal(td_pilot_matrix(x, n), circulant(np.fft.ifft(x) * np.sqrt(n)))
 
 
 def test_qpsk_pilots_unit_modulus():
