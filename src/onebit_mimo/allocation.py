@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SystemConfig
+from .config import SystemConfig, _integer, _real
 from .estimators import estimate_variance
 from .rates import _check_zf_antennas, _sinr, _sum_se
 
@@ -48,15 +48,15 @@ class AllocationSolution:
 
 
 def _checked_power(rho, cfg: SystemConfig) -> float:
-    """The energy P = rho*T of cfg's coherence interval, once 0 < rho < inf."""
-    if not 0.0 < rho < math.inf:  # NaN fails
+    """The energy P = rho*T of cfg's coherence interval, once rho is a real in (0, inf)."""
+    if not _real(rho) or not 0.0 < rho < math.inf:  # NaN fails
         raise ValueError(f"rho must be finite and > 0, got {rho}")
     return rho * cfg.T
 
 
 def _checked_split(gamma, tau, K, T):
     """gamma as a float array, once tau is an integer in [K, T] and every gamma lies in (0, 1)."""
-    if isinstance(tau, bool) or not isinstance(tau, (int, np.integer)) or not K <= tau <= T:
+    if not _integer(tau) or not K <= tau <= T:
         raise ValueError(f"tau must be an integer in [K, T], got {tau}")
     gamma = np.asarray(gamma, dtype=float)
     if not ((gamma > 0.0) & (gamma < 1.0)).all():  # NaN fails both
@@ -140,7 +140,6 @@ def _golden_max(f):
     f maps a point, or an array of points (one per search), to its values.
     Every search takes the scalar search's steps until its bracket is within
     1e-6 wide; all brackets start alike, so they get there on the same step.
-    A scalar f returns floats.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = 1e-9, 1.0 - 1e-9
@@ -156,8 +155,7 @@ def _golden_max(f):
         # left: (a, b, c, d) <- (a, d, x, c); right: (a, b, c, d) <- (c, b, d, x)
         a, b, c, d, fc, fd = np.where(left, (a, d, x, c, fx, fc), (c, b, d, x, fd, fx))
     x = 0.5 * (a + b)
-    fx = f(x)
-    return (float(x), float(fx)) if x.ndim == 0 else (x, fx)
+    return x, f(x)
 
 
 def _optimize_numeric(P, T, M, K, receiver: str, system: str):

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .config import SystemConfig
+from .config import SystemConfig, _integer, _real
 
 __all__ = [
     "vec",
@@ -88,14 +88,14 @@ def laplacian_covariance(
     The integral is exact: C is Hermitian Toeplitz, C[m, n] = c_(m - n), with
     c_d = (1/Z) int exp(-|u - u0|/s) e^{j pi d u} du over [-1, 1] in closed
     form, and narrow spreads tend to the rank-1 c_d = e^{j pi d u0}.
-    Raises ValueError unless M is an integer >= 1, 0 < angle_spread < inf
-    and mean_angle lies inside (-90, 90); LinAlgError if C fails a PSD check.
+    Raises ValueError unless M is an integer >= 1 and the angles are reals, with
+    0 < angle_spread < inf and mean_angle in (-90, 90); LinAlgError if C fails a PSD check.
     """
-    if not isinstance(M, (int, np.integer)) or M < 1:
+    if not _integer(M) or M < 1:
         raise ValueError(f"M must be an integer >= 1, got {M!r}")
-    if not 0.0 < angle_spread < math.inf:
+    if not _real(angle_spread) or not 0.0 < angle_spread < math.inf:
         raise ValueError(f"angle_spread must be positive and finite, got {angle_spread!r}")
-    if not -90.0 < mean_angle < 90.0:
+    if not _real(mean_angle) or not -90.0 < mean_angle < 90.0:
         raise ValueError("mean_angle must lie strictly inside (-90, 90) degrees")
 
     u0 = np.sin(np.deg2rad(mean_angle))

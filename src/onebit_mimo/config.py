@@ -12,6 +12,16 @@ def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
+def _integer(v) -> bool:
+    """Whether v is an integer, Python or numpy; a bool is not one."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _real(v) -> bool:
+    """Whether v is a real number, Python or numpy; a bool is not one."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Dimensions and powers of one uplink scenario.
@@ -30,14 +40,12 @@ class SystemConfig:
 
     def __post_init__(self):
         for name in ("M", "rho_p", "rho_d"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            if not _real(v := getattr(self, name)):
                 raise ValueError(f"{name} must be a real number, got {v!r}")
         if not 1 <= self.M < math.inf:  # NaN fails
             raise ValueError(f"M must be finite and >= 1, got {self.M}")
         for name in ("K", "tau", "T"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            if not _integer(v := getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
         if not (1 <= self.K <= self.tau <= self.T):
             raise ValueError(

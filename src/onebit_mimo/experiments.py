@@ -13,7 +13,7 @@ import csv
 import itertools
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .allocation import antenna_ratio, bit_energy, optimize_allocation, power_scaling_limit
 from .channel import _psd_root, dft_pilots, laplacian_covariance
-from .config import SystemConfig, db_to_linear
+from .config import SystemConfig, _integer, _real, db_to_linear
 from .estimators import (
     _iid_filter,
     _ls_pinv,
@@ -43,11 +43,13 @@ __all__ = [
 ]
 
 
-# the largest |_db| value, closed-form M, allocation T and range length that validate accepts
+# the largest |_db| value, closed-form M, allocation T, range length and n_trials that
+# validate accepts; a grid point keeps every trial's row, 2K floats per trial for fig4
 _DB_LIMIT = 300
 _M_LIMIT = 10**12
 _T_LIMIT = 10**4
 _RANGE_MAX = 10**5
+_TRIALS_LIMIT = 10**6
 
 
 class SpecError(ValueError):
@@ -74,14 +76,24 @@ class ExperimentSpec:
 
     def resolved(self) -> "ExperimentSpec":
         """The spec with its figure's defaults filled in; SpecError if it is invalid."""
-        sweep = _checked_sweep(self)
-        return ExperimentSpec(
-            figure_id=self.figure_id,
-            sweep=sweep,
-            n_trials=self.n_trials or FIGURES[self.figure_id].default_trials,
-            seed=self.seed,
-            output_path=_checked_output(self.output_path or f"{self.figure_id}.csv"),
+        # a numpy number becomes the equal Python int or float, which JSON can hold
+        sweep = {key: _python(val) for key, val in self.sweep.items()}
+        spec = replace(self, sweep=sweep, n_trials=_python(self.n_trials), seed=_python(self.seed))
+        return replace(
+            spec,
+            sweep=_checked_sweep(spec),
+            n_trials=spec.n_trials or FIGURES[spec.figure_id].default_trials,
+            output_path=_checked_output(spec.output_path or f"{spec.figure_id}.csv"),
         )
+
+
+def _python(val):
+    """val, or each value of a list, with a numpy number as the equal Python int or float."""
+    if isinstance(val, list):
+        return [_python(v) for v in val]
+    if isinstance(val, np.generic) and _real(val):
+        return int(val) if _integer(val) else float(val)
+    return val
 
 
 def _checked_sweep(spec: ExperimentSpec) -> dict:
@@ -95,23 +107,25 @@ def _checked_sweep(spec: ExperimentSpec) -> dict:
         if key not in fig.defaults:
             msg = f"unknown parameter {key!r} for {fid} (expected one of {sorted(fig.defaults)})"
             raise SpecError(msg, key)
-        if val == []:
+        if not _aslist(val):
             raise SpecError(f"{key} takes at least one value, got []", key)
         for v in _aslist(val):
             # abs(v) compares an int beyond the float range without converting it
-            if not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+            if not _real(v) or not abs(v) <= sys.float_info.max:
                 msg = f"{key} must be a finite number in float range, got {v!r}"
                 raise SpecError(msg, key)
             if key.endswith("_db") and not -_DB_LIMIT <= v <= _DB_LIMIT:
                 msg = f"{key} must be between -{_DB_LIMIT} and {_DB_LIMIT} dB, got {v!r}"
                 raise SpecError(msg, key)
-    if not isinstance(spec.seed, int):
+    if not _integer(spec.seed):
         raise SpecError(f"seed must be an integer, got {spec.seed!r}", "seed")
     if spec.seed < 0:  # numpy's SeedSequence takes nonnegative entropy only
         raise SpecError(f"seed must be a nonnegative integer, got {spec.seed}", "seed")
     n = spec.n_trials
-    if not isinstance(n, int) or n < 0:
+    if not _integer(n) or n < 0:
         raise SpecError(f"n_trials must be a nonnegative integer, got {n!r}", "n_trials")
+    if n > _TRIALS_LIMIT:
+        raise SpecError(f"n_trials must be at most {_TRIALS_LIMIT:,}, got {n}", "n_trials")
     monte_carlo = fig.default_trials > 1
     if monte_carlo and n == 1:
         raise SpecError(
@@ -124,10 +138,10 @@ def _checked_sweep(spec: ExperimentSpec) -> dict:
     for name in ("m", "k", "tau", "t") if monte_carlo else ("k", "tau", "t"):
         why = f"; {fid} is a Monte Carlo figure" if name == "m" else ""
         for v in _aslist(p.get(name, [])):
-            if not isinstance(v, int):
+            if not _integer(v):
                 raise SpecError(f"{name} must be an integer, got {v!r}{why}", name)
     iters = p.get("nml_max_iters", 1)
-    if not isinstance(iters, int) or iters < 1:
+    if not _integer(iters) or iters < 1:
         msg = f"nml_max_iters must be an integer >= 1, got {iters!r}"
         raise SpecError(msg, "nml_max_iters")
     for key, val in spec.sweep.items():

@@ -13,7 +13,7 @@ import numpy as np
 from .channel import crandn_trials
 from .quantize import one_bit_quantize
 
-__all__ = ["block_seeds", "run_blocks", "trial_stacks", "training_trials"]
+__all__ = ["run_blocks", "trial_stacks", "training_trials"]
 
 BLOCK = 256  # trials per block
 
@@ -33,24 +33,16 @@ BLOCK = 256  # trials per block
 _STACK_ELEMS = 32_768
 
 
-def block_seeds(seed, n_blocks: int) -> list[np.random.SeedSequence]:
-    """Independent per-block seed streams, a pure function of (seed, index).
-
-    seed may be an int or a tuple of ints (e.g. (run seed, grid index)).
-    """
-    base = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
-    return [np.random.SeedSequence(entropy=(*base, i)) for i in range(n_blocks)]
-
-
 def run_blocks(n_trials: int, fn, seed) -> list:
     """Run fn(rng, n) over contiguous blocks of BLOCK trials; returns their results in order.
 
-    fn receives a fresh Generator seeded from :func:`block_seeds` and the
-    block's trial count; the last block holds the remainder.
+    Block b of n trials (the last holds the remainder) gets a fresh Generator on the
+    stream SeedSequence(entropy=(*seed, b)); seed is an int or a tuple of ints.
     """
+    base = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
     sizes = [min(BLOCK, n_trials - lo) for lo in range(0, n_trials, BLOCK)]
-    seeds = block_seeds(seed, len(sizes))
-    return [fn(np.random.default_rng(s), n) for s, n in zip(seeds, sizes)]
+    seqs = [np.random.SeedSequence(entropy=(*base, b)) for b in range(len(sizes))]
+    return [fn(np.random.default_rng(s), n) for s, n in zip(seqs, sizes)]
 
 
 def trial_stacks(n: int, M: int) -> list[slice]:

@@ -10,13 +10,12 @@ training's i.i.d. prior is; a general tap covariance is solved dense.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import crandn, training_signal, unvec
-from .config import SystemConfig
+from .config import SystemConfig, _integer
 from .estimators import _bussgang_lmmse
 
 __all__ = [
@@ -40,8 +39,7 @@ class OfdmConfig:
 
     def __post_init__(self):
         for name in ("N_c", "N_cp", "L"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            if not _integer(v := getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
         if not (self.L - 1 <= self.N_cp <= self.N_c):
             raise ValueError(

@@ -454,8 +454,9 @@ class TestVectorizedScan:
             assert xs[i] == x and fs[i] == f
 
     def test_scalar_bracket_returns_floats(self):
+        # a scalar search returns numpy float64s, which are floats
         x, f = _golden_max(lambda x: -((x - 0.3) ** 2))
-        assert type(x) is float and type(f) is float
+        assert isinstance(x, float) and isinstance(f, float)
         assert x == pytest.approx(0.3, abs=1e-6)
 
     @pytest.mark.parametrize(
@@ -606,7 +607,8 @@ class TestPowerArgument:
 
     def test_nonpositive_or_nonfinite_rho_raises(self):
         cfg = self.CFG
-        for rho in (0.0, -0.0, -1e-300, -1.0, math.inf, -math.inf, math.nan):
+        # True used to run as rho = 1
+        for rho in (0.0, -0.0, -1e-300, -1.0, math.inf, -math.inf, math.nan, True):
             calls = [
                 lambda: se_at_allocation(0.5, 10, rho, cfg),
                 lambda: se_surface(0.5, 10, rho, cfg),

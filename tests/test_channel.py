@@ -81,6 +81,8 @@ class TestLaplacianCovariance:
             laplacian_covariance(4, 0.0, -1.0)
         with pytest.raises(ValueError):
             laplacian_covariance(4, 90.0, 10.0)
+        with pytest.raises(ValueError, match="mean_angle must lie strictly inside"):
+            laplacian_covariance(4, True, 10.0)  # ran at 1 degree
 
 
 def _midpoint_first_column(M, mean_angle, angle_spread, n_nodes):
@@ -128,14 +130,14 @@ class TestLaplacianClosedForm:
         C = laplacian_covariance(16, 70.0, 1e-9)
         assert np.allclose(C, np.outer(a, a.conj()), rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("angle_spread", [np.nan, np.inf, -np.inf, 0.0, -1e-300])
+    @pytest.mark.parametrize("angle_spread", [np.nan, np.inf, -np.inf, 0.0, -1e-300, True])
     def test_spread_must_be_positive_and_finite(self, angle_spread):
         with pytest.raises(ValueError, match="angle_spread must be positive and finite"):
             laplacian_covariance(4, 0.0, angle_spread)
 
-    @pytest.mark.parametrize("M", [2.5, 4.0, "4", None])
+    @pytest.mark.parametrize("M", [2.5, 4.0, "4", None, True])
     def test_M_must_be_an_integer(self, M):
-        # M = 2.5 gave a 3 x 3 matrix
+        # M = 2.5 gave a 3 x 3 matrix, M = True a 1 x 1 one
         with pytest.raises(ValueError, match="M must be an integer >= 1"):
             laplacian_covariance(M, 0.0, 10.0)
 

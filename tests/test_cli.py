@@ -43,7 +43,7 @@ from onebit_mimo.experiments import (
     figure_ids,
     run_experiment,
 )
-from onebit_mimo.mc import block_seeds, run_blocks, trial_stacks
+from onebit_mimo.mc import run_blocks, trial_stacks
 
 
 def _write(tmp_path, text, name="cfg.txt"):
@@ -219,6 +219,8 @@ class TestConfigParsing:
             ("fig8_se_vs_m", "m = 1.7e308", "m must be at most 1,000,000,000,000, got 1.7e"),
             ("fig9_kappa", "m_conv = 1.7e308", "m_conv must be at most 1,000,000,000,000, got"),
             ("fig7_opt_tau", "t = 1" + "0" * 30, "t must be at most 10,000, got 1" + "0" * 30),
+            # a MemoryError traceback from the 4e15 block sizes of mc.run_blocks
+            ("fig4_se_vs_snr", "n_trials = 1" + "0" * 18, "n_trials must be at most 1,000,000"),
         ],
     )
     def test_value_that_failed_at_run_is_rejected_at_its_line(
@@ -684,6 +686,49 @@ class TestRunExperiment:
         assert str(cli.value) == f"{p}:5: {lib.value}"
 
     @pytest.mark.parametrize(
+        "figure, fields, message",
+        [
+            # a bool passed as an integer: k = True died at the first grid point with
+            # "K must be an integer, got True", and seed = True wrote "seed": true
+            ("fig7_opt_tau", {"sweep": {"k": True}}, "k must be a finite number in float"),
+            ("fig2_mse", {"sweep": {"m": True}}, "m must be a finite number in float range"),
+            ("fig5_power_eff", {"sweep": {"tau": True}}, "tau must be a finite number in"),
+            ("fig7_opt_tau", {"sweep": {"t": True}}, "t must be a finite number in float"),
+            ("fig2_mse", {"sweep": {"nml_max_iters": True}}, "nml_max_iters must be a finite"),
+            ("fig5_power_eff", {"seed": True}, "seed must be an integer, got True"),
+            ("fig5_power_eff", {"n_trials": True}, "n_trials must be a nonnegative integer"),
+            # a bare numpy scalar failed in `val == []` with numpy's "truth value" message
+            ("fig4_se_vs_snr", {"sweep": {"m": np.int64(8)}}, "m (8) must exceed k (8)"),
+            ("fig2_mse", {"sweep": {"snr_db": np.float64(400)}}, "snr_db must be between -300"),
+        ],
+    )
+    def test_library_path_names_the_key_of_a_value_no_config_file_holds(
+        self, tmp_path, figure, fields, message
+    ):
+        out = tmp_path / "x.csv"
+        spec = ExperimentSpec(figure, **{"n_trials": 2, **fields}, output_path=str(out))
+        with pytest.raises(SpecError) as lib:
+            run_experiment(spec)
+        assert str(lib.value).startswith(message)
+        assert lib.value.keys[0] == message.split()[0]
+        assert not out.exists()
+
+    def test_numpy_numbers_write_the_bytes_of_python_numbers(self, tmp_path):
+        # numpy ints in a list were refused as "not a finite number", and a
+        # numpy seed or n_trials failed in emit_manifest as not JSON serializable
+        out = tmp_path / "x.csv"
+        files = [out, *(out.with_suffix(s) for s in (".gp", ".manifest.json"))]
+        written = []
+        for m, snr, n, seed in (
+            ([32, 64], 0.0, 4, 7),
+            ([np.int64(32), np.int32(64)], np.float64(0.0), np.int64(4), np.uint8(7)),
+        ):
+            spec = ExperimentSpec("fig4_se_vs_snr", {"m": m, "snr_db": snr}, n, seed, str(out))
+            run_experiment(spec)
+            written.append([f.read_bytes() for f in files])
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize(
         "output, message",
         [
             # the plot stub used to overwrite the CSV, and the run reported success
@@ -826,7 +871,7 @@ class TestRunExperiment:
         Phi = dft_pilots(tau, K)
         root = np.linalg.cholesky(laplacian_covariance(M, 70.0, 10.0) + 1e-9 * np.eye(M))
         G = blmmse_filter(Phi, cfg)[0]
-        rng = np.random.default_rng(block_seeds((3, 1), 1)[0])
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(3, 1, 0)))
         mse = np.empty(5)
         for t in range(5):
             H = root @ crandn(rng, M, K)

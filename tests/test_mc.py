@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from onebit_mimo import mc
-from onebit_mimo.mc import block_seeds, run_blocks, trial_stacks
+from onebit_mimo.mc import run_blocks, trial_stacks
 
 
 def _collect(rng, n):
@@ -12,12 +12,12 @@ def _collect(rng, n):
 
 def test_run_blocks_equals_loop_over_block_seeds():
     # blocks of 256 trials, the last one short, each drawn from its own
-    # stream in block order
+    # stream (seed, block index) in block order
     got = run_blocks(1000, _collect, seed=(5, 1))
     sizes = [256] * 3 + [232]
     want = [
-        _collect(np.random.default_rng(s), n)
-        for s, n in zip(block_seeds((5, 1), len(sizes)), sizes)
+        _collect(np.random.default_rng(np.random.SeedSequence(entropy=(5, 1, b))), n)
+        for b, n in enumerate(sizes)
     ]
     assert len(got) == len(want)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -30,8 +30,7 @@ def test_block_partition_covers_all_trials():
 
 
 def test_blocks_have_distinct_streams():
-    seqs = block_seeds(3, 4)
-    draws = [np.random.default_rng(s).standard_normal(4) for s in seqs]
+    draws = run_blocks(4 * 256, lambda rng, n: rng.standard_normal(4), seed=3)
     for i in range(4):
         for j in range(i + 1, 4):
             assert not np.allclose(draws[i], draws[j])
